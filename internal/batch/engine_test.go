@@ -216,8 +216,12 @@ func TestTrySubmitBackpressure(t *testing.T) {
 	g := schedtest.Chain(6, 1)
 
 	// Occupy the single worker with a budgeted anytime search, then
-	// fill the single queue slot; the next TrySubmit must shed load.
-	busy, err := e.Submit(context.Background(), Request{Graph: g, Algorithm: "fast", Budget: 300 * time.Millisecond})
+	// fill the single queue slot; the next TrySubmit must shed load. The
+	// busy graph is layered: its non-empty blocking list makes the search
+	// run out the budget, where a chain's would end at once and free the
+	// worker before the queue fills.
+	busyGraph := schedtest.RandomLayered(rand.New(rand.NewSource(7)), 30)
+	busy, err := e.Submit(context.Background(), Request{Graph: busyGraph, Algorithm: "fast", Budget: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzReadJSON drives the graph loader with arbitrary bytes: it must
-// never panic, and any input it accepts must be a valid graph that
-// survives a write/read round trip.
+// never panic, must accept exactly what its reflective oracle accepts
+// and decode it to the same name and graph, and any input it accepts
+// must be a valid graph that survives a write/read round trip.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"nodes":[{"id":0,"weight":1}],"edges":[]}`)
 	f.Add(`{"name":"d","nodes":[{"id":0,"weight":2},{"id":1,"label":"b","weight":3}],"edges":[{"from":0,"to":1,"weight":4}]}`)
@@ -16,7 +17,11 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{`)
 	f.Add(``)
 	f.Add(`{"nodes":[{"id":0,"weight":-1}],"edges":[]}`)
+	for _, in := range readJSONParitySeeds {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
+		checkReadJSONParity(t, input)
 		g, name, err := ReadJSON(strings.NewReader(input))
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic

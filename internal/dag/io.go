@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"fastsched/internal/jsonscan"
 )
 
 // jsonGraph is the on-disk representation of a Graph.
@@ -43,21 +45,204 @@ func WriteJSON(w io.Writer, g *Graph, name string) error {
 }
 
 // ReadJSON parses a graph previously written by WriteJSON. Node IDs in
-// the file must be dense (0..v-1) but may appear in any order.
+// the file must be dense (0..v-1) but may appear in any order. It reads
+// r to the end and decodes the first JSON value with DecodeJSON; bytes
+// after that value are ignored.
 func ReadJSON(r io.Reader) (*Graph, string, error) {
-	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, "", fmt.Errorf("dag: read: %w", err)
+	}
+	return DecodeJSON(jsonscan.New(data))
+}
+
+// Field names of the JSON graph form, in jsonGraph/jsonNode/jsonEdge
+// order.
+var (
+	graphFields = []string{"name", "nodes", "edges"}
+	nodeFields  = []string{"id", "label", "weight"}
+	edgeFields  = []string{"from", "to", "weight"}
+)
+
+// DecodeJSON decodes the graph value at the scanner's position, in the
+// form WriteJSON writes, and builds the graph (see build). It accepts
+// exactly the values encoding/json would decode into the file form's
+// structs (see package jsonscan), so a JSON type error such as a
+// fractional id is an error here too, and repeated "nodes" or "edges"
+// keys decode into the elements already read, in place. A syntax error
+// inside the value is returned; one after it is left for the caller to
+// find with s.Err.
+func DecodeJSON(s *jsonscan.Scanner) (*Graph, string, error) {
+	var (
+		jg  jsonGraph
+		bad string // the first field holding a value of the wrong type
+	)
+	switch s.Next() {
+	case '{':
+		s.Enter('{')
+		for i := 0; ; i++ {
+			key, ok := s.Member(i)
+			if !ok {
+				break
+			}
+			switch jsonscan.Lookup(key, graphFields) {
+			case 0:
+				if !s.String(&jg.Name) {
+					note(&bad, "name")
+				}
+			case 1:
+				jg.Nodes = decodeList(s, jg.Nodes, decodeNode, &bad, "nodes")
+			case 2:
+				jg.Edges = decodeList(s, jg.Edges, decodeEdge, &bad, "edges")
+			default:
+				s.Skip()
+			}
+		}
+	case 'n':
+		s.Skip()
+	default:
+		s.Skip()
+		note(&bad, "graph")
+	}
+	if err := s.Err(); err != nil {
 		return nil, "", fmt.Errorf("dag: decode: %w", err)
 	}
+	if bad != "" {
+		return nil, "", fmt.Errorf("dag: decode: %s has a value of the wrong JSON type or out of range", bad)
+	}
+	g, err := jg.build()
+	if err != nil {
+		return nil, "", err
+	}
+	return g, jg.Name, nil
+}
+
+// note records field as the first bad one.
+func note(bad *string, field string) {
+	if *bad == "" {
+		*bad = field
+	}
+}
+
+// decodeList decodes a JSON array into list as encoding/json decodes
+// into a slice: element i decodes in place into list[i], reusing the
+// backing array beyond the current length, and the result is cut to the
+// array's length; an empty array or null leaves no backing array.
+func decodeList[T any](s *jsonscan.Scanner, list []T, decode func(*jsonscan.Scanner, *T, *string), bad *string, field string) []T {
+	if !s.Enter('[') {
+		null := s.Next() == 'n'
+		if !null {
+			note(bad, field)
+		}
+		s.Skip()
+		if null {
+			return nil
+		}
+		return list
+	}
+	i := 0
+	for ; s.Elem(i); i++ {
+		if i < cap(list) {
+			list = list[:i+1]
+		} else {
+			var zero T
+			list = append(list[:i], zero)
+		}
+		decode(s, &list[i], bad)
+	}
+	if i == 0 {
+		return nil
+	}
+	return list[:i]
+}
+
+// enterObject opens an object value for a struct destination: null is
+// skipped as a no-op and any other value is skipped as a type error.
+func enterObject(s *jsonscan.Scanner, bad *string, field string) bool {
+	if s.Enter('{') {
+		return true
+	}
+	if s.Next() != 'n' {
+		note(bad, field)
+	}
+	s.Skip()
+	return false
+}
+
+func decodeNode(s *jsonscan.Scanner, n *jsonNode, bad *string) {
+	if !enterObject(s, bad, "nodes") {
+		return
+	}
+	for i := 0; ; i++ {
+		key, ok := s.Member(i)
+		if !ok {
+			return
+		}
+		switch jsonscan.Lookup(key, nodeFields) {
+		case 0:
+			decodeInt(s, &n.ID, bad, "node id")
+		case 1:
+			if !s.String(&n.Label) {
+				note(bad, "node label")
+			}
+		case 2:
+			if !s.Float(&n.Weight) {
+				note(bad, "node weight")
+			}
+		default:
+			s.Skip()
+		}
+	}
+}
+
+func decodeEdge(s *jsonscan.Scanner, e *jsonEdge, bad *string) {
+	if !enterObject(s, bad, "edges") {
+		return
+	}
+	for i := 0; ; i++ {
+		key, ok := s.Member(i)
+		if !ok {
+			return
+		}
+		switch jsonscan.Lookup(key, edgeFields) {
+		case 0:
+			decodeInt(s, &e.From, bad, "edge from")
+		case 1:
+			decodeInt(s, &e.To, bad, "edge to")
+		case 2:
+			if !s.Float(&e.Weight) {
+				note(bad, "edge weight")
+			}
+		default:
+			s.Skip()
+		}
+	}
+}
+
+// decodeInt reads an int field; like encoding/json, it rejects a value
+// that does not fit in int.
+func decodeInt(s *jsonscan.Scanner, dst *int, bad *string, field string) {
+	n := int64(*dst)
+	if !s.Int(&n) || int64(int(n)) != n {
+		note(bad, field)
+		return
+	}
+	*dst = int(n)
+}
+
+// build turns the decoded file form into a graph: node IDs must be
+// dense and unique, nodes are added in ID order and edges in file
+// order, and the result must Validate.
+func (jg *jsonGraph) build() (*Graph, error) {
 	v := len(jg.Nodes)
 	seen := make([]bool, v)
 	nodes := make([]jsonNode, v)
 	for _, n := range jg.Nodes {
 		if n.ID < 0 || n.ID >= v {
-			return nil, "", fmt.Errorf("dag: node id %d out of range [0,%d)", n.ID, v)
+			return nil, fmt.Errorf("dag: node id %d out of range [0,%d)", n.ID, v)
 		}
 		if seen[n.ID] {
-			return nil, "", fmt.Errorf("dag: duplicate node id %d", n.ID)
+			return nil, fmt.Errorf("dag: duplicate node id %d", n.ID)
 		}
 		seen[n.ID] = true
 		nodes[n.ID] = n
@@ -66,18 +251,46 @@ func ReadJSON(r io.Reader) (*Graph, string, error) {
 	for _, n := range nodes {
 		g.AddNode(n.Label, n.Weight)
 	}
+	g.reserveEdges(jg.Edges)
 	for _, e := range jg.Edges {
 		if e.From < 0 || e.From >= v || e.To < 0 || e.To >= v {
-			return nil, "", fmt.Errorf("dag: edge endpoint out of range: %d -> %d", e.From, e.To)
+			return nil, fmt.Errorf("dag: edge endpoint out of range: %d -> %d", e.From, e.To)
 		}
 		if err := g.AddEdge(NodeID(e.From), NodeID(e.To), e.Weight); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
 	if err := g.Validate(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return g, jg.Name, nil
+	return g, nil
+}
+
+// reserveEdges gives every node's successor and predecessor lists the
+// exact capacity the in-range edges will fill, each a three-index slice
+// of one backing array per direction: AddEdge then appends without
+// growing, and an append past a list's share reallocates it instead of
+// overwriting its neighbour's.
+func (g *Graph) reserveEdges(edges []jsonEdge) {
+	v := len(g.nodes)
+	deg := make([]int32, 2*v) // out-degrees, then in-degrees
+	total := 0
+	for _, e := range edges {
+		if e.From >= 0 && e.From < v && e.To >= 0 && e.To < v {
+			deg[e.From]++
+			deg[v+e.To]++
+			total++
+		}
+	}
+	succ, pred := make([]Edge, total), make([]Edge, total)
+	so, po := 0, 0
+	for i := 0; i < v; i++ {
+		out, in := int(deg[i]), int(deg[v+i])
+		g.succ[i] = succ[so : so : so+out]
+		g.pred[i] = pred[po : po : po+in]
+		so += out
+		po += in
+	}
 }
 
 // DOT renders the graph in Graphviz dot syntax. Node labels include the

@@ -88,3 +88,55 @@ func TestDOTOutput(t *testing.T) {
 		t.Errorf("default naming broken:\n%s", dot2)
 	}
 }
+
+// TestReadJSONExactCapacity checks that a decoded graph's adjacency
+// lists are cut to their exact length from shared backing arrays, and
+// that growing one later reallocates it rather than overwriting the
+// neighbouring list.
+func TestReadJSONExactCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, randomLayered(rng, 3+rng.Intn(40)), ""); err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.succ {
+			if cap(g.succ[i]) != len(g.succ[i]) || cap(g.pred[i]) != len(g.pred[i]) {
+				t.Fatalf("trial %d node %d: succ len/cap %d/%d, pred len/cap %d/%d", trial, i,
+					len(g.succ[i]), cap(g.succ[i]), len(g.pred[i]), cap(g.pred[i]))
+			}
+		}
+		before := g.Clone()
+		// A new edge from the first node to the last appends to both
+		// ends' lists; every other list must be untouched.
+		from, to := NodeID(0), NodeID(g.NumNodes()-1)
+		if _, dup := g.EdgeWeight(from, to); dup {
+			continue
+		}
+		if err := g.AddEdge(from, to, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.succ {
+			n := NodeID(i)
+			if n != from && !sameEdgeList(g.succ[i], before.succ[i]) || n != to && !sameEdgeList(g.pred[i], before.pred[i]) {
+				t.Fatalf("trial %d: growing %d -> %d changed node %d's lists", trial, from, to, i)
+			}
+		}
+	}
+}
+
+func sameEdgeList(a, b []Edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -603,10 +603,14 @@ func (s *searcher) stateKey() uint64 {
 }
 
 // branches lists the (node, processor) moves dfs would explore from the
-// current state, dominance rules applied — the frontier expansion uses
-// it to split the root into subproblems.
+// current state, dominance rules applied and in dfs's earliest-start-
+// first order — the frontier expansion uses it to split the root into
+// subproblems. The order matters: the frontier's first prefixes then
+// lie on the serial search's first dive, so its early incumbents are
+// found at any worker count instead of only when one frontier prefix
+// happens to start on that path.
 func (s *searcher) branches() []move {
-	var out []move
+	var cands []cand
 	for i := 0; i < s.prob.v; i++ {
 		n := dag.NodeID(i)
 		if s.assign[n] != -1 || s.pending[n] > 0 {
@@ -623,12 +627,17 @@ func (s *searcher) branches() []move {
 				}
 				triedEmpty = true
 			}
-			if st := s.startTime(n, p); st < s.lastStart ||
-				(st == s.lastStart && int32(n) < s.lastID) {
+			st := s.startTime(n, p)
+			if st < s.lastStart || (st == s.lastStart && int32(n) < s.lastID) {
 				continue
 			}
-			out = append(out, move{node: n, proc: int8(p)})
+			cands = append(cands, cand{st: st, node: n, proc: int8(p)})
 		}
+	}
+	sortCands(cands)
+	out := make([]move, len(cands))
+	for i, c := range cands {
+		out[i] = move{node: c.node, proc: c.proc}
 	}
 	return out
 }

@@ -111,6 +111,8 @@ func TestCorpusReplayThroughHTTP(t *testing.T) {
 	}
 }
 
+// FuzzSubmitHTTP holds every body to the HTTP contract and to parity
+// between the one-pass decoder and its reflective oracle.
 func FuzzSubmitHTTP(f *testing.F) {
 	for _, graph := range corpusGraphs(f) {
 		f.Add(graph)
@@ -121,8 +123,12 @@ func FuzzSubmitHTTP(f *testing.F) {
 	f.Add([]byte(`{"graph":{"nodes":[{"id":0,"weight":1}]},"procs":1}`))
 	f.Add([]byte(`{"graph":{"nodes":[]},"deadline_ms":-1}`))
 	f.Add([]byte(`{`))
+	for _, body := range submitParitySeeds {
+		f.Add([]byte(body))
+	}
 	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkSubmitParity(t, body)
 		checkSubmitResponse(t, h, body)
 	})
 }

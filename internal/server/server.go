@@ -24,6 +24,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -32,6 +35,7 @@ import (
 
 	"fastsched/internal/batch"
 	"fastsched/internal/dag"
+	"fastsched/internal/jsonscan"
 	"fastsched/internal/obs"
 	"fastsched/internal/sched"
 )
@@ -292,43 +296,90 @@ func (s *Server) snapshotLoop(every time.Duration) {
 
 // ---- request/response shapes ----
 
-// submitRequest is the JSON body of POST /v1/schedule and POST
-// /v1/jobs. Graph is the dag JSON format (the same file format dagen
+// submitFields are the keys of a POST /v1/schedule or POST /v1/jobs
+// body. graph is in the dag JSON format (the same file format dagen
 // writes).
-type submitRequest struct {
-	Graph      json.RawMessage `json:"graph"`
-	Algorithm  string          `json:"algorithm"`
-	Procs      int             `json:"procs"`
-	Seed       int64           `json:"seed"`
-	DeadlineMS int64           `json:"deadline_ms"`
-	NoCache    bool            `json:"no_cache"`
-}
+var submitFields = []string{"graph", "algorithm", "procs", "seed", "deadline_ms", "no_cache"}
 
-// placementJSON is one node's slot in a response.
-type placementJSON struct {
-	Node   int     `json:"node"`
-	Proc   int     `json:"proc"`
-	Start  float64 `json:"start"`
-	Finish float64 `json:"finish"`
-}
-
-// scheduleResult is the deterministic scheduling payload: a pure
-// function of the scheduling input, byte-identical whether it came
-// from a cold run, the live cache, or a cache restored from a
-// snapshot. Request-lifetime metadata (cache hit, latency) travels in
-// the X-Fastsched-Cache and X-Fastsched-Elapsed-Ms headers (sync) or
-// the job envelope (async) so it never perturbs the payload.
-type scheduleResult struct {
-	Algorithm  string          `json:"algorithm"`
-	Makespan   float64         `json:"makespan"`
-	ProcsUsed  int             `json:"procs_used"`
-	Placements []placementJSON `json:"placements"`
+// decodeSubmit decodes a submit body in one pass, the graph in place,
+// and reports the first rejection by the precedence the admission
+// pipeline has always had: a syntax error anywhere, then a value of
+// the wrong JSON type outside the graph (both invalid_request), then a
+// missing or invalid graph (invalid_graph), then a negative
+// deadline_ms (invalid_request). A body that is JSON null is an empty
+// envelope; a repeated key's last value wins, the graph's included;
+// bytes after the body's JSON value are ignored.
+func decodeSubmit(body []byte) (req batch.Request, reject *ErrorBody) {
+	s := jsonscan.New(body)
+	var (
+		procs, deadlineMS int64
+		badField          string // the first envelope field of the wrong JSON type
+		haveGraph         bool
+		graphErr          error
+	)
+	switch s.Next() {
+	case '{':
+		s.Enter('{')
+		for i := 0; ; i++ {
+			key, ok := s.Member(i)
+			if !ok {
+				break
+			}
+			f := jsonscan.Lookup(key, submitFields)
+			switch f {
+			case 0:
+				haveGraph = true
+				req.Graph, _, graphErr = dag.DecodeJSON(s)
+			case 1:
+				ok = s.String(&req.Algorithm)
+			case 2:
+				ok = s.Int(&procs) && int64(int(procs)) == procs
+			case 3:
+				ok = s.Int(&req.Seed)
+			case 4:
+				ok = s.Int(&deadlineMS)
+			case 5:
+				ok = s.Bool(&req.NoCache)
+			default:
+				s.Skip()
+			}
+			if !ok && badField == "" {
+				badField = submitFields[f]
+			}
+		}
+	case 'n':
+		s.Skip()
+	default:
+		s.Skip()
+		badField = "body"
+	}
+	switch {
+	case s.Err() != nil:
+		return req, &ErrorBody{Code: CodeInvalidRequest, Message: "body does not parse: " + s.Err().Error()}
+	case badField != "":
+		return req, &ErrorBody{Code: CodeInvalidRequest, Message: "body does not parse: " + badField + " has a value of the wrong JSON type or out of range"}
+	case !haveGraph:
+		return req, &ErrorBody{Code: CodeInvalidGraph, Message: "missing graph"}
+	case graphErr != nil:
+		return req, &ErrorBody{Code: CodeInvalidGraph, Message: graphErr.Error()}
+	case deadlineMS < 0:
+		return req, &ErrorBody{Code: CodeInvalidRequest, Message: "deadline_ms must be non-negative"}
+	}
+	req.Procs = int(procs)
+	req.Deadline = time.Duration(deadlineMS) * time.Millisecond
+	return req, nil
 }
 
 // scheduleResponse is a finished job's outcome: exactly one of Result
-// or Err is set.
+// or Err is set. Result is the 200 body, newline included: the
+// deterministic scheduling payload, a pure function of the scheduling
+// input, byte-identical whether it came from a cold run, the live
+// cache, or a cache restored from a snapshot. Request-lifetime metadata
+// (cache hit, latency) travels in the X-Fastsched-Cache and
+// X-Fastsched-Elapsed-Ms headers (sync) or the job envelope (async) so
+// it never perturbs the payload.
 type scheduleResponse struct {
-	Result    *scheduleResult
+	Result    []byte
 	ErrStatus int
 	Err       *ErrorBody
 	Cache     string
@@ -341,7 +392,7 @@ type jobEnvelope struct {
 	Status    string          `json:"status"` // "pending" or "done"
 	Cache     string          `json:"cache,omitempty"`
 	ElapsedMS float64         `json:"elapsed_ms,omitempty"`
-	Result    *scheduleResult `json:"result,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"`
 	Error     *ErrorBody      `json:"error,omitempty"`
 }
 
@@ -356,21 +407,6 @@ func cacheLabel(res batch.Result) string {
 	}
 }
 
-func toScheduleResult(algorithm string, sc *sched.Schedule) *scheduleResult {
-	v := sc.NumNodes()
-	out := &scheduleResult{
-		Algorithm:  algorithm,
-		Makespan:   sc.Length(),
-		ProcsUsed:  sc.ProcsUsed(),
-		Placements: make([]placementJSON, v),
-	}
-	for i := 0; i < v; i++ {
-		pl := sc.Of(dag.NodeID(i))
-		out.Placements[i] = placementJSON{Node: i, Proc: pl.Proc, Start: pl.Start, Finish: pl.Finish}
-	}
-	return out
-}
-
 func (s *Server) outcomeOf(res batch.Result) *scheduleResponse {
 	out := &scheduleResponse{Cache: cacheLabel(res), ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond)}
 	if res.Err != nil {
@@ -378,8 +414,73 @@ func (s *Server) outcomeOf(res batch.Result) *scheduleResponse {
 		out.ErrStatus, out.Err = status, &body
 		return out
 	}
-	out.Result = toScheduleResult(res.Algorithm, res.Schedule)
+	result, err := encodeResult(res.Algorithm, res.Schedule)
+	if err != nil {
+		out.ErrStatus, out.Err = http.StatusInternalServerError, &ErrorBody{Code: CodeInternal, Message: err.Error()}
+		return out
+	}
+	out.Result = result
 	return out
+}
+
+// encodeResult builds the 200 body for a schedule straight from it: the
+// bytes json.Encoder writes for
+//
+//	{"algorithm", "makespan", "procs_used",
+//	 "placements": [{"node", "proc", "start", "finish"}, ...]}
+//
+// with one placement per node in node order, and a trailing newline.
+func encodeResult(algorithm string, sc *sched.Schedule) ([]byte, error) {
+	v := sc.NumNodes()
+	b := make([]byte, 0, 96+72*v)
+	quoted, err := json.Marshal(algorithm) // encoding/json's own (HTML-safe) escaping
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `{"algorithm":`...)
+	b = append(b, quoted...)
+	b = append(b, `,"makespan":`...)
+	b = appendFloat(b, sc.Length())
+	b = append(b, `,"procs_used":`...)
+	b = strconv.AppendInt(b, int64(sc.ProcsUsed()), 10)
+	b = append(b, `,"placements":[`...)
+	for i := 0; i < v; i++ {
+		pl := sc.Of(dag.NodeID(i))
+		if math.IsInf(pl.Start, 0) || math.IsNaN(pl.Start) || math.IsInf(pl.Finish, 0) || math.IsNaN(pl.Finish) {
+			return nil, fmt.Errorf("node %d has a non-finite placement [%v, %v]", i, pl.Start, pl.Finish)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"node":`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `,"proc":`...)
+		b = strconv.AppendInt(b, int64(pl.Proc), 10)
+		b = append(b, `,"start":`...)
+		b = appendFloat(b, pl.Start)
+		b = append(b, `,"finish":`...)
+		b = appendFloat(b, pl.Finish)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// appendFloat formats a finite float64 as encoding/json does: the
+// shortest representation, in 'e' form below 1e-6 and from 1e21 up
+// with a one-digit negative exponent unpadded (e-7, not e-07).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // ---- handlers ----
@@ -438,10 +539,10 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (req batch.
 
 	// Size-gate, decode and structurally validate the payload before
 	// quota or engine see it: garbage must be cheap for us and free for
-	// the tenant's budget.
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	var sreq submitRequest
-	if err := json.NewDecoder(body).Decode(&sreq); err != nil {
+	// the tenant's budget. The body is read whole, so one over the limit
+	// is always rejected, even when a complete JSON value ends inside it.
+	body, err := readRequestBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), r.ContentLength, s.opts.MaxBodyBytes)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.mRejOversize.Inc()
@@ -450,24 +551,14 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (req batch.
 			})
 		} else {
 			s.mRejInvalid.Inc()
-			writeError(w, http.StatusBadRequest, ErrorBody{Code: CodeInvalidRequest, Message: "body does not parse: " + err.Error()})
+			writeError(w, http.StatusBadRequest, ErrorBody{Code: CodeInvalidRequest, Message: "body does not read: " + err.Error()})
 		}
 		return req, tenant, false
 	}
-	if len(sreq.Graph) == 0 {
+	req, reject := decodeSubmit(body)
+	if reject != nil {
 		s.mRejInvalid.Inc()
-		writeError(w, http.StatusBadRequest, ErrorBody{Code: CodeInvalidGraph, Message: "missing graph"})
-		return req, tenant, false
-	}
-	g, _, err := dag.ReadJSON(bytes.NewReader(sreq.Graph))
-	if err != nil {
-		s.mRejInvalid.Inc()
-		writeError(w, http.StatusBadRequest, ErrorBody{Code: CodeInvalidGraph, Message: err.Error()})
-		return req, tenant, false
-	}
-	if sreq.DeadlineMS < 0 {
-		s.mRejInvalid.Inc()
-		writeError(w, http.StatusBadRequest, ErrorBody{Code: CodeInvalidRequest, Message: "deadline_ms must be non-negative"})
+		writeError(w, http.StatusBadRequest, *reject)
 		return req, tenant, false
 	}
 
@@ -480,16 +571,37 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (req batch.
 		return req, tenant, false
 	}
 
-	req = batch.Request{
-		ID:        tenant,
-		Graph:     g,
-		Procs:     sreq.Procs,
-		Algorithm: sreq.Algorithm,
-		Seed:      sreq.Seed,
-		Deadline:  time.Duration(sreq.DeadlineMS) * time.Millisecond,
-		NoCache:   sreq.NoCache,
-	}
+	req.ID = tenant
 	return req, tenant, true
+}
+
+// maxBodyPrealloc caps what a declared Content-Length reserves before
+// any of the body has arrived; a larger body grows past it as it is
+// read.
+const maxBodyPrealloc = 256 << 10
+
+// readRequestBody reads r to the end into one buffer sized from the request's
+// Content-Length when that is known and within limit, which spares
+// io.ReadAll's repeated growth on every request.
+func readRequestBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	size := int64(512)
+	if contentLength >= 0 && contentLength <= limit {
+		size = min(contentLength+1, maxBodyPrealloc) // +1: read the EOF without growing
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // trySubmit maps the engine's admission onto HTTP, refunding the
@@ -532,7 +644,10 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Fastsched-Cache", out.Cache)
 	w.Header().Set("X-Fastsched-Elapsed-Ms", strconv.FormatFloat(out.ElapsedMS, 'g', -1, 64))
-	writeJSON(w, http.StatusOK, out.Result)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out.Result)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out.Result)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -619,13 +734,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-j.done:
-			kind, payload := "result", any(j.result.Result)
+			kind, data := "result", bytes.TrimSuffix(j.result.Result, []byte("\n"))
 			if j.result.Err != nil {
-				kind, payload = "error", any(errorEnvelope{Error: *j.result.Err})
-			}
-			data, err := json.Marshal(payload)
-			if err != nil {
-				return
+				var err error
+				kind = "error"
+				if data, err = json.Marshal(errorEnvelope{Error: *j.result.Err}); err != nil {
+					return
+				}
 			}
 			_, _ = w.Write([]byte("event: " + kind + "\ndata: "))
 			_, _ = w.Write(data)

@@ -557,3 +557,37 @@ func TestQueueFullMaps503WithRetryAfter(t *testing.T) {
 		t.Errorf("rejected_queue_full = %d, want 1", v)
 	}
 }
+
+// TestOversizedBodyAlwaysRejected: the body is read whole, so a body
+// over the limit is 413 even when a complete JSON value ends inside the
+// limit and the rest is trailing bytes.
+func TestOversizedBodyAlwaysRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, MaxBodyBytes: 2048})
+	body := append(submitBody(t, schedtest.Chain(3, 1), 2, 1), bytes.Repeat([]byte(" "), 4096)...)
+	resp := postJSON(t, ts.URL+"/v1/schedule", body, "")
+	b := readBody(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || decodeError(t, b).Code != CodeBodyTooLarge {
+		t.Fatalf("status %d body %s, want 413 %s", resp.StatusCode, b, CodeBodyTooLarge)
+	}
+	if got := s.Metrics().Counter("server.rejected_oversized").Value(); got != 1 {
+		t.Errorf("server.rejected_oversized = %d, want 1", got)
+	}
+}
+
+// TestChunkedBodyDecodes: a body without a Content-Length (chunked)
+// is read past the initial buffer and served like the same body sent
+// with one.
+func TestChunkedBodyDecodes(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := submitBody(t, schedtest.RandomLayered(rand.New(rand.NewSource(9)), 60), 2, 3)
+	want := readBody(t, postJSON(t, ts.URL+"/v1/schedule", body, ""))
+	// A reader of unknown length makes the client send the body chunked.
+	resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", io.MultiReader(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("chunked body: status %d, payload differs:\n%s\n%s", resp.StatusCode, got, want)
+	}
+}

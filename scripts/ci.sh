@@ -30,6 +30,13 @@ go test -timeout 120s ./...
 echo "== test -race"
 go test -race -timeout 120s ./...
 
+echo "== benchmark module tests (plain and race)"
+# bench/ is a Go module of its own, so the root ./... never reaches it.
+# Its tests serve real requests through schedd and run every workload
+# at toy sizes, check each response with sched.Validate, and fail on
+# any failed operation.
+(cd bench && go test -timeout 300s ./... && go test -race -timeout 300s ./...)
+
 echo "== streaming scale smoke (v=100000, race)"
 # The million-node serving path at CI scale: a layered DAG streamed
 # from a generator goroutine through a pipe into the edge-list reader,
