@@ -297,7 +297,9 @@ type GraphContentKey = plan.Key
 // graphs with single-flight compilation.
 type PlanCache = plan.Cache
 
-// CompileGraph analyzes g once; it errors when g is empty or cyclic.
+// CompileGraph validates g as Graph.Validate does and analyzes it once.
+// It errors when g is empty or invalid; an invalid graph's error
+// matches the same errors.Is sentinel Validate's does.
 func CompileGraph(g *Graph) (*CompiledGraph, error) { return plan.Compile(g) }
 
 // GraphKey returns g's content address without compiling it.

@@ -189,7 +189,7 @@ func TestStreamArenaErrorParity(t *testing.T) {
 		"2\n0 1 0\n1 2 5 0\n",
 		"2\n0 -1 0\n1 1 0\n",
 		"2\n0 1 0\n0 1 0\n",
-		"2\n0 1 1 0\n1 1 1 0\n", // cycle via dup ids? no: dup id error
+		"2\n0 1 1 0\n1 1 1 0\n",          // cycle via dup ids? no: dup id error
 		"3\n0 1 1 1\n1 1 1 2\n2 1 1 0\n", // cycle
 	}
 	for _, in := range bad {

@@ -56,6 +56,17 @@ func (c *CSR) TotalComm() float64 {
 
 // BuildCSR flattens g's adjacency in stored order.
 func BuildCSR(g *Graph) *CSR {
+	c, _ := flatten(g, false)
+	return c
+}
+
+// flatten is the one loop that turns g's adjacency into a CSR. With
+// check set it also makes Validate's per-slot checks on the way and
+// returns the first failure in Validate's order: node weights, then
+// successor slots (owner, endpoint, self-loop, weight), then
+// predecessor slots (owner, endpoint). The CSR is complete either way,
+// so a topological pass over it can still report a cycle first.
+func flatten(g *Graph, check bool) (*CSR, error) {
 	v, e := g.NumNodes(), g.NumEdges()
 	c := &CSR{
 		PredOff:  make([]int32, v+1),
@@ -66,23 +77,71 @@ func BuildCSR(g *Graph) *CSR {
 		SuccW:    make([]float64, 0, e),
 		NodeW:    make([]float64, v),
 	}
+	var nodeErr, succErr, predErr error
 	for n := 0; n < v; n++ {
+		id := NodeID(n)
 		c.PredOff[n] = int32(len(c.PredFrom))
-		for _, ed := range g.Pred(NodeID(n)) {
+		for _, ed := range g.pred[n] {
+			if check && predErr == nil {
+				predErr = g.predSlotErr(id, ed)
+			}
 			c.PredFrom = append(c.PredFrom, int32(ed.From))
 			c.PredW = append(c.PredW, ed.Weight)
 		}
 		c.SuccOff[n] = int32(len(c.SuccTo))
-		for _, ed := range g.Succ(NodeID(n)) {
+		for _, ed := range g.succ[n] {
+			if check && succErr == nil {
+				succErr = g.succSlotErr(id, ed)
+			}
 			c.SuccTo = append(c.SuccTo, int32(ed.To))
 			c.SuccW = append(c.SuccW, ed.Weight)
 		}
-		c.NodeW[n] = g.Weight(NodeID(n))
+		w := g.nodes[n].Weight
+		if check && nodeErr == nil && badWeight(w) {
+			nodeErr = fmt.Errorf("dag: %w: node %d has weight %v", ErrBadWeight, n, w)
+		}
+		c.NodeW[n] = w
 	}
 	c.PredOff[v] = int32(len(c.PredFrom))
 	c.SuccOff[v] = int32(len(c.SuccTo))
-	return c
+	switch {
+	case nodeErr != nil:
+		return c, nodeErr
+	case succErr != nil:
+		return c, succErr
+	}
+	return c, predErr
 }
+
+// succSlotErr checks one successor slot of node n.
+func (g *Graph) succSlotErr(n NodeID, e Edge) error {
+	switch {
+	case e.From != n:
+		return fmt.Errorf("dag: corrupt succ list at node %d", n)
+	case !g.valid(e.To):
+		return fmt.Errorf("dag: %w: %d -> %d (v=%d)", ErrEdgeEndpoint, e.From, e.To, len(g.nodes))
+	case e.From == e.To:
+		return fmt.Errorf("dag: %w on node %d", ErrSelfLoop, e.From)
+	case badWeight(e.Weight):
+		return fmt.Errorf("dag: %w: edge %d->%d has weight %v", ErrBadWeight, e.From, e.To, e.Weight)
+	}
+	return nil
+}
+
+// predSlotErr checks one predecessor slot of node n; its weight is
+// the mirror check's business.
+func (g *Graph) predSlotErr(n NodeID, e Edge) error {
+	switch {
+	case e.To != n:
+		return fmt.Errorf("dag: corrupt pred list at node %d", n)
+	case !g.valid(e.From):
+		return fmt.Errorf("dag: %w: %d -> %d (v=%d)", ErrEdgeEndpoint, e.From, e.To, len(g.nodes))
+	}
+	return nil
+}
+
+// badWeight reports a NaN, infinite or negative cost.
+func badWeight(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) || w < 0 }
 
 // ToGraph materializes the CSR as a *Graph for the small-graph code
 // paths (schedulers that still take *Graph, rendering, differential
@@ -188,7 +247,7 @@ func (c *CSR) Validate() error {
 		if c.PredOff[n+1] < c.PredOff[n] || c.SuccOff[n+1] < c.SuccOff[n] {
 			return fmt.Errorf("dag: csr: non-monotone offsets at node %d", n)
 		}
-		if w := c.NodeW[n]; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		if w := c.NodeW[n]; badWeight(w) {
 			return fmt.Errorf("dag: %w: node %d has weight %v", ErrBadWeight, n, w)
 		}
 	}
@@ -201,7 +260,7 @@ func (c *CSR) Validate() error {
 			if int(to) == n {
 				return fmt.Errorf("dag: %w on node %d", ErrSelfLoop, n)
 			}
-			if w := c.SuccW[s]; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			if w := c.SuccW[s]; badWeight(w) {
 				return fmt.Errorf("dag: %w: edge %d->%d has weight %v", ErrBadWeight, n, to, w)
 			}
 		}

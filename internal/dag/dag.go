@@ -12,7 +12,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -339,50 +338,46 @@ func (g *Graph) TopologicalOrder() ([]NodeID, error) {
 // typed (ErrCycle, ErrBadWeight, ErrSelfLoop, ErrEdgeEndpoint) so CLI
 // load paths can report them instead of crashing.
 func (g *Graph) Validate() error {
-	if _, err := g.TopologicalOrder(); err != nil {
+	_, err := g.validated(func(c *CSR) error { return c.topoCheck(nil) })
+	return err
+}
+
+// ValidatedLevels validates g exactly as Validate does and returns the
+// CSR and levels a compile needs, computed in the same passes: the CSR
+// is the checked flatten's, and the levels kernel's topological pass
+// is the cycle check. Errors are Validate's, in its precedence, plus
+// ComputeLevelsCSR's for an empty graph.
+func (g *Graph) ValidatedLevels() (*CSR, *Levels, error) {
+	var l *Levels
+	c, err := g.validated(func(c *CSR) (err error) {
+		l, err = ComputeLevelsCSR(c)
 		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, n := range g.nodes {
-		if math.IsNaN(n.Weight) || math.IsInf(n.Weight, 0) || n.Weight < 0 {
-			return fmt.Errorf("dag: %w: node %d has weight %v", ErrBadWeight, n.ID, n.Weight)
-		}
+	return c, l, nil
+}
+
+// validated runs the checked flatten, then topo — a topological pass
+// over the CSR, which doubles as the cycle check — then the mirror
+// check. Errors keep Validate's precedence: a cycle first, then the
+// flatten's weight and slot failures, then the mirror. Mirror
+// consistency (every succ entry has exactly one pred twin with the
+// same weight, and no (from, to) pair repeats) is the CSR's O(v + e)
+// counting-sort comparison.
+func (g *Graph) validated(topo func(*CSR) error) (*CSR, error) {
+	c, slotErr := flatten(g, true)
+	if err := topo(c); err != nil {
+		return nil, err
 	}
-	for i := range g.nodes {
-		for _, e := range g.succ[i] {
-			if e.From != NodeID(i) {
-				return fmt.Errorf("dag: corrupt succ list at node %d", i)
-			}
-			if !g.valid(e.To) {
-				return fmt.Errorf("dag: %w: %d -> %d (v=%d)", ErrEdgeEndpoint, e.From, e.To, len(g.nodes))
-			}
-			if e.From == e.To {
-				return fmt.Errorf("dag: %w on node %d", ErrSelfLoop, e.From)
-			}
-			if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight < 0 {
-				return fmt.Errorf("dag: %w: edge %d->%d has weight %v", ErrBadWeight, e.From, e.To, e.Weight)
-			}
-		}
+	if slotErr != nil {
+		return nil, slotErr
 	}
-	for i := range g.nodes {
-		for _, e := range g.pred[i] {
-			if e.To != NodeID(i) {
-				return fmt.Errorf("dag: corrupt pred list at node %d", i)
-			}
-			if !g.valid(e.From) {
-				return fmt.Errorf("dag: %w: %d -> %d (v=%d)", ErrEdgeEndpoint, e.From, e.To, len(g.nodes))
-			}
-		}
+	if err := c.checkMirror(); err != nil {
+		return nil, err
 	}
-	// Mirror consistency — every succ entry has exactly one pred twin
-	// with the same weight, and no (from, to) pair repeats — via the
-	// CSR counting-sort comparison: O(v + e), where the per-edge
-	// EdgeWeight lookup this replaces was O(Σ deg²) on dense fan-out.
-	if len(g.pred) > 0 {
-		if err := BuildCSR(g).checkMirror(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c, nil
 }
 
 // IsWeaklyConnected reports whether the graph is connected when edge

@@ -80,9 +80,9 @@ func fuzzJobs(data []byte) ([]Job, Options) {
 func FuzzOnlineSubmit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 1, 1, 5, 4, 9, 20, 40, 7, 7, 7, 7})
-	f.Add([]byte{1, 1, 1, 2, 16, 0, 0, 0, 0})          // empty-ID / empty-graph corner
-	f.Add([]byte{2, 4, 3, 2, 1, 1, 3, 200, 200, 200})  // negative arrivals/deadlines
-	f.Add([]byte{0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1})  // zero-proc machine
+	f.Add([]byte{1, 1, 1, 2, 16, 0, 0, 0, 0})         // empty-ID / empty-graph corner
+	f.Add([]byte{2, 4, 3, 2, 1, 1, 3, 200, 200, 200}) // negative arrivals/deadlines
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1}) // zero-proc machine
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs, opts := fuzzJobs(data)
 		rep, err := Run(jobs, opts)

@@ -26,19 +26,21 @@
 //     the next job replans.
 //
 // Determinism: Run is single-threaded and every iteration order is
-// fixed (sorted slices, no map ranges), so a fixed seed reproduces the
-// JSONL trace bit-for-bit across runs and GOMAXPROCS settings. The
+// fixed (sorted slices and heaps under strict total orders, no map
+// ranges), so a fixed seed reproduces the JSONL trace bit-for-bit
+// across runs and GOMAXPROCS settings. The
 // only fault supported is the FaultPlan's processor crash; plans that
 // enable message loss, delay or jitter are rejected with
 // ErrFaultUnsupported, keeping the realized times exact.
 package online
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fastsched/internal/casch"
@@ -199,11 +201,9 @@ type event struct {
 	idx  int   // crash ordinal
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// eventLess is the event queue's strict total order. Only two finish
+// events of one task can tie up to idx; their cseq tells them apart.
+func eventLess(a, b event) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -216,11 +216,11 @@ func (h eventHeap) Less(i, j int) bool {
 	if a.node != b.node {
 		return a.node < b.node
 	}
-	return a.idx < b.idx
+	if a.idx != b.idx {
+		return a.idx < b.idx
+	}
+	return a.cseq < b.cseq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // commitRef is one per-processor timeline entry. Entries are lazily
 // invalidated: an entry speaks for its task only while the task still
@@ -240,8 +240,14 @@ type engine struct {
 	frontier []float64
 	onProc   [][]commitRef
 
-	ready  []taskRef
-	events eventHeap
+	ready  minHeap[taskRef] // in policy order (less)
+	events minHeap[event]   // in eventLess order
+	// toArrive lists the jobs still to arrive, by arrival time then
+	// submission order. Only the next one waits in events: every later
+	// arrival orders after it, so the pop sequence is the same as with
+	// all of them queued, and the heap stays as small as the work in
+	// flight.
+	toArrive []int
 
 	live     int // arrived, unfinished jobs
 	anyCrash bool
@@ -313,7 +319,9 @@ func newEngine(jobs []Job, opts Options) (*engine, error) {
 		dead:     make([]bool, opts.Procs),
 		frontier: make([]float64, opts.Procs),
 		onProc:   make([][]commitRef, opts.Procs),
+		events:   minHeap[event]{less: eventLess},
 	}
+	e.ready.less = e.less
 	if s := opts.Metrics; s != nil {
 		e.mArrived = s.Counter("online.jobs_arrived")
 		e.mCompleted = s.Counter("online.jobs_completed")
@@ -340,19 +348,22 @@ func newEngine(jobs []Job, opts Options) (*engine, error) {
 		}
 		seen[job.ID] = true
 		e.jobs = append(e.jobs, js)
-		heap.Push(&e.events, event{time: job.Arrival, kind: evArrival, job: i, node: -1})
+		e.toArrive = append(e.toArrive, i)
 	}
+	slices.SortStableFunc(e.toArrive, func(a, b int) int { return cmp.Compare(jobs[a].Arrival, jobs[b].Arrival) })
+	e.queueNextArrival()
 	if fp := opts.Faults; fp != nil {
 		crashes := append([]sim.Crash(nil), fp.Crashes...)
 		sort.SliceStable(crashes, func(a, b int) bool { return crashes[a].Time < crashes[b].Time })
 		for i, c := range crashes {
-			heap.Push(&e.events, event{time: c.Time, kind: evCrash, job: -1, node: c.Proc, idx: i})
+			e.events.push(event{time: c.Time, kind: evCrash, job: -1, node: c.Proc, idx: i})
 		}
 	}
 	return e, nil
 }
 
-// admit validates one job and compiles its graph.
+// admit validates one job and compiles its graph; plan.Compile is also
+// the graph's validation.
 func admit(job Job, seq int) (*jobState, error) {
 	if job.ID == "" {
 		return nil, ErrBadJobID
@@ -380,12 +391,9 @@ func admit(job Job, seq int) (*jobState, error) {
 	if job.Weight == 0 {
 		job.Weight = 1
 	}
-	if err := job.Graph.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadGraph, err)
-	}
 	cg, err := plan.Compile(job.Graph)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadGraph, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadGraph, err)
 	}
 	js := &jobState{
 		job:        job,
@@ -409,15 +417,26 @@ func admit(job Job, seq int) (*jobState, error) {
 	return js, nil
 }
 
+// queueNextArrival moves the next job to arrive into the event queue.
+func (e *engine) queueNextArrival() {
+	if len(e.toArrive) == 0 {
+		return
+	}
+	j := e.toArrive[0]
+	e.toArrive = e.toArrive[1:]
+	e.events.push(event{time: e.jobs[j].job.Arrival, kind: evArrival, job: j, node: -1})
+}
+
 func (e *engine) loop() {
-	for e.events.Len() > 0 {
-		t := e.events[0].time
-		for e.events.Len() > 0 && e.events[0].time == t {
-			ev := heap.Pop(&e.events).(event)
+	for e.events.len() > 0 {
+		t := e.events.peek().time
+		for e.events.len() > 0 && e.events.peek().time == t {
+			ev := e.events.pop()
 			switch ev.kind {
 			case evFinish:
 				e.onFinish(ev)
 			case evArrival:
+				e.queueNextArrival()
 				e.onArrival(ev.job, t)
 			case evCrash:
 				e.onCrash(ev.node, t)
@@ -439,7 +458,7 @@ func (e *engine) commit(js *jobState, node, p int, start, finish float64) {
 	if finish > e.frontier[p] {
 		e.frontier[p] = finish
 	}
-	heap.Push(&e.events, event{time: finish, kind: evFinish, job: js.seq, node: node, cseq: js.cseq[node]})
+	e.events.push(event{time: finish, kind: evFinish, job: js.seq, node: node, cseq: js.cseq[node]})
 	e.mDispatched.Inc()
 }
 
@@ -457,7 +476,7 @@ func (e *engine) onFinish(ev event) {
 		child := int(edge.To)
 		js.pending[child]--
 		if js.pending[child] == 0 && js.status[child] == taskUnscheduled {
-			e.ready = append(e.ready, taskRef{job: js.seq, node: child})
+			e.ready.push(taskRef{job: js.seq, node: child})
 		}
 	}
 	if js.unfinished == 0 {
@@ -482,7 +501,7 @@ func (e *engine) onArrival(j int, t float64) {
 	}
 	for i := 0; i < len(js.pending); i++ {
 		if js.pending[i] == 0 {
-			e.ready = append(e.ready, taskRef{job: j, node: i})
+			e.ready.push(taskRef{job: j, node: i})
 		}
 	}
 }
@@ -566,18 +585,12 @@ func scheduleWhole(s sched.Scheduler, cg *plan.CompiledGraph, procs int) (*sched
 // dispatch places ready tasks onto currently free processors in policy
 // order: each task takes the free processor finishing it earliest,
 // accounting for cross-processor message arrivals from its parents.
+// Whether any processor is free at t does not depend on the task, so
+// the first task that finds none ends the instant: everything behind
+// it in policy order waits too.
 func (e *engine) dispatch(t float64) {
-	if len(e.ready) == 0 {
-		return
-	}
-	sort.SliceStable(e.ready, func(a, b int) bool { return e.less(e.ready[a], e.ready[b]) })
-	kept := e.ready[:0]
-	blocked := false
-	for _, ref := range e.ready {
-		if blocked {
-			kept = append(kept, ref)
-			continue
-		}
+	for e.ready.len() > 0 {
+		ref := e.ready.peek()
 		js := e.jobs[ref.job]
 		bestP := -1
 		var bestStart, bestFinish float64
@@ -601,15 +614,11 @@ func (e *engine) dispatch(t float64) {
 			}
 		}
 		if bestP < 0 {
-			// No free processor at t; everything below this priority
-			// waits too.
-			blocked = true
-			kept = append(kept, ref)
-			continue
+			return
 		}
+		e.ready.pop()
 		e.commit(js, ref.node, bestP, bestStart, bestFinish)
 	}
-	e.ready = kept
 }
 
 // compactProcs drops invalidated timeline entries and recomputes the
@@ -701,13 +710,7 @@ func (e *engine) onCrash(p int, t float64) {
 	}
 	e.compactProcs()
 	// The affected jobs' ready entries are superseded by their repairs.
-	kept := e.ready[:0]
-	for _, r := range e.ready {
-		if !affected[r.job] {
-			kept = append(kept, r)
-		}
-	}
-	e.ready = kept
+	e.ready.filter(func(r taskRef) bool { return !affected[r.job] })
 
 	if len(survivors) == 0 {
 		return // quiescence: unfinished jobs surface as ErrAllProcessorsDead
@@ -754,7 +757,7 @@ func (e *engine) replanJob(js *jobState, survivors []int, t float64) {
 		// re-enter dynamic dispatch so nothing is silently dropped.
 		for i := 0; i < v; i++ {
 			if js.status[i] == taskUnscheduled && js.pending[i] == 0 {
-				e.ready = append(e.ready, taskRef{job: js.seq, node: i})
+				e.ready.push(taskRef{job: js.seq, node: i})
 			}
 		}
 		return

@@ -15,10 +15,11 @@
 package plan
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"fastsched/internal/dag"
@@ -94,15 +95,27 @@ type CompiledGraph struct {
 	Blocking []dag.NodeID
 }
 
-// Compile analyzes g once, hashing it for the content address. It
-// errors when the graph is empty or cyclic (ComputeLevels' contract).
+// Compile validates g exactly as Graph.Validate does, then analyzes it
+// once and hashes it for the content address. Validation rides on the
+// analysis: the CSR comes from Validate's checked flatten and the
+// levels kernel's topological pass is the cycle check, so over an
+// unchecked compile it adds only the per-slot checks and the mirror
+// check. An invalid graph gets Validate's error (errors.Is matches the
+// same dag sentinel); an empty one errors too.
 func Compile(g *dag.Graph) (*CompiledGraph, error) {
-	return CompileKeyed(g, GraphKey(g))
+	csr, l, err := g.ValidatedLevels()
+	if err != nil {
+		return nil, err
+	}
+	return build(g, GraphKey(g), csr, l), nil
 }
 
-// CompileKeyed is Compile with a precomputed content key, so callers
-// that already hashed the graph (the batch engine derives its result
-// key from the same bytes) never hash twice.
+// CompileKeyed compiles g under a precomputed content key and trusts
+// its caller: g must already be validated and key must be GraphKey(g).
+// It is for admission paths that have done both (the batch engine
+// validates each request and derives its result key from the same
+// hash), so the serving path never checks or hashes twice. It errors
+// only when g is empty or cyclic.
 func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 	// Analysis runs on the CSR arenas, not the []Edge slices: the int32
 	// kernels keep a 10⁶-node compile at O(v+e) over dense streams. The
@@ -113,6 +126,12 @@ func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 	if err != nil {
 		return nil, err
 	}
+	return build(g, key, csr, l), nil
+}
+
+// build derives the classification and both priority lists from the
+// levels.
+func build(g *dag.Graph, key Key, csr *CSR, l *dag.Levels) *CompiledGraph {
 	cls := dag.ClassifyCSR(csr, l)
 	blocking := make([]dag.NodeID, 0, g.NumNodes())
 	for i, c := range cls {
@@ -128,7 +147,7 @@ func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 		Classes:     cls,
 		CPNDominate: CPNDominateList(g, l, cls),
 		Blocking:    blocking,
-	}, nil
+	}
 }
 
 // CPNDominateList constructs the paper's CPN-Dominate list: critical
@@ -141,36 +160,46 @@ func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 // the only choice that keeps the list a topological order (a parent's
 // b-level strictly exceeds its child's when node weights are positive),
 // so decreasing is what we implement.
+//
+// It costs O(v log v + e): one sort of all nodes by step (5)'s key
+// (larger b-level, then smaller t-level, then smaller ID) orders both
+// every node's parents and the OBNs, and the CPNs are sorted on their
+// own.
 func CPNDominateList(g *dag.Graph, l *dag.Levels, cls []dag.Class) []dag.NodeID {
 	v := g.NumNodes()
+	byKey := make([]dag.NodeID, v)
+	for i := range byKey {
+		byKey[i] = dag.NodeID(i)
+	}
+	slices.SortFunc(byKey, func(a, b dag.NodeID) int {
+		if c := cmp.Compare(l.BLevel[b], l.BLevel[a]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(l.TLevel[a], l.TLevel[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+
+	// parents[off[n]:off[n+1]] lists n's parents in the order step (5)
+	// examines them. The key is a total order, so visiting nodes by key
+	// and appending each to its children's lists leaves every list
+	// sorted. fill starts as the offsets and ends as off[n+1].
+	off := make([]int32, v+1)
+	for n := 0; n < v; n++ {
+		off[n+1] = off[n] + int32(g.InDegree(dag.NodeID(n)))
+	}
+	parents := make([]dag.NodeID, off[v])
+	fill := slices.Clone(off[:v])
+	for _, p := range byKey {
+		for _, e := range g.Succ(p) {
+			parents[fill[e.To]] = p
+			fill[e.To]++
+		}
+	}
+
 	list := make([]dag.NodeID, 0, v)
 	inList := make([]bool, v)
-	appendNode := func(n dag.NodeID) {
-		list = append(list, n)
-		inList[n] = true
-	}
-
-	// Pre-sort each node's parents by decreasing b-level, ties by
-	// smaller t-level, then smaller ID: the order step (5) examines them.
-	parentOrder := make([][]dag.NodeID, v)
-	for i := 0; i < v; i++ {
-		preds := g.Pred(dag.NodeID(i))
-		ps := make([]dag.NodeID, len(preds))
-		for j, e := range preds {
-			ps[j] = e.From
-		}
-		sort.Slice(ps, func(a, b int) bool {
-			if l.BLevel[ps[a]] != l.BLevel[ps[b]] {
-				return l.BLevel[ps[a]] > l.BLevel[ps[b]]
-			}
-			if l.TLevel[ps[a]] != l.TLevel[ps[b]] {
-				return l.TLevel[ps[a]] < l.TLevel[ps[b]]
-			}
-			return ps[a] < ps[b]
-		})
-		parentOrder[i] = ps
-	}
-
 	// include places n after recursively placing its unlisted ancestors,
 	// larger b-levels first.
 	var include func(n dag.NodeID)
@@ -178,40 +207,33 @@ func CPNDominateList(g *dag.Graph, l *dag.Levels, cls []dag.Class) []dag.NodeID 
 		if inList[n] {
 			return
 		}
-		for _, p := range parentOrder[n] {
+		for _, p := range parents[off[n]:off[n+1]] {
 			include(p)
 		}
-		appendNode(n)
+		list = append(list, n)
+		inList[n] = true
 	}
 
 	// CPNs in ascending t-level order; for a unique critical path this
 	// is exactly the path order (entry CPN first).
 	cpns := dag.NodesOfClass(cls, dag.CPN)
-	sort.Slice(cpns, func(a, b int) bool {
-		if l.TLevel[cpns[a]] != l.TLevel[cpns[b]] {
-			return l.TLevel[cpns[a]] < l.TLevel[cpns[b]]
+	slices.SortFunc(cpns, func(a, b dag.NodeID) int {
+		if c := cmp.Compare(l.TLevel[a], l.TLevel[b]); c != 0 {
+			return c
 		}
-		return cpns[a] < cpns[b]
+		return cmp.Compare(a, b)
 	})
 	for _, n := range cpns {
 		include(n)
 	}
 
-	// Step (9): append the OBNs in decreasing b-level order.
-	obns := dag.NodesOfClass(cls, dag.OBN)
-	sort.Slice(obns, func(a, b int) bool {
-		if l.BLevel[obns[a]] != l.BLevel[obns[b]] {
-			return l.BLevel[obns[a]] > l.BLevel[obns[b]]
+	// Step (9): append the OBNs in decreasing b-level order — byKey's
+	// order. An OBN may still have unlisted OBN ancestors when b-levels
+	// tie; include handles that while preserving step (9)'s intent.
+	for _, n := range byKey {
+		if cls[n] == dag.OBN {
+			include(n)
 		}
-		if l.TLevel[obns[a]] != l.TLevel[obns[b]] {
-			return l.TLevel[obns[a]] < l.TLevel[obns[b]]
-		}
-		return obns[a] < obns[b]
-	})
-	for _, n := range obns {
-		// An OBN may still have unlisted OBN ancestors when b-levels tie;
-		// include handles that while preserving step (9)'s intent.
-		include(n)
 	}
 	return list
 }

@@ -9,9 +9,9 @@ import (
 // fakeClock is an injectable, manually-advanced clock.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                 { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func mustAdmit(t *testing.T, q *quotaTable, tenant string) {
 	t.Helper()
 	if ok, _ := q.admit(tenant); !ok {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus a fuzz smoke pass and a benchmark regression check.
 #
-# Runs the checks every PR must keep green — build, vet, tests, race
+# Runs the checks every PR must keep green — build, vet, gofmt, tests, race
 # tests — with a hard per-package test timeout, then gives each Fuzz*
 # target a short seeded fuzzing burst (FUZZ_TIME per target, default
 # 5s) so a regression in the parsers or the fault-injecting simulator
@@ -23,6 +23,15 @@ go build ./...
 echo "== vet"
 go vet ./...
 go vet ./cmd/...
+
+echo "== gofmt"
+# Every tracked Go file, bench/ included, must be gofmt-clean.
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+    echo "ci.sh: gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== test"
 go test -timeout 120s ./...
