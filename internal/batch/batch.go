@@ -132,14 +132,9 @@ type Options struct {
 	CacheSize int
 	// PlanCacheSize bounds the graph-compilation cache in compiled
 	// graphs (default plan.DefaultCacheSize); negative disables it, in
-	// which case every run re-derives the graph artifacts ad hoc.
+	// which case every run re-derives the graph artifacts ad hoc, with
+	// bit-identical results (pinned by the differential tests).
 	PlanCacheSize int
-	// DisableCompilation forces the legacy serving path: no plan cache
-	// and no compiled dispatch, every request re-analyzing its graph
-	// from scratch. Results are bit-identical either way (pinned by the
-	// differential tests); the switch exists for benchmarking the
-	// compiled path against the pre-compilation engine.
-	DisableCompilation bool
 	// Metrics, when non-nil, receives the engine's telemetry under the
 	// batch.* namespace. Nil disables it at the usual obs zero cost.
 	Metrics obs.Sink
@@ -202,7 +197,7 @@ func New(opts Options) *Engine {
 	if opts.CacheSize > 0 {
 		e.cache = newCache(opts.CacheSize)
 	}
-	if !opts.DisableCompilation && opts.PlanCacheSize >= 0 {
+	if opts.PlanCacheSize >= 0 {
 		e.plans = plan.NewCache(opts.PlanCacheSize, opts.Metrics)
 	}
 	if s := opts.Metrics; s != nil {

@@ -70,12 +70,11 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		for _, mode := range []string{"compiled", "legacy"} {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				e := New(Options{
-					Workers:            workers,
-					QueueDepth:         len(reqs),
-					CacheSize:          -1,
-					DisableCompilation: mode == "legacy",
-				})
+				opts := Options{Workers: workers, QueueDepth: len(reqs), CacheSize: -1}
+				if mode == "legacy" {
+					opts.PlanCacheSize = -1
+				}
+				e := New(opts)
 				defer e.Close()
 				runBatch(b, e, reqs) // warm: plan cache + scratch pools
 				b.ReportAllocs()

@@ -64,7 +64,7 @@ func diffWorkloads(t *testing.T) map[string]*dag.Graph {
 func TestCompiledMatchesLegacy(t *testing.T) {
 	compiled := New(Options{Workers: 2})
 	defer compiled.Close()
-	legacy := New(Options{Workers: 2, DisableCompilation: true})
+	legacy := New(Options{Workers: 2, PlanCacheSize: -1})
 	defer legacy.Close()
 
 	graphs := diffWorkloads(t)

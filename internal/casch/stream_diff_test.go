@@ -12,11 +12,11 @@ import (
 // TestStreamingIngestDifferential pins the serving-path ingest
 // contract across the whole registry: a graph loaded through the
 // streaming CSR reader (dag.StreamSTG → ToGraph) must produce a
-// bit-identical schedule to the same bytes through the legacy
-// map-based reader (dag.ReadSTG), for every algorithm and several
-// workload shapes. The dag-level tests prove the arenas match; this
-// one proves nothing downstream — iteration order, tie-breaks, seeded
-// searches — can tell the two apart.
+// bit-identical schedule to the same bytes through dag.ReadSTG, for
+// every algorithm and several workload shapes. The dag-level tests
+// prove both match the map-based oracle reader; this one proves
+// nothing downstream — iteration order, tie-breaks, seeded searches —
+// can tell the two entry points apart.
 func TestStreamingIngestDifferential(t *testing.T) {
 	graphs := make(map[string]*dag.Graph)
 	g, err := workload.GaussElim(5, timing.ParagonLike())

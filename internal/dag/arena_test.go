@@ -268,11 +268,12 @@ func TestLevelsArenaBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.ComputeLevelsCompact(nil)
+	want, err := c.ComputeLevelsCompactArena(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCls := c.ClassifyCompact(want, nil)
+	wantCls := c.ClassifyCompactArena(want, nil)
+	wantStatic := c.StaticLevels(want, nil)
 
 	a := NewScaleArena()
 	var shell CompactLevels
@@ -290,10 +291,14 @@ func TestLevelsArenaBitIdentical(t *testing.T) {
 				t.Fatalf("pass %d: levels diverge at node %d", pass, n)
 			}
 		}
-		gotCls := c.ClassifyCompactArena(got, nil, a)
+		gotCls := c.ClassifyCompactArena(got, a)
+		gotStatic := c.StaticLevels(got, a)
 		for n := range wantCls {
 			if gotCls[n] != wantCls[n] {
 				t.Fatalf("pass %d: class diverges at node %d: %v vs %v", pass, n, gotCls[n], wantCls[n])
+			}
+			if gotStatic[n] != wantStatic[n] {
+				t.Fatalf("pass %d: static level diverges at node %d: %v vs %v", pass, n, gotStatic[n], wantStatic[n])
 			}
 		}
 	}

@@ -145,11 +145,11 @@ func badWeight(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) || w <
 
 // ToGraph materializes the CSR as a *Graph for the small-graph code
 // paths (schedulers that still take *Graph, rendering, differential
-// tests). Nodes are labeled t<i>, the STG convention, matching what
-// ReadSTG produces. Edges are replayed from the predecessor arrays —
-// (child ascending, slot order), the CSR's canonical insertion order —
-// so a CSR built by StreamSTG converts to a graph whose adjacency slot
-// orders are identical to the legacy ReadSTG construction.
+// tests). Nodes are labeled t<i>, the STG convention. Edges are
+// replayed from the predecessor arrays — (child ascending, slot order),
+// the CSR's canonical insertion order — so a graph built from a
+// StreamSTG CSR stores each task's predecessors in file order and each
+// task's successors by child ID: ReadSTG is exactly this conversion.
 func (c *CSR) ToGraph() *Graph {
 	v := c.NumNodes()
 	g := New(v)
@@ -164,19 +164,20 @@ func (c *CSR) ToGraph() *Graph {
 	return g
 }
 
-// TopoOrder returns the node indices in the same deterministic
-// topological order Graph.TopologicalOrder produces (Kahn's algorithm,
-// smallest-ID-first), or ErrCycle. The compact form works entirely in
-// int32 with two O(v) arrays.
+// TopoOrder returns the node indices in topological order (Kahn's
+// algorithm, smallest-ID-first for determinism), or ErrCycle. It works
+// entirely in int32 with two O(v) scratch arrays.
 func (c *CSR) TopoOrder() ([]int32, error) {
-	order := make([]int32, 0, c.NumNodes())
-	return c.topoOrderInto(order)
+	return c.topoOrderArenaInto(make([]int32, 0, c.NumNodes()), nil)
 }
 
-// topoOrderInto appends the topological order to order (which must be
-// empty but may carry capacity, letting callers reuse scratch).
-func (c *CSR) topoOrderInto(order []int32) ([]int32, error) {
-	return c.topoOrderArenaInto(order, nil)
+// widen copies an int32 node order into NodeIDs.
+func widen(order []int32) []NodeID {
+	out := make([]NodeID, len(order))
+	for i, n := range order {
+		out[i] = NodeID(n)
+	}
+	return out
 }
 
 // topoCheck verifies acyclicity with every scratch array — the order
@@ -189,7 +190,8 @@ func (c *CSR) topoCheck(a *ScaleArena) error {
 	return err
 }
 
-// topoOrderArenaInto is topoOrderInto drawing its two O(v) scratch
+// topoOrderArenaInto appends the topological order to order (which
+// must be empty but may carry capacity), drawing its two O(v) scratch
 // arrays from a; both are released on return (the order is not — it is
 // the caller's).
 func (c *CSR) topoOrderArenaInto(order []int32, a *ScaleArena) ([]int32, error) {
@@ -363,8 +365,8 @@ func (c *CSR) checkMirror() error {
 	return nil
 }
 
-// i32Heap is a binary min-heap of int32 node indices — the compact
-// sibling of idHeap for the CSR kernels.
+// i32Heap is a tiny binary min-heap of int32 node indices (avoids
+// container/heap interface overhead on the topological sort).
 type i32Heap struct{ a []int32 }
 
 func (h *i32Heap) len() int { return len(h.a) }

@@ -302,33 +302,11 @@ func (g *Graph) Clone() *Graph {
 // algorithm, smallest-ID-first for determinism), or an error if the
 // graph contains a cycle.
 func (g *Graph) TopologicalOrder() ([]NodeID, error) {
-	v := len(g.nodes)
-	indeg := make([]int, v)
-	for i := range g.nodes {
-		indeg[i] = len(g.pred[i])
+	order, err := BuildCSR(g).TopoOrder()
+	if err != nil {
+		return nil, err
 	}
-	// min-heap on NodeID for deterministic order
-	h := &idHeap{}
-	for i := 0; i < v; i++ {
-		if indeg[i] == 0 {
-			h.push(NodeID(i))
-		}
-	}
-	order := make([]NodeID, 0, v)
-	for h.len() > 0 {
-		n := h.pop()
-		order = append(order, n)
-		for _, e := range g.succ[n] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				h.push(e.To)
-			}
-		}
-	}
-	if len(order) != v {
-		return nil, fmt.Errorf("dag: %w (%d of %d nodes ordered)", ErrCycle, len(order), v)
-	}
-	return order, nil
+	return widen(order), nil
 }
 
 // Validate checks structural invariants: acyclicity, adjacency
@@ -410,47 +388,4 @@ func (g *Graph) IsWeaklyConnected() bool {
 		}
 	}
 	return count == v
-}
-
-// idHeap is a tiny binary min-heap of NodeIDs (avoids container/heap
-// interface overhead on the hot topological-sort path).
-type idHeap struct{ a []NodeID }
-
-func (h *idHeap) len() int { return len(h.a) }
-
-func (h *idHeap) push(x NodeID) {
-	h.a = append(h.a, x)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *idHeap) pop() NodeID {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.a) && h.a[l] < h.a[small] {
-			small = l
-		}
-		if r < len(h.a) && h.a[r] < h.a[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
-	return top
 }

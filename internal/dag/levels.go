@@ -1,15 +1,31 @@
 package dag
 
-import "fmt"
+import "errors"
 
-// Levels holds the per-node attributes used by scheduling heuristics.
-// All tables are indexed by NodeID.
-type Levels struct {
+// CompactLevels is the index-compact analysis the level kernel
+// computes: t-level, b-level and the topological order, 20 bytes per
+// node. It is all the large-graph path needs; Levels extends it with
+// the tables the *Graph schedulers read.
+type CompactLevels struct {
 	TLevel []float64 // length of the longest path from an entry node to n, excluding w(n); the ASAP start time
 	BLevel []float64 // length of the longest path from n to an exit node, including w(n)
+	Order  []int32   // topological order, smallest-ID-first Kahn
+	CPLen  float64   // critical-path length: max over nodes of t-level + b-level
+}
+
+// IsCPN reports whether n is a critical-path node, i.e. whether its
+// ASAP and ALAP times coincide (equivalently t-level + b-level = CP).
+func (l *CompactLevels) IsCPN(n int32) bool {
+	return l.TLevel[n]+l.BLevel[n] >= l.CPLen-cpEps(l.CPLen)
+}
+
+// Levels holds the per-node attributes used by scheduling heuristics:
+// the compact tables plus the static level, the ALAP time and the
+// order as NodeIDs. All tables are indexed by NodeID.
+type Levels struct {
+	CompactLevels
 	Static []float64 // static b-level: b-level with communication costs ignored
 	ALAP   []float64 // as-late-as-possible start time: CP - b-level
-	CPLen  float64   // critical-path length: max over nodes of t-level + b-level
 	Order  []NodeID  // the topological order the levels were computed in
 }
 
@@ -17,11 +33,8 @@ type Levels struct {
 // t-level, as defined in the paper).
 func (l *Levels) ASAP(n NodeID) float64 { return l.TLevel[n] }
 
-// IsCPN reports whether n is a critical-path node, i.e. whether its
-// ASAP and ALAP times coincide (equivalently t-level + b-level = CP).
-func (l *Levels) IsCPN(n NodeID) bool {
-	return l.TLevel[n]+l.BLevel[n] >= l.CPLen-cpEps(l.CPLen)
-}
+// IsCPN reports whether n is a critical-path node.
+func (l *Levels) IsCPN(n NodeID) bool { return l.CompactLevels.IsCPN(int32(n)) }
 
 // cpEps is the tolerance for float comparisons against the CP length,
 // scaled to the magnitude of the values involved.
@@ -36,58 +49,95 @@ func cpEps(cp float64) float64 {
 // ComputeLevels computes the t-level, b-level, static level and ALAP
 // time of every node in O(v + e) time. It returns an error if the graph
 // is cyclic or empty.
-func ComputeLevels(g *Graph) (*Levels, error) {
-	v := g.NumNodes()
-	if v == 0 {
-		return nil, fmt.Errorf("dag: cannot compute levels of an empty graph")
+func ComputeLevels(g *Graph) (*Levels, error) { return ComputeLevelsCSR(BuildCSR(g)) }
+
+// ComputeLevelsCSR is ComputeLevels on a CSR: the level kernel, the
+// static-level fold, the ALAP table and the order widened to NodeIDs.
+func ComputeLevelsCSR(c *CSR) (*Levels, error) {
+	l := &Levels{}
+	if _, err := c.ComputeLevelsCompactArena(&l.CompactLevels, nil); err != nil {
+		return nil, err
 	}
-	order, err := g.TopologicalOrder()
+	l.Static = c.StaticLevels(&l.CompactLevels, nil)
+	l.ALAP = make([]float64, len(l.BLevel))
+	for n, b := range l.BLevel {
+		l.ALAP[n] = l.CPLen - b
+	}
+	l.Order = widen(l.CompactLevels.Order)
+	return l, nil
+}
+
+// ComputeLevelsCompactArena is the level kernel: one smallest-ID-first
+// Kahn order, then t-levels folded forward over the predecessor slots
+// and b-levels backward over the successor slots, each max fold
+// visiting candidates in stored slot order. It writes into l (nil
+// allocates a fresh header) with every table drawn from a; a nil arena
+// falls back to make. With a non-nil arena the tables are re-acquired
+// every call — pass the same l to reuse its header, not its arrays —
+// and are invalidated by the arena's Reset.
+func (c *CSR) ComputeLevelsCompactArena(l *CompactLevels, a *ScaleArena) (*CompactLevels, error) {
+	v := c.NumNodes()
+	if v == 0 {
+		return nil, errors.New("dag: cannot compute levels of an empty graph")
+	}
+	if l == nil {
+		l = &CompactLevels{}
+	}
+	l.CPLen = 0
+	l.TLevel = a.F64(v)
+	l.BLevel = a.F64(v)
+	order, err := c.topoOrderArenaInto(a.I32(v)[:0], a)
 	if err != nil {
 		return nil, err
 	}
-	l := &Levels{
-		TLevel: make([]float64, v),
-		BLevel: make([]float64, v),
-		Static: make([]float64, v),
-		ALAP:   make([]float64, v),
-		Order:  order,
-	}
-	// t-level: forward pass. t(n) = max over parents p of t(p)+w(p)+c(p,n).
+	l.Order = order
+	// t(n) = max over parents p of t(p)+w(p)+c(p,n).
 	for _, n := range order {
 		t := 0.0
-		for _, e := range g.Pred(n) {
-			cand := l.TLevel[e.From] + g.Weight(e.From) + e.Weight
+		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+			p := c.PredFrom[s]
+			cand := l.TLevel[p] + c.NodeW[p] + c.PredW[s]
 			if cand > t {
 				t = cand
 			}
 		}
 		l.TLevel[n] = t
 	}
-	// b-level and static level: backward pass.
-	// b(n) = w(n) + max over children c of c(n,c)+b(c).
+	// b(n) = w(n) + max over children ch of c(n,ch)+b(ch).
 	for i := v - 1; i >= 0; i-- {
 		n := order[i]
-		b, s := 0.0, 0.0
-		for _, e := range g.Succ(n) {
-			if cand := e.Weight + l.BLevel[e.To]; cand > b {
+		b := 0.0
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			if cand := c.SuccW[s] + l.BLevel[c.SuccTo[s]]; cand > b {
 				b = cand
 			}
-			if cand := l.Static[e.To]; cand > s {
-				s = cand
-			}
 		}
-		l.BLevel[n] = g.Weight(n) + b
-		l.Static[n] = g.Weight(n) + s
+		l.BLevel[n] = c.NodeW[n] + b
 	}
 	for _, n := range order {
 		if sum := l.TLevel[n] + l.BLevel[n]; sum > l.CPLen {
 			l.CPLen = sum
 		}
 	}
-	for _, n := range order {
-		l.ALAP[n] = l.CPLen - l.BLevel[n]
-	}
 	return l, nil
+}
+
+// StaticLevels returns every node's static level — its b-level with
+// communication ignored — folded backward along l's order over the
+// successor slots. The table is drawn from a (nil falls back to make).
+func (c *CSR) StaticLevels(l *CompactLevels, a *ScaleArena) []float64 {
+	static := a.F64(c.NumNodes())
+	for i := len(l.Order) - 1; i >= 0; i-- {
+		n := l.Order[i]
+		st := 0.0
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			if cand := static[c.SuccTo[s]]; cand > st {
+				st = cand
+			}
+		}
+		static[n] = c.NodeW[n] + st
+	}
+	return static
 }
 
 // CriticalPath returns one critical path of the graph as a sequence of
@@ -152,13 +202,21 @@ func (c Class) String() string {
 	}
 }
 
-// Classify partitions the nodes into CPNs, IBNs and OBNs in O(v + e)
-// time: a reverse topological sweep marks every node that can reach a
-// CPN.
+// Classify partitions g's nodes into CPNs, IBNs and OBNs in O(v + e)
+// time; it is ClassifyCompactArena on g's CSR.
 func Classify(g *Graph, l *Levels) []Class {
-	v := g.NumNodes()
-	cls := make([]Class, v)
-	reaches := make([]bool, v) // reaches[n]: some path n ->* CPN exists
+	return BuildCSR(g).ClassifyCompactArena(&l.CompactLevels, nil)
+}
+
+// ClassifyCompactArena is the classification sweep: a reverse
+// topological pass over l's order marks every node that can reach a
+// CPN. The class table and the reachability bitmap are drawn from a
+// (nil falls back to make); an arena-backed table is invalidated by the
+// arena's Reset.
+func (c *CSR) ClassifyCompactArena(l *CompactLevels, a *ScaleArena) []Class {
+	v := c.NumNodes()
+	cls := a.Cls(v)
+	reaches := a.Bool(v) // reaches[n]: some path n ->* CPN exists
 	for i := v - 1; i >= 0; i-- {
 		n := l.Order[i]
 		if l.IsCPN(n) {
@@ -166,16 +224,13 @@ func Classify(g *Graph, l *Levels) []Class {
 			cls[n] = CPN
 			continue
 		}
-		for _, e := range g.Succ(n) {
-			if reaches[e.To] {
+		cls[n] = OBN
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			if reaches[c.SuccTo[s]] {
 				reaches[n] = true
+				cls[n] = IBN
 				break
 			}
-		}
-		if reaches[n] {
-			cls[n] = IBN
-		} else {
-			cls[n] = OBN
 		}
 	}
 	return cls

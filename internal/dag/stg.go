@@ -4,110 +4,17 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// ReadSTG parses a task graph in the Standard Task Graph (STG) format
-// of Kasahara's benchmark suite (the standard exchange format in this
-// literature):
-//
-//	<number of tasks>
-//	<task id> <processing time> <#preds> <pred id> ...
-//	...
-//
-// Lines starting with '#' and blank lines are ignored. Task IDs must be
-// dense starting at 0 (the STG convention, which also uses zero-cost
-// dummy entry/exit tasks — kept as-is). STG carries no communication
-// costs; every edge gets defaultComm.
+// ReadSTG parses a task graph in the Standard Task Graph format (see
+// StreamSTG for the grammar) into a *Graph: StreamSTG followed by
+// ToGraph. Nodes are labeled t<i>; every edge gets defaultComm.
 func ReadSTG(r io.Reader, defaultComm float64) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	nextFields := func() ([]string, error) {
-		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.IndexByte(line, '#'); i >= 0 {
-				line = line[:i]
-			}
-			f := strings.Fields(line)
-			if len(f) > 0 {
-				return f, nil
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-
-	head, err := nextFields()
+	c, err := StreamSTG(r, defaultComm)
 	if err != nil {
-		return nil, fmt.Errorf("dag: stg: missing task count: %w", err)
+		return nil, err
 	}
-	n, err := strconv.Atoi(head[0])
-	if err != nil || n < 1 {
-		return nil, fmt.Errorf("dag: stg: bad task count %q", head[0])
-	}
-
-	type row struct {
-		cost  float64
-		preds []int
-	}
-	// Keyed by task id rather than a pre-sized slice: the declared
-	// count is untrusted input, and sizing allocations by it would let
-	// a few-byte header demand gigabytes (found by FuzzReadSTG). With a
-	// map, memory tracks the rows actually read, and the final graph
-	// allocation below happens only after all n rows were consumed.
-	rows := make(map[int]row)
-	for i := 0; i < n; i++ {
-		f, err := nextFields()
-		if err != nil {
-			return nil, fmt.Errorf("dag: stg: expected %d task rows, got %d", n, i)
-		}
-		if len(f) < 3 {
-			return nil, fmt.Errorf("dag: stg: short task row %q", strings.Join(f, " "))
-		}
-		id, err := strconv.Atoi(f[0])
-		if err != nil || id < 0 || id >= n {
-			return nil, fmt.Errorf("dag: stg: bad task id %q", f[0])
-		}
-		if _, dup := rows[id]; dup {
-			return nil, fmt.Errorf("dag: stg: duplicate task id %d", id)
-		}
-		cost, err := strconv.ParseFloat(f[1], 64)
-		if err != nil || cost < 0 {
-			return nil, fmt.Errorf("dag: stg: bad cost %q for task %d", f[1], id)
-		}
-		np, err := strconv.Atoi(f[2])
-		if err != nil || np < 0 || len(f) != 3+np {
-			return nil, fmt.Errorf("dag: stg: task %d declares %s predecessors, row has %d ids", id, f[2], len(f)-3)
-		}
-		preds := make([]int, np)
-		for j := 0; j < np; j++ {
-			p, err := strconv.Atoi(f[3+j])
-			if err != nil || p < 0 || p >= n {
-				return nil, fmt.Errorf("dag: stg: bad predecessor %q of task %d", f[3+j], id)
-			}
-			preds[j] = p
-		}
-		rows[id] = row{cost: cost, preds: preds}
-	}
-
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("t%d", i), rows[i].cost)
-	}
-	for i := 0; i < n; i++ {
-		for _, p := range rows[i].preds {
-			if err := g.AddEdge(NodeID(p), NodeID(i), defaultComm); err != nil {
-				return nil, fmt.Errorf("dag: stg: %w", err)
-			}
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("dag: stg: %w", err)
-	}
-	return g, nil
+	return c.ToGraph(), nil
 }
 
 // WriteSTG serializes the graph in STG form. Communication costs are

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -84,6 +86,22 @@ func TestSTGRoundTrip(t *testing.T) {
 			if _, ok := g2.EdgeWeight(e.From, e.To); !ok {
 				t.Fatalf("trial %d: edge %d->%d lost", trial, e.From, e.To)
 			}
+		}
+	}
+}
+
+// TestReadSTGBadWeightsTyped checks that NaN, infinite and negative
+// costs fail with ErrBadWeight: task costs, and a default
+// communication cost even when the file has no edges to carry it.
+func TestReadSTGBadWeightsTyped(t *testing.T) {
+	for _, comm := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := ReadSTG(strings.NewReader("1\n0 1 0\n"), comm); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("default comm %v: err %v, want ErrBadWeight", comm, err)
+		}
+	}
+	for _, cost := range []string{"NaN", "Inf", "-Inf", "-1"} {
+		if _, err := ReadSTG(strings.NewReader("2\n0 1 0\n1 "+cost+" 1 0\n"), 1); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("cost %s: err %v, want ErrBadWeight", cost, err)
 		}
 	}
 }

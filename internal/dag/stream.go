@@ -10,24 +10,31 @@ import (
 	"strings"
 )
 
-// StreamSTG parses the Standard Task Graph format (see ReadSTG for the
-// grammar) straight into a CSR, never materializing a *Graph, a
-// per-row map, or per-node slices. The peak memory is the raw edge
-// endpoints (8 bytes/edge) plus the finished arenas; at a million
-// nodes the intermediate *Graph the legacy path builds costs ~20x
-// more.
+// StreamSTG parses a task graph in the Standard Task Graph (STG)
+// format of Kasahara's benchmark suite (the standard exchange format in
+// this literature) straight into a CSR:
 //
-// The result is bit-identical to the legacy path:
-// StreamSTG(r).ToGraph() equals ReadSTG(r) slot for slot — predecessor
-// arenas keep each row's listed order, successor arenas are ordered by
-// child ID exactly as the legacy id-ascending AddEdge loop produced —
-// so plans compiled from either source schedule identically (pinned by
-// the differential tests in internal/casch).
+//	<number of tasks>
+//	<task id> <processing time> <#preds> <pred id> ...
+//	...
 //
-// Like ReadSTG, nothing is ever allocated proportional to the declared
-// task count before that many rows were actually consumed: a few-byte
-// header claiming 2^30 tasks fails with a parse error, not an OOM
-// (the FuzzReadSTG corpus case, replayed by FuzzStreamSTG).
+// Lines starting with '#' and blank lines are ignored. Task IDs must be
+// dense starting at 0 (the STG convention, which also uses zero-cost
+// dummy entry/exit tasks — kept as-is). STG carries no communication
+// costs; every edge gets defaultComm, which must be a finite,
+// non-negative weight.
+//
+// The parse never materializes a *Graph, a per-row map, or per-node
+// slices: the peak memory is the raw edge endpoints (8 bytes/edge)
+// plus the finished arenas. Predecessor arenas keep each row's listed
+// order and successor arenas are ordered by child ID, so ToGraph of the
+// result — which is what ReadSTG returns — stores every adjacency list
+// in that order.
+//
+// Nothing is ever allocated proportional to the declared task count
+// before that many rows were actually consumed: a few-byte header
+// claiming 2^30 tasks fails with a parse error, not an OOM (the
+// FuzzReadSTG corpus case, replayed by FuzzStreamSTG).
 func StreamSTG(r io.Reader, defaultComm float64) (*CSR, error) {
 	return StreamSTGArena(r, defaultComm, nil)
 }
@@ -74,10 +81,11 @@ func StreamSTGArena(r io.Reader, defaultComm float64, a *ScaleArena) (*CSR, erro
 			return nil, fmt.Errorf("dag: stg: bad task id %q", f[0])
 		}
 		cost, err := parseFloatBytes(f[1])
-		// NaN/Inf are rejected here where the legacy path rejects them in
-		// Graph.Validate — acceptance must agree for the differential fuzz.
-		if err != nil || math.IsNaN(cost) || math.IsInf(cost, 0) || cost < 0 {
+		if err != nil {
 			return nil, fmt.Errorf("dag: stg: bad cost %q for task %d", f[1], id)
+		}
+		if badWeight(cost) {
+			return nil, fmt.Errorf("dag: stg: %w: task %d has cost %v", ErrBadWeight, id, cost)
 		}
 		np, err := atoiBytes(f[2])
 		if err != nil || np < 0 || len(f) != 3+np {
@@ -367,7 +375,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // path: a run of 1–15 ASCII digits converts directly (always in int
 // range). Anything else — signs, hex, overflow-length runs — falls
 // back to strconv.Atoi on a copied string, so acceptance and values
-// agree with the legacy string-based parse exactly.
+// agree with a string-based parse exactly.
 func atoiBytes(b []byte) (int, error) {
 	if n := len(b); n >= 1 && n <= 15 {
 		v := 0
@@ -419,7 +427,7 @@ func joinFields(f [][]byte) string {
 // non-comment line as subslices of the read buffer — valid until the
 // following next() call. Pure-ASCII lines split without allocating;
 // lines carrying bytes >= 0x80 defer to strings.Fields so the split
-// agrees with the legacy readers' unicode.IsSpace semantics exactly.
+// agrees with its unicode.IsSpace semantics exactly.
 type fieldScanner struct {
 	lr     lineReader
 	arena  *ScaleArena

@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzStreamSTG differentially fuzzes the streaming STG reader against
-// the legacy map-based one: both must agree on acceptance, and on
-// accepted inputs the streamed CSR must be bit-identical to the legacy
-// graph's (and materialize back to an equal graph). Seeded with the
+// the map-based oracle: both must agree on acceptance, and on accepted
+// inputs the streamed CSR must be bit-identical to the oracle graph's
+// and ReadSTG must return a graph equal to it slot for slot. Seeded with the
 // FuzzReadSTG corpus — including the header-OOM crasher
 // ("000002000000 v1\n"), which must fail fast without allocating for
 // the declared count.
@@ -23,10 +23,10 @@ func FuzzStreamSTG(f *testing.F) {
 	f.Add("4\n3 4 2 2 1\n2 3 1 0\n1 2 1 0\n0 1 0\n")
 	f.Add("2\n0 1 0\n1 1e309 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		g, errLegacy := ReadSTG(strings.NewReader(input), 1)
+		g, errOracle := readSTGOracle(strings.NewReader(input), 1)
 		c, errStream := StreamSTG(strings.NewReader(input), 1)
-		if (errLegacy == nil) != (errStream == nil) {
-			t.Fatalf("acceptance diverges: legacy=%v stream=%v", errLegacy, errStream)
+		if (errOracle == nil) != (errStream == nil) {
+			t.Fatalf("acceptance diverges: oracle=%v stream=%v", errOracle, errStream)
 		}
 		ca, errArena := StreamSTGArena(strings.NewReader(input), 1, NewScaleArena())
 		if (errStream == nil) != (errArena == nil) {
@@ -38,12 +38,17 @@ func FuzzStreamSTG(f *testing.F) {
 		if errStream == nil {
 			compareCSR(t, c, ca)
 		}
-		if errLegacy != nil {
+		if errOracle != nil {
 			return
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatalf("accepted stream CSR fails validation: %v", err)
 		}
+		read, err := ReadSTG(strings.NewReader(input), 1)
+		if err != nil {
+			t.Fatalf("ReadSTG rejects what StreamSTG accepts: %v", err)
+		}
+		graphsEqual(t, read, g)
 		want := BuildCSR(g)
 		if c.NumNodes() != want.NumNodes() || c.NumEdges() != want.NumEdges() {
 			t.Fatalf("shape (%d,%d) != (%d,%d)", c.NumNodes(), c.NumEdges(), want.NumNodes(), want.NumEdges())

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// stgFixtures are STG inputs the legacy reader accepts, spanning the
+// stgFixtures are STG inputs the map-based oracle accepts, spanning the
 // orderings that exercise the counting scatters: rows out of id order,
 // predecessors listed out of order, diamonds, multi-level fan-in.
 var stgFixtures = []string{
@@ -83,16 +83,16 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 
 func TestStreamSTGBitIdentical(t *testing.T) {
 	for _, fix := range stgFixtures {
-		legacy, err := ReadSTG(strings.NewReader(fix), 2.5)
+		want, err := readSTGOracle(strings.NewReader(fix), 2.5)
 		if err != nil {
-			t.Fatalf("ReadSTG(%q): %v", fix, err)
+			t.Fatalf("readSTGOracle(%q): %v", fix, err)
 		}
 		c, err := StreamSTG(strings.NewReader(fix), 2.5)
 		if err != nil {
 			t.Fatalf("StreamSTG(%q): %v", fix, err)
 		}
-		csrEqual(t, c, BuildCSR(legacy))
-		graphsEqual(t, c.ToGraph(), legacy)
+		csrEqual(t, c, BuildCSR(want))
+		graphsEqual(t, c.ToGraph(), want)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("Validate(%q): %v", fix, err)
 		}
@@ -272,9 +272,10 @@ func TestFinishCSRValidation(t *testing.T) {
 	}
 }
 
-// TestStreamSTGAgainstFiles replays every legacy fuzz corpus crasher
-// plus the fixtures through both readers and checks accept/reject
-// agreement (the property FuzzStreamSTG checks continuously).
+// TestStreamSTGAcceptanceAgreement replays every fuzz corpus crasher
+// plus the fixtures through the streaming reader, ReadSTG and the
+// map-based oracle and checks accept/reject agreement (the property
+// FuzzStreamSTG checks continuously).
 func TestStreamSTGAcceptanceAgreement(t *testing.T) {
 	inputs := append([]string{}, stgFixtures...)
 	inputs = append(inputs,
@@ -283,14 +284,16 @@ func TestStreamSTGAcceptanceAgreement(t *testing.T) {
 		"3\n0 1 1 2\n1 1 1 0\n2 1 1 1\n", // cycle through preds
 	)
 	for _, in := range inputs {
-		g, errLegacy := ReadSTG(strings.NewReader(in), 1)
+		g, errOracle := readSTGOracle(strings.NewReader(in), 1)
 		c, errStream := StreamSTG(strings.NewReader(in), 1)
-		if (errLegacy == nil) != (errStream == nil) {
-			t.Fatalf("acceptance diverges on %q: legacy=%v stream=%v", in, errLegacy, errStream)
+		read, errRead := ReadSTG(strings.NewReader(in), 1)
+		if (errOracle == nil) != (errStream == nil) || (errRead == nil) != (errStream == nil) {
+			t.Fatalf("acceptance diverges on %q: oracle=%v stream=%v ReadSTG=%v", in, errOracle, errStream, errRead)
 		}
-		if errLegacy == nil {
+		if errOracle == nil {
 			csrEqual(t, c, BuildCSR(g))
 			graphsEqual(t, c.ToGraph(), g)
+			graphsEqual(t, read, g)
 		}
 	}
 }

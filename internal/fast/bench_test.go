@@ -21,15 +21,14 @@ func benchSearchState(b *testing.B) (*state, []dag.NodeID) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := dag.ComputeLevels(g)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cls := dag.Classify(g, l)
-	st := newState(g, CPNDominateList(g, l, cls), 128)
+	st := newState(g, cg.CPNDominate, 128)
 	st.initialReadyTime()
 	st.evaluate()
-	return st, blockingList(cls)
+	return st, cg.Blocking
 }
 
 // BenchmarkEvaluateFull: the pre-incremental per-step cost — one full

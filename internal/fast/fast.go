@@ -506,26 +506,3 @@ func levelSortedList(g *dag.Graph, l *dag.Levels, key func(dag.NodeID) float64) 
 	})
 	return list
 }
-
-// CPNDominateList constructs the paper's CPN-Dominate list: critical
-// path nodes in path order, each preceded by its yet-unlisted ancestors
-// (larger b-levels first, ties by smaller t-level), followed by the
-// out-branch nodes in decreasing b-level order. The construction lives
-// in internal/plan so the compiled-graph path and ad-hoc callers (the
-// crash rescheduler rebuilds a list for a suffix subgraph) share one
-// implementation; this wrapper is the package's public spelling.
-func CPNDominateList(g *dag.Graph, l *dag.Levels, cls []dag.Class) []dag.NodeID {
-	return plan.CPNDominateList(g, l, cls)
-}
-
-// blockingList returns the paper's blocking-node list: all IBNs and
-// OBNs, i.e. every node that is not a CPN.
-func blockingList(cls []dag.Class) []dag.NodeID {
-	var out []dag.NodeID
-	for i, c := range cls {
-		if c != dag.CPN {
-			out = append(out, dag.NodeID(i))
-		}
-	}
-	return out
-}

@@ -6,6 +6,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
 
@@ -17,7 +18,7 @@ func exampleList(t *testing.T) (*dag.Graph, []dag.NodeID) {
 		t.Fatal(err)
 	}
 	cls := dag.Classify(g, l)
-	return g, CPNDominateList(g, l, cls)
+	return g, plan.CPNDominateList(g, l, cls)
 }
 
 // The paper gives the CPN-Dominate list of the Figure-1 graph verbatim:
@@ -64,10 +65,11 @@ func assertTopological(t *testing.T, g *dag.Graph, list []dag.NodeID) {
 }
 
 func TestBlockingListMatchesPaper(t *testing.T) {
-	g := example.Graph()
-	l, _ := dag.ComputeLevels(g)
-	cls := dag.Classify(g, l)
-	got := blockingList(cls)
+	cg, err := plan.Compile(example.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cg.Blocking
 	want := []dag.NodeID{example.N(2), example.N(3), example.N(4), example.N(5), example.N(6), example.N(8)}
 	if len(got) != len(want) {
 		t.Fatalf("blocking list = %v, want %v", got, want)
@@ -280,7 +282,7 @@ func TestFASTPropertiesOnRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		cls := dag.Classify(g, l)
-		list := CPNDominateList(g, l, cls)
+		list := plan.CPNDominateList(g, l, cls)
 		assertTopological(t, g, list)
 
 		procs := 1 + rng.Intn(6)

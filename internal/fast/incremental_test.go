@@ -6,6 +6,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/plan"
 	"fastsched/internal/timing"
 	"fastsched/internal/workload"
 )
@@ -50,7 +51,7 @@ func stateList(t *testing.T, g *dag.Graph) []dag.NodeID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return CPNDominateList(g, l, dag.Classify(g, l))
+	return plan.CPNDominateList(g, l, dag.Classify(g, l))
 }
 
 func assertTablesMatchReference(t *testing.T, st *state, ctx string) {

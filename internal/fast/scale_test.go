@@ -147,13 +147,13 @@ func TestSpliceGOMAXPROCSBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScaleArenaWarmZeroAllocs pins the tentpole's warm-path contract:
-// once the arena is warmed by one cold pass, re-running the arena
-// kernels — streaming parse, compact levels, classification, priority
-// order, clustering — allocates nothing at all. (The full scheduler
-// additionally builds the ≤ MaxClusters contracted graph and runs the
-// inner search, which allocate O(clusters), not O(v); the benchmark's
-// warm-allocs/node series accounts for those.)
+// TestScaleArenaWarmZeroAllocs pins the warm-path contract: once the
+// arena is warmed by one cold pass, re-running the arena kernels —
+// streaming parse, compact levels, static levels, classification,
+// priority order, clustering — allocates nothing at all. (The full
+// scheduler additionally builds the ≤ MaxClusters contracted graph and
+// runs the inner search, which allocate O(clusters), not O(v); the
+// benchmark's warm-allocs/node series accounts for those.)
 func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 	if schedtest.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
@@ -180,10 +180,11 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 			runErr = err
 			return
 		}
-		cls := c.ClassifyCompactArena(l, nil, a)
+		static := c.StaticLevels(l, a)
+		cls := c.ClassifyCompactArena(l, a)
 		prio := buildPriorityOrder(l, c.NumNodes(), a)
 		cluster, vc := linearClusters(c, l, prio, a)
-		if len(cls) == 0 || len(cluster) == 0 || vc <= 0 {
+		if len(static) == 0 || len(cls) == 0 || len(cluster) == 0 || vc <= 0 {
 			runErr = fmt.Errorf("degenerate pipeline output")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/obs"
+	"fastsched/internal/plan"
 	"fastsched/internal/workload"
 )
 
@@ -17,15 +18,14 @@ func teleSearchState(t *testing.T, v, procs int) (*state, []dag.NodeID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := dag.ComputeLevels(g)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls := dag.Classify(g, l)
-	st := newState(g, CPNDominateList(g, l, cls), procs)
+	st := newState(g, cg.CPNDominate, procs)
 	st.initialReadyTime()
 	st.evaluate()
-	return st, blockingList(cls)
+	return st, cg.Blocking
 }
 
 // TestNilTelemetryAllocationFree asserts the acceptance bound of the

@@ -5,17 +5,14 @@ import (
 )
 
 // CompactPlan is the CSR-only sibling of CompiledGraph for the
-// million-node path: the compact artifacts a list scheduler needs —
-// t/b-levels, the topological order, and (lazily) static levels —
-// without ever materializing a *dag.Graph, per-node slices, or the
-// full five-metric Levels. All tables may be drawn from a ScaleArena,
-// in which case recompiling after the arena's Reset is allocation-free.
+// million-node path: the compact levels a list scheduler needs —
+// t/b-levels and the topological order — plus static levels on
+// demand, without ever materializing a *dag.Graph, per-node slices, or
+// the full Levels. All tables may be drawn from a ScaleArena.
 //
-// Compilation is deterministic and bit-identical to the *Graph path:
-// the level folds visit the same slots in the same order as
-// dag.ComputeLevels / dag.ComputeLevelsCSR, so a scheduler fed a
-// CompactPlan reproduces its *dag.Graph twin exactly (pinned by the
-// differential tests in internal/hlfet).
+// Both tables come from the same dag kernels ComputeLevels runs, so a
+// scheduler fed a CompactPlan reproduces its *dag.Graph twin exactly
+// (pinned by the differential tests in internal/hlfet).
 type CompactPlan struct {
 	CSR    *dag.CSR
 	Levels dag.CompactLevels
@@ -26,62 +23,22 @@ type CompactPlan struct {
 
 // CompileCompact analyzes c once. With a non-nil arena every table is
 // arena-backed (single-goroutine, invalidated by the arena's Reset);
-// with a nil arena the plan is immutable after the lazy accessors run
-// and safe to share.
+// with a nil arena the plan is immutable after Static first runs and
+// safe to share from then on.
 func CompileCompact(c *dag.CSR, a *dag.ScaleArena) (*CompactPlan, error) {
-	p := &CompactPlan{}
-	if err := p.recompile(c, a); err != nil {
+	p := &CompactPlan{CSR: c, arena: a}
+	if _, err := c.ComputeLevelsCompactArena(&p.Levels, a); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Recompile points the plan at a new CSR, reusing the plan's shell
-// (and its arena, when it has one). Invalidates all previously
-// returned tables.
-func (p *CompactPlan) Recompile(c *dag.CSR) error {
-	return p.recompile(c, p.arena)
-}
-
-func (p *CompactPlan) recompile(c *dag.CSR, a *dag.ScaleArena) error {
-	if _, err := c.ComputeLevelsCompactArena(&p.Levels, a); err != nil {
-		return err
-	}
-	p.CSR = c
-	p.arena = a
-	p.static = nil
-	return nil
-}
-
 // Static returns the static levels (computation-only b-levels),
-// computed on first use: the same reverse-topological fold over the
-// successor slots as dag.ComputeLevels, bit for bit. The table is
-// cached on the plan until the next Recompile.
+// computed on first use by dag's static-level fold and cached on the
+// plan.
 func (p *CompactPlan) Static() []float64 {
-	if p.static != nil {
-		return p.static
+	if p.static == nil {
+		p.static = p.CSR.StaticLevels(&p.Levels, p.arena)
 	}
-	c := p.CSR
-	v := c.NumNodes()
-	static := p.arena.F64(v)
-	order := p.Levels.Order
-	for i := v - 1; i >= 0; i-- {
-		n := order[i]
-		st := 0.0
-		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
-			if cand := static[c.SuccTo[s]]; cand > st {
-				st = cand
-			}
-		}
-		static[n] = c.NodeW[n] + st
-	}
-	p.static = static
-	return static
-}
-
-// Classes returns the CPN/IBN/OBN partition against the compact
-// levels; computed per call (the classification sweep is O(v + e) and
-// most consumers never ask for it).
-func (p *CompactPlan) Classes() []dag.Class {
-	return p.CSR.ClassifyCompactArena(&p.Levels, nil, p.arena)
+	return p.static
 }

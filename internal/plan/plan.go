@@ -117,10 +117,6 @@ func Compile(g *dag.Graph) (*CompiledGraph, error) {
 // hash), so the serving path never checks or hashes twice. It errors
 // only when g is empty or cyclic.
 func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
-	// Analysis runs on the CSR arenas, not the []Edge slices: the int32
-	// kernels keep a 10⁶-node compile at O(v+e) over dense streams. The
-	// results are bit-identical to the slice kernels (dag's differential
-	// tests pin this), so plans compiled either way are interchangeable.
 	csr := dag.BuildCSR(g)
 	l, err := dag.ComputeLevelsCSR(csr)
 	if err != nil {
@@ -132,7 +128,7 @@ func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 // build derives the classification and both priority lists from the
 // levels.
 func build(g *dag.Graph, key Key, csr *CSR, l *dag.Levels) *CompiledGraph {
-	cls := dag.ClassifyCSR(csr, l)
+	cls := csr.ClassifyCompactArena(&l.CompactLevels, nil)
 	blocking := make([]dag.NodeID, 0, g.NumNodes())
 	for i, c := range cls {
 		if c != dag.CPN {

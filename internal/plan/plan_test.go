@@ -292,3 +292,45 @@ func TestCacheHitAllocFree(t *testing.T) {
 		t.Fatalf("cache hit allocates %.1f per call, want 0", n)
 	}
 }
+
+// TestCompactPlanStaticMatchesLevels pins the compact plan's tables to
+// the full Levels of the same graph: t-/b-levels, order and CP length
+// from the kernel, and the lazily folded static levels, with and
+// without an arena.
+func TestCompactPlanStaticMatchesLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	graphs := []*dag.Graph{example.Graph(), diamond()}
+	for i := 0; i < 200; i++ {
+		graphs = append(graphs, tieHeavyDAG(rng))
+	}
+	a := dag.NewScaleArena()
+	for gi, g := range graphs {
+		l, err := dag.ComputeLevels(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arena := range []*dag.ScaleArena{nil, a} {
+			a.Reset()
+			p, err := CompileCompact(dag.BuildCSR(g), arena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			static := p.Static()
+			if &p.Static()[0] != &static[0] {
+				t.Fatalf("graph %d: Static recomputed on the second call", gi)
+			}
+			if p.Levels.CPLen != l.CPLen {
+				t.Fatalf("graph %d: CPLen %v != %v", gi, p.Levels.CPLen, l.CPLen)
+			}
+			for n := 0; n < g.NumNodes(); n++ {
+				if static[n] != l.Static[n] || p.Levels.TLevel[n] != l.TLevel[n] ||
+					p.Levels.BLevel[n] != l.BLevel[n] || dag.NodeID(p.Levels.Order[n]) != l.Order[n] {
+					t.Fatalf("graph %d node %d (arena %v): compact plan diverges from Levels", gi, n, arena != nil)
+				}
+			}
+		}
+	}
+	if _, err := CompileCompact(dag.BuildCSR(dag.New(0)), nil); err == nil {
+		t.Fatal("compiling an empty CSR did not error")
+	}
+}

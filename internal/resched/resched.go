@@ -20,8 +20,8 @@ import (
 	"sort"
 
 	"fastsched/internal/dag"
-	"fastsched/internal/fast"
 	"fastsched/internal/obs"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/sim"
 )
@@ -308,12 +308,13 @@ func newPlanner(g *dag.Graph, pre Prefix, survivors []int, floor map[int]float64
 
 // priorityOrder builds FAST's phase-1 list over the suffix subgraph.
 func (pl *planner) priorityOrder() error {
-	l, err := dag.ComputeLevels(pl.sub)
+	c := dag.BuildCSR(pl.sub)
+	l, err := dag.ComputeLevelsCSR(c)
 	if err != nil {
 		return fmt.Errorf("resched: suffix levels: %w", err)
 	}
-	cls := dag.Classify(pl.sub, l)
-	list := fast.CPNDominateList(pl.sub, l, cls)
+	cls := c.ClassifyCompactArena(&l.CompactLevels, nil)
+	list := plan.CPNDominateList(pl.sub, l, cls)
 	pl.list = make([]int, len(list))
 	for i, n := range list {
 		pl.list[i] = int(n)
