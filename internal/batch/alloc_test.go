@@ -21,14 +21,14 @@ func TestCacheHitPathAllocFree(t *testing.T) {
 	}
 	g := example.Graph()
 	req := Request{Graph: g, Procs: 2, Algorithm: "fast", Seed: 3}
-	c := newCache(64)
-	c.put(requestKey(req), sched.New(g.NumNodes()))
+	c := NewLRU[*sched.Schedule](64)
+	c.Put(requestKey(req), sched.New(g.NumNodes()))
 	requestKey(req) // warm the key-buffer pool
 
 	if n := testing.AllocsPerRun(100, func() {
 		gk := plan.GraphKey(req.Graph)
 		key := requestKeyFrom(req, gk)
-		if _, ok := c.get(key); !ok {
+		if _, ok := c.Get(key); !ok {
 			t.Fatal("expected a cache hit")
 		}
 	}); n != 0 {

@@ -145,10 +145,10 @@ type Options struct {
 type Engine struct {
 	opts   Options
 	queue  chan *job
-	wg     sync.WaitGroup // workers
-	subWG  sync.WaitGroup // blocking submitters not yet enqueued
-	cache  *cache
-	plans  *plan.Cache // compiled-graph cache; nil when compilation is off
+	wg     sync.WaitGroup        // workers
+	subWG  sync.WaitGroup        // blocking submitters not yet enqueued
+	cache  *LRU[*sched.Schedule] // result cache; nil when caching is off
+	plans  *plan.Cache           // compiled-graph cache; nil when compilation is off
 	flight *flightGroup
 
 	mu     sync.Mutex
@@ -195,7 +195,7 @@ func New(opts Options) *Engine {
 		flight: newFlightGroup(),
 	}
 	if opts.CacheSize > 0 {
-		e.cache = newCache(opts.CacheSize)
+		e.cache = NewLRU[*sched.Schedule](opts.CacheSize)
 	}
 	if opts.PlanCacheSize >= 0 {
 		e.plans = plan.NewCache(opts.PlanCacheSize, opts.Metrics)
@@ -372,6 +372,10 @@ func (e *Engine) Do(ctx context.Context, req Request) Result {
 	return <-ch
 }
 
+// CacheCapacity returns the result cache's bound in entries, with the
+// default applied; 0 when caching is disabled.
+func (e *Engine) CacheCapacity() int { return max(e.opts.CacheSize, 0) }
+
 // InFlight returns the number of admitted-but-uncompleted requests.
 func (e *Engine) InFlight() int { return int(e.inFlight.Load()) }
 
@@ -436,7 +440,7 @@ func (e *Engine) execute(j *job) Result {
 	var key resultKey
 	if cacheable {
 		key = requestKeyFrom(req, gk)
-		if s, ok := e.cache.get(key); ok {
+		if s, ok := e.cache.Get(key); ok {
 			e.mCacheHits.Inc()
 			res.Schedule = s.Clone()
 			res.Makespan = res.Schedule.Length()
@@ -475,7 +479,7 @@ func (e *Engine) execute(j *job) Result {
 				if res.Err == nil && res.Schedule != nil {
 					published := res.Schedule.Clone()
 					call.sched = published
-					e.cache.put(key, published)
+					e.cache.Put(key, published)
 				}
 				call.err = res.Err
 				e.flight.leave(key, call)

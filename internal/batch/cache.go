@@ -59,88 +59,92 @@ func requestKeyFrom(req Request, gk plan.Key) resultKey {
 	return k
 }
 
-// cacheShards stripes the result cache. Power of two so the shard
-// index is a mask over the key's first byte — which is uniformly
-// distributed (SHA-256 output), so capacity and lock contention spread
-// evenly across shards instead of serializing every worker behind one
-// mutex.
+// cacheShards stripes an LRU. Power of two so the shard index is a mask
+// over the key's first byte — which is uniformly distributed (SHA-256
+// output), so capacity and lock contention spread evenly across shards
+// instead of serializing every worker behind one mutex.
 const cacheShards = 16
 
-// cache is a bounded, lock-striped LRU over content-addressed schedule
-// results. Stored schedules are immutable by convention: the engine
-// only ever hands out clones. The capacity bound is enforced per shard
-// at max/cacheShards (minimum 1), and LRU order is likewise per shard;
-// what a hit returns is unchanged from the single-lock cache — the
-// striping only relaxes *which* entry is evicted under pressure, never
-// the bit-identity of a hit.
-type cache struct {
-	shards [cacheShards]resultShard
+// LRU is a bounded, lock-striped LRU over SHA-256-keyed values: the
+// engine's result cache and schedd's body index. Stored values are
+// immutable by convention: the engine only ever hands out clones of a
+// cached schedule, and schedd writes a cached body without touching it.
+// The capacity bound is enforced per shard at max/cacheShards (minimum
+// 1), and LRU order is likewise per shard; what a hit returns is
+// unchanged from a single-lock LRU — the striping only relaxes *which*
+// entry is evicted under pressure, never the bit-identity of a hit.
+type LRU[V any] struct {
+	shards [cacheShards]lruShard[V]
 }
 
-type resultShard struct {
+type lruShard[V any] struct {
 	mu      sync.Mutex
 	max     int
-	entries map[resultKey]*list.Element
+	entries map[[32]byte]*list.Element
 	order   *list.List // front = most recent
 }
 
-type cacheEntry struct {
-	key   resultKey
-	sched *sched.Schedule
+type lruEntry[V any] struct {
+	key [32]byte
+	val V
 }
 
-func newCache(max int) *cache {
+// NewLRU returns an empty LRU bounded at max entries.
+func NewLRU[V any](max int) *LRU[V] {
 	perShard := max / cacheShards
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &cache{}
+	c := &LRU[V]{}
 	for i := range c.shards {
-		c.shards[i] = resultShard{
+		c.shards[i] = lruShard[V]{
 			max:     perShard,
-			entries: make(map[resultKey]*list.Element),
+			entries: make(map[[32]byte]*list.Element),
 			order:   list.New(),
 		}
 	}
 	return c
 }
 
-func (c *cache) shard(key resultKey) *resultShard {
+func (c *LRU[V]) shard(key [32]byte) *lruShard[V] {
 	return &c.shards[key[0]&(cacheShards-1)]
 }
 
-func (c *cache) get(key resultKey) (*sched.Schedule, bool) {
+// Get returns the value stored under key and marks it most recent.
+func (c *LRU[V]) Get(key [32]byte) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).sched, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-func (c *cache) put(key resultKey, sc *sched.Schedule) {
+// Put stores v under key as the most recent entry, evicting the
+// shard's least recent entries past its bound.
+func (c *LRU[V]) Put(key [32]byte, v V) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).sched = sc
+		el.Value.(*lruEntry[V]).val = v
 		s.order.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, sched: sc})
+	s.entries[key] = s.order.PushFront(&lruEntry[V]{key: key, val: v})
 	for s.order.Len() > s.max {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
+		delete(s.entries, oldest.Value.(*lruEntry[V]).key)
 	}
 }
 
-// len returns the current entry count across shards (for tests and
-// reports).
-func (c *cache) len() int {
+// Len returns the current entry count across shards; 0 for a nil LRU.
+func (c *LRU[V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -152,6 +156,20 @@ func (c *cache) len() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// Each calls fn on every entry, shard by shard and most recent first
+// within a shard, holding that shard's lock.
+func (c *LRU[V]) Each(fn func(key [32]byte, v V)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			ent := el.Value.(*lruEntry[V])
+			fn(ent.key, ent.val)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // flightGroup deduplicates concurrent identical requests: the first

@@ -367,59 +367,59 @@ func shardKey(shard byte, tag byte) resultKey {
 func TestCacheLRUEviction(t *testing.T) {
 	// Capacity 2*cacheShards gives every shard room for two entries;
 	// three keys pinned to one shard exercise that shard's LRU order.
-	c := newCache(2 * cacheShards)
+	c := NewLRU[*sched.Schedule](2 * cacheShards)
 	s := sched.New(1)
 	a, b, d := shardKey(7, 'a'), shardKey(7, 'b'), shardKey(7, 'c')
-	c.put(a, s)
-	c.put(b, s)
-	if _, ok := c.get(a); !ok {
+	c.Put(a, s)
+	c.Put(b, s)
+	if _, ok := c.Get(a); !ok {
 		t.Fatal("a evicted early")
 	}
-	c.put(d, s) // evicts b (a was just touched)
-	if _, ok := c.get(b); ok {
+	c.Put(d, s) // evicts b (a was just touched)
+	if _, ok := c.Get(b); ok {
 		t.Fatal("b not evicted")
 	}
-	if _, ok := c.get(a); !ok {
+	if _, ok := c.Get(a); !ok {
 		t.Fatal("a lost")
 	}
-	if _, ok := c.get(d); !ok {
+	if _, ok := c.Get(d); !ok {
 		t.Fatal("c lost")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
 }
 
 // TestCacheSharding pins the shard selection (first key byte, masked)
 // and that pressure in one shard never evicts another shard's entries.
 func TestCacheSharding(t *testing.T) {
-	c := newCache(cacheShards) // one entry per shard
+	c := NewLRU[*sched.Schedule](cacheShards) // one entry per shard
 	s := sched.New(1)
 	for i := 0; i < cacheShards; i++ {
-		c.put(shardKey(byte(i), 0), s)
+		c.Put(shardKey(byte(i), 0), s)
 	}
-	if c.len() != cacheShards {
-		t.Fatalf("len = %d, want %d", c.len(), cacheShards)
+	if c.Len() != cacheShards {
+		t.Fatalf("len = %d, want %d", c.Len(), cacheShards)
 	}
 	// Hammer shard 3 with fresh keys: only shard 3's entry may be
 	// displaced.
 	for tag := byte(1); tag <= 8; tag++ {
-		c.put(shardKey(3, tag), s)
+		c.Put(shardKey(3, tag), s)
 	}
-	if c.len() != cacheShards {
-		t.Fatalf("len after shard-3 churn = %d, want %d", c.len(), cacheShards)
+	if c.Len() != cacheShards {
+		t.Fatalf("len after shard-3 churn = %d, want %d", c.Len(), cacheShards)
 	}
 	for i := 0; i < cacheShards; i++ {
 		if i == 3 {
 			continue
 		}
-		if _, ok := c.get(shardKey(byte(i), 0)); !ok {
+		if _, ok := c.Get(shardKey(byte(i), 0)); !ok {
 			t.Fatalf("churn in shard 3 evicted shard %d's entry", i)
 		}
 	}
 	// A key whose first byte exceeds the shard count wraps via the mask.
 	k := shardKey(byte(cacheShards)+5, 9)
-	c.put(k, s)
+	c.Put(k, s)
 	if got, want := c.shard(k), &c.shards[5]; got != want {
 		t.Fatalf("shard(0x%02x) picked shard %p, want %p", k[0], got, want)
 	}

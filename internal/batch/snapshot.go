@@ -50,21 +50,15 @@ func (e *Engine) SnapshotResults() []SnapshotResult {
 		return nil
 	}
 	var out []SnapshotResult
-	for i := range e.cache.shards {
-		s := &e.cache.shards[i]
-		s.mu.Lock()
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			ent := el.Value.(*cacheEntry)
-			if sr, ok := exportSchedule(ent.key, ent.sched); ok {
-				out = append(out, sr)
-			}
+	e.cache.Each(func(key [32]byte, s *sched.Schedule) {
+		if sr, ok := exportSchedule(key, s); ok {
+			out = append(out, sr)
 		}
-		s.mu.Unlock()
-	}
+	})
 	return out
 }
 
-func exportSchedule(key resultKey, s *sched.Schedule) (SnapshotResult, bool) {
+func exportSchedule(key [32]byte, s *sched.Schedule) (SnapshotResult, bool) {
 	v := s.NumNodes()
 	sr := SnapshotResult{Key: key, Algorithm: s.Algorithm, Placements: make([]SnapshotPlacement, v)}
 	for i := 0; i < v; i++ {
@@ -94,7 +88,7 @@ func (e *Engine) RestoreResults(entries []SnapshotResult) int {
 		if !ok {
 			continue
 		}
-		e.cache.put(sr.Key, s)
+		e.cache.Put(sr.Key, s)
 		restored++
 	}
 	return restored

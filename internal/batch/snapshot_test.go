@@ -111,7 +111,7 @@ func TestRestoreResultsRejectsMalformed(t *testing.T) {
 	if n := e.RestoreResults(bad); n != 0 {
 		t.Fatalf("restored %d malformed entries, want 0", n)
 	}
-	if got := e.cache.len(); got != 0 {
+	if got := e.cache.Len(); got != 0 {
 		t.Fatalf("cache holds %d entries after malformed restore, want 0", got)
 	}
 }

@@ -161,6 +161,7 @@ func (c *CSR) ToGraph() *Graph {
 			g.MustAddEdge(NodeID(c.PredFrom[s]), NodeID(n), c.PredW[s])
 		}
 	}
+	g.dupSet = nil
 	return g
 }
 

@@ -66,7 +66,9 @@ type Graph struct {
 	// out-degree crosses dupScanThreshold, so AddEdge's duplicate check
 	// is O(1) on dense fan-out instead of O(deg) per edge (O(v·e) worst
 	// case across a whole dense graph). Nodes below the threshold keep
-	// the allocation-free linear scan.
+	// the allocation-free linear scan. It is build-only state: Clone
+	// does not copy it, the decoders drop it once every edge is in, and
+	// a later AddEdge rebuilds a node's set from its successor list.
 	dupSet map[NodeID]map[NodeID]struct{}
 }
 

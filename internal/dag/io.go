@@ -260,6 +260,7 @@ func (jg *jsonGraph) build() (*Graph, error) {
 			return nil, err
 		}
 	}
+	g.dupSet = nil
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

@@ -73,8 +73,9 @@ func fuzzHandler(t testing.TB) http.Handler {
 // checkSubmitResponse runs one body through POST /v1/schedule and
 // asserts the contract every input — hostile or not — gets: a known
 // status code and a well-formed JSON body (a schedule on 200, a typed
-// error otherwise). Panics or hangs fail the fuzz run on their own.
-func checkSubmitResponse(t testing.TB, h http.Handler, body []byte) {
+// error otherwise). Panics or hangs fail the fuzz run on their own. It
+// returns the status, the error code (empty on 200) and the body.
+func checkSubmitResponse(t testing.TB, h http.Handler, body []byte) (status int, code string, resp []byte) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -91,8 +92,38 @@ func checkSubmitResponse(t testing.TB, h http.Handler, body []byte) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code == "" {
 			t.Errorf("status %d with untyped error body: %s", rec.Code, rec.Body.Bytes())
 		}
+		code = env.Error.Code
 	default:
 		t.Errorf("unexpected status %d for body %q", rec.Code, body)
+	}
+	return rec.Code, code, rec.Body.Bytes()
+}
+
+// checkSubmitRepeats posts body three times, so a body the engine
+// answers from its result cache is answered from the body index on the
+// third try. Every repeat must get the first answer's status and error
+// code, and every 200 the same bytes. The one exception is a deadline:
+// whether it expires depends on timing, so a 504 may turn into a 200.
+func checkSubmitRepeats(t testing.TB, h http.Handler, body []byte) {
+	status, code, first := checkSubmitResponse(t, h, body)
+	var ok []byte
+	if status == http.StatusOK {
+		ok = first
+	}
+	okOrLate := func(s int) bool { return s == http.StatusOK || s == http.StatusGatewayTimeout }
+	for i := 1; i < 3; i++ {
+		s, c, resp := checkSubmitResponse(t, h, body)
+		if (s != status || c != code) && !(okOrLate(s) && okOrLate(status)) {
+			t.Fatalf("repeat %d of %q: status %d %q, first answer %d %q", i, body, s, c, status, code)
+		}
+		if s != http.StatusOK {
+			continue
+		}
+		if ok == nil {
+			ok = resp
+		} else if !bytes.Equal(resp, ok) {
+			t.Fatalf("repeat %d of %q: 200 body differs:\n got %s\nwant %s", i, body, resp, ok)
+		}
 	}
 }
 
@@ -103,16 +134,17 @@ func TestCorpusReplayThroughHTTP(t *testing.T) {
 	for _, graph := range corpusGraphs(t) {
 		// Replay the raw graph bytes both as a whole request body and
 		// wrapped in a proper submit envelope.
-		checkSubmitResponse(t, h, graph)
+		checkSubmitRepeats(t, h, graph)
 		body, err := json.Marshal(submitRequest{Graph: json.RawMessage(graph), Procs: 2})
 		if err == nil {
-			checkSubmitResponse(t, h, body)
+			checkSubmitRepeats(t, h, body)
 		}
 	}
 }
 
-// FuzzSubmitHTTP holds every body to the HTTP contract and to parity
-// between the one-pass decoder and its reflective oracle.
+// FuzzSubmitHTTP holds every body to the HTTP contract, on each of
+// three repeats, and to parity between the one-pass decoder and its
+// reflective oracle.
 func FuzzSubmitHTTP(f *testing.F) {
 	for _, graph := range corpusGraphs(f) {
 		f.Add(graph)
@@ -129,6 +161,6 @@ func FuzzSubmitHTTP(f *testing.F) {
 	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSubmitParity(t, body)
-		checkSubmitResponse(t, h, body)
+		checkSubmitRepeats(t, h, body)
 	})
 }

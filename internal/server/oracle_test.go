@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
+	"fastsched/internal/schedtest"
 )
 
 // The reflective request decoder and response encoder that the
@@ -284,5 +287,105 @@ func TestResultBytesMatchEncodingJSON(t *testing.T) {
 	sc.Place(0, 0, 0, math.Inf(1))
 	if _, err := encodeResult("fast", sc); err == nil {
 		t.Fatal("non-finite placement encoded without an error")
+	}
+}
+
+// TestEveryAnswerPathIsByteIdentical sends one request down every path
+// that can answer it and requires one 200 body from /v1/schedule, from
+// a /v1/jobs poll and from the SSE result event. The paths, in order: a
+// miss, a result-cache hit, a body-index hit, a whitespace-only variant
+// of the body (a result-cache hit through decode), and after a snapshot
+// restart a result-cache hit and then an index hit. Sync requests and
+// jobs go to twin servers that see the same sequence, so each path is
+// reached both ways. The index counters and the engine's admissions
+// move only as each path predicts.
+func TestEveryAnswerPathIsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	body := submitBody(t, schedtest.RandomLayered(rand.New(rand.NewSource(12)), 40), 3, 7)
+	spaced := append(append([]byte(" \n\t"), body...), " \r\n"...)
+	start := func(name string) *Server {
+		s, err := New(Options{Workers: 2, SnapshotPath: filepath.Join(dir, name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	syncSrv, jobSrv := start("sync"), start("jobs")
+	t.Cleanup(func() {
+		syncSrv.Close()
+		jobSrv.Close()
+	})
+
+	var want []byte
+	for _, step := range []struct {
+		name     string
+		body     []byte
+		cache    string
+		indexHit bool
+		restart  bool
+	}{
+		{"miss", body, "miss", false, false},
+		{"result-cache hit", body, "hit", false, false},
+		{"index hit", body, "hit", true, false},
+		{"whitespace variant", spaced, "hit", false, false},
+		{"restored result-cache hit", body, "hit", false, true},
+		{"index hit after restart", body, "hit", true, false},
+	} {
+		if step.restart {
+			if err := syncSrv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := jobSrv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			syncSrv, jobSrv = start("sync"), start("jobs")
+		}
+		type counts struct{ hits, misses, admitted int64 }
+		read := func(s *Server) counts {
+			h, m := indexCounts(s)
+			return counts{h, m, s.Metrics().Counter("batch.admitted").Value()}
+		}
+		before := [2]counts{read(syncSrv), read(jobSrv)}
+
+		rec := serveOnce(syncSrv.Handler(), http.MethodPost, "/v1/schedule", step.body, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", step.name, rec.Code, rec.Body.Bytes())
+		}
+		if got := rec.Header().Get("X-Fastsched-Cache"); got != step.cache {
+			t.Errorf("%s: X-Fastsched-Cache = %q, want %q", step.name, got, step.cache)
+		}
+		if got := rec.Header().Get("X-Fastsched-Elapsed-Ms"); step.indexHit && got != "0" {
+			t.Errorf("%s: X-Fastsched-Elapsed-Ms = %q, want 0", step.name, got)
+		}
+		if want == nil {
+			want = rec.Body.Bytes()
+		} else if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: sync body differs:\n got %s\nwant %s", step.name, rec.Body.Bytes(), want)
+		}
+
+		env, sse := jobOutcome(t, jobSrv.Handler(), step.body)
+		if env.Error != nil || env.Cache != step.cache {
+			t.Errorf("%s: job cache %q error %+v, want %q", step.name, env.Cache, env.Error, step.cache)
+		}
+		trimmed := bytes.TrimSuffix(want, []byte("\n"))
+		if !bytes.Equal(env.Result, trimmed) {
+			t.Errorf("%s: polled result differs:\n got %s\nwant %s", step.name, env.Result, trimmed)
+		}
+		if !bytes.Equal(sse, trimmed) {
+			t.Errorf("%s: SSE result differs:\n got %s\nwant %s", step.name, sse, trimmed)
+		}
+
+		hit := int64(0)
+		if step.indexHit {
+			hit = 1
+		}
+		for i, s := range []*Server{syncSrv, jobSrv} {
+			after := read(s)
+			d := counts{after.hits - before[i].hits, after.misses - before[i].misses, after.admitted - before[i].admitted}
+			if d != (counts{hit, 1 - hit, 1 - hit}) {
+				t.Errorf("%s (server %d): index hits +%d, misses +%d, engine admissions +%d; want +%d, +%d, +%d",
+					step.name, i, d.hits, d.misses, d.admitted, hit, 1-hit, 1-hit)
+			}
+		}
 	}
 }

@@ -5,11 +5,13 @@
 // control that maps the engine's TrySubmit load-shedding onto
 // 503 + Retry-After with exponential-backoff hints, typed JSON errors
 // for every failure, oversized/garbage payload rejection before the
-// engine sees a byte, an asynchronous job API with polling and
-// SSE-style streaming, health/readiness/metrics endpoints wired to
-// internal/obs, graceful drain (stop admission, flush in-flight work,
-// cut a final snapshot), and warm-restart persistence of the result
-// and plan caches keyed by their existing SHA-256 content digests.
+// engine sees a byte, a body index that answers a repeated request
+// with the bytes already sent for it, an asynchronous job API with
+// polling and SSE-style streaming, health/readiness/metrics endpoints
+// wired to internal/obs, graceful drain (stop admission, flush
+// in-flight work, cut a final snapshot), and warm-restart persistence
+// of the result and plan caches keyed by their existing SHA-256
+// content digests.
 //
 // Robustness posture: the snapshot is an optimization, never a
 // dependency — a missing, stale, or corrupt snapshot costs cold runs,
@@ -22,6 +24,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,7 +46,9 @@ import (
 // Options configures a Server.
 type Options struct {
 	// Workers, QueueDepth, CacheSize and PlanCacheSize pass through to
-	// the batch engine (see batch.Options).
+	// the batch engine (see batch.Options). CacheSize also bounds the
+	// body index, and a negative CacheSize disables it with the result
+	// cache.
 	Workers       int
 	QueueDepth    int
 	CacheSize     int
@@ -86,6 +91,7 @@ type Server struct {
 	opts   Options
 	reg    *obs.Registry
 	engine *batch.Engine
+	index  *batch.LRU[[]byte] // body digest → 200 body; nil when the result cache is off
 	quotas *quotaTable
 	jobs   *jobTable
 	mux    *http.ServeMux
@@ -102,6 +108,8 @@ type Server struct {
 	restored RestoreStats
 
 	mRequests    *obs.Counter // server.requests
+	mIndexHits   *obs.Counter // server.body_index_hits
+	mIndexMisses *obs.Counter // server.body_index_misses
 	mRejQuota    *obs.Counter // server.rejected_quota
 	mRejQueue    *obs.Counter // server.rejected_queue_full
 	mRejInvalid  *obs.Counter // server.rejected_invalid
@@ -147,8 +155,13 @@ func New(opts Options) (*Server, error) {
 		PlanCacheSize: opts.PlanCacheSize,
 		Metrics:       reg,
 	})
+	if n := s.engine.CacheCapacity(); n > 0 {
+		s.index = batch.NewLRU[[]byte](n)
+	}
 
 	s.mRequests = reg.Counter("server.requests")
+	s.mIndexHits = reg.Counter("server.body_index_hits")
+	s.mIndexMisses = reg.Counter("server.body_index_misses")
 	s.mRejQuota = reg.Counter("server.rejected_quota")
 	s.mRejQueue = reg.Counter("server.rejected_queue_full")
 	s.mRejInvalid = reg.Counter("server.rejected_invalid")
@@ -374,10 +387,10 @@ func decodeSubmit(body []byte) (req batch.Request, reject *ErrorBody) {
 // or Err is set. Result is the 200 body, newline included: the
 // deterministic scheduling payload, a pure function of the scheduling
 // input, byte-identical whether it came from a cold run, the live
-// cache, or a cache restored from a snapshot. Request-lifetime metadata
-// (cache hit, latency) travels in the X-Fastsched-Cache and
-// X-Fastsched-Elapsed-Ms headers (sync) or the job envelope (async) so
-// it never perturbs the payload.
+// cache, a cache restored from a snapshot, or the body index.
+// Request-lifetime metadata (cache hit, latency) travels in the
+// X-Fastsched-Cache and X-Fastsched-Elapsed-Ms headers (sync) or the job
+// envelope (async) so it never perturbs the payload.
 type scheduleResponse struct {
 	Result    []byte
 	ErrStatus int
@@ -407,7 +420,11 @@ func cacheLabel(res batch.Result) string {
 	}
 }
 
-func (s *Server) outcomeOf(res batch.Result) *scheduleResponse {
+// outcomeOf maps an engine result onto its response. A result the
+// engine answered from its result cache marks a body that has
+// repeated: an exact-length copy of its 200 body enters the body index
+// under digest, so the next repeat is answered without a decode.
+func (s *Server) outcomeOf(res batch.Result, digest [32]byte) *scheduleResponse {
 	out := &scheduleResponse{Cache: cacheLabel(res), ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond)}
 	if res.Err != nil {
 		status, body := engineErrorBody(res.Err, s.opts.RetryAfter)
@@ -420,6 +437,9 @@ func (s *Server) outcomeOf(res batch.Result) *scheduleResponse {
 		return out
 	}
 	out.Result = result
+	if s.index != nil && (res.CacheHit || res.Coalesced) {
+		s.index.Put(digest, append(make([]byte, 0, len(result)), result...))
+	}
 	return out
 }
 
@@ -514,15 +534,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// submission is one submit that passed every admission gate.
+type submission struct {
+	req    batch.Request
+	tenant string
+	// digest is the SHA-256 of the body (zero without a body index).
+	digest [32]byte
+	// indexed is the 200 body the index holds for this body; when set,
+	// req was never decoded and the request is answered with these
+	// bytes alone.
+	indexed []byte
+}
+
 // parseSubmit runs the admission pipeline shared by the sync and async
-// submit endpoints: drain gate, body-size gate, JSON decode, graph
-// parse/validation, tenant quota. It reports the rejection itself
-// (returning ok == false); on success the caller owns one admitted,
-// quota-charged request.
-func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (req batch.Request, tenant string, ok bool) {
+// submit endpoints: drain gate, body-size gate, body-index lookup, then
+// on a miss JSON decode and graph parse/validation, and last the
+// tenant quota. It reports the rejection itself (returning ok ==
+// false); on success the caller owns one admitted, quota-charged
+// request.
+func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (sub submission, ok bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, ErrorBody{Code: CodeMethodNotAllowed, Message: "POST only"})
-		return req, "", false
+		return sub, false
 	}
 	if s.draining.Load() {
 		s.mRejDraining.Inc()
@@ -530,11 +563,11 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (req batch.
 			Code: CodeDraining, Message: "server is draining; retry against a healthy instance",
 			Retryable: true, RetryAfterMS: s.opts.RetryAfter.Milliseconds(),
 		})
-		return req, "", false
+		return sub, false
 	}
-	tenant = r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
+	sub.tenant = r.Header.Get("X-Tenant")
+	if sub.tenant == "" {
+		sub.tenant = "default"
 	}
 
 	// Size-gate, decode and structurally validate the payload before
@@ -553,26 +586,38 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (req batch.
 			s.mRejInvalid.Inc()
 			writeError(w, http.StatusBadRequest, ErrorBody{Code: CodeInvalidRequest, Message: "body does not read: " + err.Error()})
 		}
-		return req, tenant, false
+		return sub, false
 	}
-	req, reject := decodeSubmit(body)
-	if reject != nil {
-		s.mRejInvalid.Inc()
-		writeError(w, http.StatusBadRequest, *reject)
-		return req, tenant, false
+	// Only a body that decoded and was answered from the result cache
+	// is ever indexed, so a hit skips no rejection but the quota's.
+	if s.index != nil {
+		sub.digest = sha256.Sum256(body)
+		if sub.indexed, _ = s.index.Get(sub.digest); sub.indexed != nil {
+			s.mIndexHits.Inc()
+		} else {
+			s.mIndexMisses.Inc()
+		}
+	}
+	if sub.indexed == nil {
+		var reject *ErrorBody
+		if sub.req, reject = decodeSubmit(body); reject != nil {
+			s.mRejInvalid.Inc()
+			writeError(w, http.StatusBadRequest, *reject)
+			return sub, false
+		}
 	}
 
-	if admitted, retryAfter := s.quotas.admit(tenant); !admitted {
+	if admitted, retryAfter := s.quotas.admit(sub.tenant); !admitted {
 		s.mRejQuota.Inc()
 		writeError(w, http.StatusTooManyRequests, ErrorBody{
-			Code: CodeQuotaExhausted, Message: "tenant " + tenant + " is over its admission rate",
+			Code: CodeQuotaExhausted, Message: "tenant " + sub.tenant + " is over its admission rate",
 			Retryable: true, RetryAfterMS: retryAfter.Milliseconds(),
 		})
-		return req, tenant, false
+		return sub, false
 	}
 
-	req.ID = tenant
-	return req, tenant, true
+	sub.req.ID = sub.tenant
+	return sub, true
 }
 
 // maxBodyPrealloc caps what a declared Content-Length reserves before
@@ -628,46 +673,62 @@ func (s *Server) trySubmit(w http.ResponseWriter, ctx context.Context, req batch
 }
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	req, tenant, ok := s.parseSubmit(w, r)
+	sub, ok := s.parseSubmit(w, r)
 	if !ok {
 		return
 	}
-	ch, ok := s.trySubmit(w, r.Context(), req, tenant)
+	if sub.indexed != nil {
+		writeResult(w, "hit", 0, sub.indexed)
+		return
+	}
+	ch, ok := s.trySubmit(w, r.Context(), sub.req, sub.tenant)
 	if !ok {
 		return
 	}
 	res := <-ch // always delivered: the engine completes every admitted job
-	out := s.outcomeOf(res)
+	out := s.outcomeOf(res, sub.digest)
 	if out.Err != nil {
 		writeError(w, out.ErrStatus, *out.Err)
 		return
 	}
-	w.Header().Set("X-Fastsched-Cache", out.Cache)
-	w.Header().Set("X-Fastsched-Elapsed-Ms", strconv.FormatFloat(out.ElapsedMS, 'g', -1, 64))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(out.Result)))
+	writeResult(w, out.Cache, out.ElapsedMS, out.Result)
+}
+
+// writeResult writes a 200 body with its cache status and engine time
+// (0 for a body-index hit, which the engine never sees).
+func writeResult(w http.ResponseWriter, cache string, elapsedMS float64, body []byte) {
+	h := w.Header()
+	h.Set("X-Fastsched-Cache", cache)
+	h.Set("X-Fastsched-Elapsed-Ms", strconv.FormatFloat(elapsedMS, 'g', -1, 64))
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out.Result)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	req, tenant, ok := s.parseSubmit(w, r)
+	sub, ok := s.parseSubmit(w, r)
 	if !ok {
 		return
 	}
-	j, ok := s.jobs.add(tenant)
+	j, ok := s.jobs.add(sub.tenant)
 	if !ok {
-		s.quotas.refund(tenant)
+		s.quotas.refund(sub.tenant)
 		writeError(w, http.StatusServiceUnavailable, ErrorBody{
 			Code: CodeJobTableFull, Message: "too many unfinished jobs; retry later",
 			Retryable: true, RetryAfterMS: s.opts.RetryAfter.Milliseconds(),
 		})
 		return
 	}
+	if sub.indexed != nil {
+		j.complete(&scheduleResponse{Result: sub.indexed, Cache: "hit"})
+		writeJSON(w, http.StatusAccepted, jobEnvelope{JobID: j.id, Status: "done"})
+		return
+	}
 	// The job outlives this HTTP request, so it is submitted under the
 	// server's lifetime, not the request's: an admitted job always runs
 	// to completion (and is flushed by Drain).
-	ch, ok := s.trySubmit(w, context.Background(), req, tenant)
+	ch, ok := s.trySubmit(w, context.Background(), sub.req, sub.tenant)
 	if !ok {
 		j.complete(&scheduleResponse{ErrStatus: http.StatusServiceUnavailable,
 			Err: &ErrorBody{Code: CodeQueueFull, Message: "rejected at submit", Retryable: true}})
@@ -678,7 +739,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.waiters.Done()
 		defer s.mJobsLive.Add(-1)
-		j.complete(s.outcomeOf(<-ch))
+		j.complete(s.outcomeOf(<-ch, sub.digest))
 	}()
 	writeJSON(w, http.StatusAccepted, jobEnvelope{JobID: j.id, Status: "pending"})
 }

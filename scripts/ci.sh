@@ -69,8 +69,11 @@ echo "== schedd smoke (race)"
 # The serving-layer lifecycle under the race detector: daemon start,
 # submit, SIGTERM drain, restart from the snapshot, warm cache hit on
 # replay — plus the drain-rejects-new-work contract. These are the
-# kill-and-restart acceptance paths of the schedd service.
+# kill-and-restart acceptance paths of the schedd service. The body
+# index is then read, filled and evicted from by concurrent clients,
+# ten times over.
 go test -race -timeout 120s -run 'TestScheddSmoke|TestScheddDrainRejectsNewWork' ./cmd/schedd
+go test -race -count=10 -timeout 120s -run 'TestBodyIndexConcurrentEviction' ./internal/server
 
 echo "== chaos soak (race, ${SOAK_MS:-1000}ms)"
 # A budgeted slice of the chaos harness: adversarial client
