@@ -54,12 +54,20 @@ var (
 	ErrBadDeadline = errors.New("batch: negative deadline")
 	// ErrBadBudget marks a negative per-request search budget.
 	ErrBadBudget = errors.New("batch: negative budget")
+	// ErrBadProcs marks a processor count above MaxProcs.
+	ErrBadProcs = errors.New("batch: too many processors")
 	// ErrBadAlgorithm marks an algorithm name the registry rejects.
 	ErrBadAlgorithm = errors.New("batch: unknown algorithm")
 	// ErrBadGraph marks a graph that fails structural validation
 	// (cycles, NaN/negative weights, corrupt adjacency).
 	ErrBadGraph = errors.New("batch: invalid graph")
 )
+
+// MaxProcs caps Request.Procs. A scheduler's per-processor state costs
+// the same whatever the graph's size — about 32 bytes a processor for
+// FAST, 2 MB at this cap — so an uncapped count would let a 3-node
+// request allocate gigabytes.
+const MaxProcs = 1 << 16
 
 // DefaultAlgorithm is used when Request.Algorithm is empty.
 const DefaultAlgorithm = "fast"
@@ -74,6 +82,7 @@ type Request struct {
 	// flight.
 	Graph *dag.Graph
 	// Procs is the processor count (<= 0: unbounded, one per node).
+	// Above MaxProcs it is rejected with ErrBadProcs.
 	Procs int
 	// Algorithm names the scheduler (the casch registry names: fast,
 	// pfast, etf, dls, ...). Empty selects DefaultAlgorithm.
@@ -241,6 +250,9 @@ func (e *Engine) validate(req Request) (gk plan.Key, hasGK bool, err error) {
 	}
 	if req.Budget < 0 {
 		return gk, false, fmt.Errorf("%w: %v", ErrBadBudget, req.Budget)
+	}
+	if req.Procs > MaxProcs {
+		return gk, false, fmt.Errorf("%w: %d > %d", ErrBadProcs, req.Procs, MaxProcs)
 	}
 	known := false
 	if e.plans != nil {
@@ -565,7 +577,13 @@ func (e *Engine) run(ctx context.Context, req Request, gk plan.Key) (*sched.Sche
 		out, err2 = s.Schedule(req.Graph, req.Procs)
 	}
 	if out != nil && err2 == nil {
-		if verr := sched.Validate(req.Graph, out); verr != nil {
+		var verr error
+		if cg != nil {
+			verr = sched.ValidateFlat(cg.CSR, out)
+		} else {
+			verr = sched.Validate(req.Graph, out)
+		}
+		if verr != nil {
 			return nil, fmt.Errorf("batch: %s produced an invalid schedule: %w", req.Algorithm, verr)
 		}
 	}

@@ -69,7 +69,7 @@ func FuzzBatchSubmit(f *testing.F) {
 		// context error; anything else is an escape from the contract.
 		typed := []error{
 			ErrNilGraph, ErrEmptyGraph, ErrBadDeadline, ErrBadBudget,
-			ErrBadAlgorithm, ErrBadGraph, ErrClosed, ErrQueueFull,
+			ErrBadProcs, ErrBadAlgorithm, ErrBadGraph, ErrClosed, ErrQueueFull,
 			context.Canceled, context.DeadlineExceeded,
 		}
 		for _, want := range typed {

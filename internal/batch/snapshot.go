@@ -74,10 +74,11 @@ func exportSchedule(key [32]byte, s *sched.Schedule) (SnapshotResult, bool) {
 
 // RestoreResults reimports previously exported result-cache entries
 // and returns how many were installed. Malformed entries (no
-// placements, non-finite or negative times, inverted slots) are
-// skipped rather than trusted: the snapshot file's checksum catches
-// torn files, but this guards against a snapshot written by a buggy
-// or future version. No-op (returns 0) on a cache-disabled engine.
+// placements, a processor outside [0, math.MaxInt32], non-finite or
+// negative times, inverted slots) are skipped rather than trusted: the
+// snapshot file's checksum catches torn files, but this guards against
+// a snapshot written by a buggy or future version. No-op (returns 0) on
+// a cache-disabled engine.
 func (e *Engine) RestoreResults(entries []SnapshotResult) int {
 	if e.cache == nil {
 		return 0
@@ -101,7 +102,7 @@ func importSchedule(sr SnapshotResult) (*sched.Schedule, bool) {
 	s := sched.New(len(sr.Placements))
 	s.Algorithm = sr.Algorithm
 	for i, pl := range sr.Placements {
-		if pl.Proc < 0 || !finiteSlot(pl.Start, pl.Finish) {
+		if pl.Proc < 0 || pl.Proc > math.MaxInt32 || !finiteSlot(pl.Start, pl.Finish) {
 			return nil, false
 		}
 		s.Place(dag.NodeID(i), pl.Proc, pl.Start, pl.Finish)

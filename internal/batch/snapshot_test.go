@@ -107,6 +107,9 @@ func TestRestoreResultsRejectsMalformed(t *testing.T) {
 		{Algorithm: "fast", Placements: []SnapshotPlacement{{Proc: 0, Start: 0, Finish: math.Inf(1)}}},
 		{Algorithm: "fast", Placements: []SnapshotPlacement{{Proc: 0, Start: 2, Finish: 1}}},
 		{Algorithm: "fast", Placements: []SnapshotPlacement{{Proc: 0, Start: -3, Finish: 1}}},
+		// A processor ID a schedule cannot store is skipped, not a panic.
+		{Algorithm: "fast", Placements: []SnapshotPlacement{{Proc: 1 << 40, Start: 0, Finish: 1}}},
+		{Algorithm: "fast", Placements: []SnapshotPlacement{{Proc: math.MaxInt32 + 1, Start: 0, Finish: 1}}},
 	}
 	if n := e.RestoreResults(bad); n != 0 {
 		t.Fatalf("restored %d malformed entries, want 0", n)

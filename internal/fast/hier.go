@@ -31,7 +31,7 @@ type HierOptions struct {
 	Metrics obs.Sink
 	// Arena, when non-nil, supplies every O(v + e) dense array the
 	// pipeline needs — levels, priority order, clustering, contraction
-	// scratch and the flat schedule itself. Warm re-runs after
+	// scratch and the schedule's own arrays. Warm re-runs after
 	// Arena.Reset() then allocate nothing in these kernels (only the
 	// inner search on the ≤ MaxClusters contracted graph still
 	// allocates). An arena-backed scheduler is single-goroutine and its
@@ -76,10 +76,9 @@ type HierOptions struct {
 type Hierarchical struct {
 	opts HierOptions
 
-	// Reusable shells for arena runs (opts.Arena != nil only; nil-arena
-	// scheduling never touches them and stays concurrency-safe).
+	// Reusable levels shell for arena runs (opts.Arena != nil only;
+	// nil-arena scheduling never touches it and stays concurrency-safe).
 	levels dag.CompactLevels
-	flat   sched.Flat
 }
 
 // NewHierarchical returns a hierarchical FAST scheduler.
@@ -96,33 +95,22 @@ func (h *Hierarchical) Instrument(sink obs.Sink, _ *obs.Trajectory) {
 // Schedule implements sched.Scheduler. procs <= 0 means one processor
 // per cluster.
 func (h *Hierarchical) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	if g.NumNodes() == 0 {
-		return nil, errors.New("fast: empty graph")
-	}
-	f, err := h.ScheduleCSR(dag.BuildCSR(g), procs)
-	if err != nil {
-		return nil, err
-	}
-	return f.ToSchedule(), nil
+	return h.ScheduleCSR(dag.BuildCSR(g), procs)
 }
 
 // ScheduleCompiled runs against a pre-compiled graph. The result is
 // bit-identical to Schedule(cg.Graph, procs): ScheduleCSR is a pure
 // function of the CSR, and cg.CSR is BuildCSR of the same graph.
 func (h *Hierarchical) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	f, err := h.ScheduleCSR(cg.CSR, procs)
-	if err != nil {
-		return nil, err
-	}
-	return f.ToSchedule(), nil
+	return h.ScheduleCSR(cg.CSR, procs)
 }
 
-// ScheduleCSR is the native large-graph entry point: CSR in, flat
-// schedule out, no *dag.Graph or *sched.Schedule ever materialized for
-// the full node set. With a nil arena, allocations are O(v) dense
-// arrays plus the contracted graph (≤ MaxClusters nodes); with
-// HierOptions.Arena set, the dense arrays come from the arena and warm
-// re-runs allocate only the contracted graph and the inner search.
+// ScheduleCSR is the native large-graph entry point: CSR in, dense
+// schedule out, no *dag.Graph ever materialized for the full node set.
+// With a nil arena, allocations are O(v) dense arrays plus the
+// contracted graph (≤ MaxClusters nodes); with HierOptions.Arena set,
+// the dense arrays come from the arena and warm re-runs allocate only
+// the contracted graph and the inner search.
 func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 	v := c.NumNodes()
 	if v == 0 {
@@ -176,20 +164,15 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 		return nil, fmt.Errorf("fast: hierarchical inner search: %w", err)
 	}
 
-	f := &sched.Flat{}
-	if a != nil {
-		f = &h.flat
-		*f = sched.Flat{}
-	}
+	sp := newSplice(c, clusterOf, is, procs, a)
 	if h.opts.PinnedSplice {
-		splicePinned(c, prio, clusterOf, is, procs, f, a)
+		sp.pinned(c, prio, a)
 	} else {
-		spliceBalanced(c, prio, clusterOf, is, procs, f, a)
+		sp.balanced(c, prio, a)
 	}
 	a.ReleaseI32(prio)
 	a.ReleaseI32(clusterOf)
-	f.Algorithm = h.Name()
-	return f, nil
+	return sched.FromArrays(h.Name(), sp.procs, sp.assign, sp.start, sp.finish), nil
 }
 
 // buildPriorityOrder returns the nodes sorted by decreasing b-level,
@@ -526,61 +509,65 @@ func condense(vc int, efrom, eto []int32, a *dag.ScaleArena) (scc []int32, nscc 
 	return scc, nscc
 }
 
-// spliceAssign fills f's shape and the per-node processor pin from the
-// inner schedule, returning the processor count P the splice schedules
-// onto: procs when given, one past the highest pinned processor when
-// procs <= 0.
-func spliceAssign(c *dag.CSR, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) int {
+// splice holds the arrays the splice fills and hands to
+// sched.FromArrays: each node's processor and slot, and the processor
+// count the splice schedules onto.
+type splice struct {
+	procs         int
+	assign        []int32
+	start, finish []float64
+}
+
+// newSplice pins every node to its super-cluster's processor in the
+// inner schedule. The processor count is procs when given, one past the
+// highest pinned processor when procs <= 0.
+func newSplice(c *dag.CSR, super []int32, inner *sched.Schedule, procs int, a *dag.ScaleArena) splice {
 	v := c.NumNodes()
-	f.Assign = a.I32(v)
-	f.Start = a.F64(v)
-	f.Finish = a.F64(v)
+	f := splice{procs: procs, assign: a.I32(v), start: a.F64(v), finish: a.F64(v)}
 	maxProc := 0
 	for n := 0; n < v; n++ {
 		p := inner.Proc(dag.NodeID(super[n]))
-		f.Assign[n] = int32(p)
+		f.assign[n] = int32(p)
 		if p > maxProc {
 			maxProc = p
 		}
 	}
-	f.Procs = procs
 	if procs <= 0 {
-		f.Procs = maxProc + 1
+		f.procs = maxProc + 1
 	}
-	return f.Procs
+	return f
 }
 
-// splicePinned replays the original nodes in priority order (a valid
+// pinned replays the original nodes in priority order (a valid
 // topological order) with each node pinned to its super-cluster's
 // processor: start = max(processor ready time, latest parent arrival),
 // communication charged only across processors. A fixed-assignment
 // list schedule — every blocking chain charges each node and edge at
 // most once, so the makespan is ≤ TotalWork + TotalComm.
-func splicePinned(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) {
-	P := spliceAssign(c, super, inner, procs, f, a)
-	ready := a.F64(P)
+func (f *splice) pinned(c *dag.CSR, prio []int32, a *dag.ScaleArena) {
+	ready := a.F64(f.procs)
 	for _, n := range prio {
-		p := f.Assign[n]
+		p := f.assign[n]
 		start := ready[p]
 		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
 			from := c.PredFrom[s]
-			arrival := f.Finish[from]
-			if f.Assign[from] != p {
+			arrival := f.finish[from]
+			if f.assign[from] != p {
 				arrival += c.PredW[s]
 			}
 			if arrival > start {
 				start = arrival
 			}
 		}
-		f.Start[n] = start
-		f.Finish[n] = start + c.NodeW[n]
-		ready[p] = f.Finish[n]
+		f.start[n] = start
+		f.finish[n] = start + c.NodeW[n]
+		ready[p] = f.finish[n]
 	}
 	a.ReleaseF64(ready)
 }
 
-// spliceBalanced is the work-stealing splice: the same priority-order
-// replay as splicePinned, but a node whose pinned processor is the
+// balanced is the work-stealing splice: the same priority-order
+// replay as pinned, but a node whose pinned processor is the
 // bottleneck — its queue delays it beyond its data arrival — is stolen
 // onto the processor where it starts strictly earliest, communication
 // recharged accordingly. Each node's candidate start on every
@@ -591,13 +578,13 @@ func splicePinned(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedule
 // position is its stamp), the pinned processor wins ties, and among
 // strictly better processors the lowest index wins — so the schedule
 // is a pure function of the CSR and the inner schedule, bit-identical
-// regardless of GOMAXPROCS. The envelope argument of splicePinned
+// regardless of GOMAXPROCS. The envelope argument of pinned
 // still applies: the schedule is append-only per processor and every
 // start equals either its processor's previous finish or a parent's
 // arrival, so blocking chains charge each node and edge at most once
 // and the makespan stays ≤ TotalWork + TotalComm.
-func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) {
-	P := spliceAssign(c, super, inner, procs, f, a)
+func (f *splice) balanced(c *dag.CSR, prio []int32, a *dag.ScaleArena) {
+	P := f.procs
 	ready := a.F64(P)
 	// Per-node scratch for the arrival decomposition, stamp-validated so
 	// it never needs clearing between nodes.
@@ -607,7 +594,7 @@ func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedu
 		localStamp[i] = -1
 	}
 	for stamp, n := range prio {
-		p := f.Assign[n]
+		p := f.assign[n]
 		// Decompose data arrival: for candidate processor q,
 		//   dat(q) = max( localMax[q],  q == m1p ? m2 : m1 )
 		// where m1 is the max remote-charged arrival (finish + comm) over
@@ -617,8 +604,8 @@ func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedu
 		m1p := int32(-1)
 		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
 			from := c.PredFrom[s]
-			fp := f.Assign[from]
-			arr := f.Finish[from] + c.PredW[s]
+			fp := f.assign[from]
+			arr := f.finish[from] + c.PredW[s]
 			if arr > m1 || m1p < 0 {
 				if m1p >= 0 && fp != m1p && m1 > m2 {
 					m2 = m1
@@ -629,9 +616,9 @@ func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedu
 			}
 			if localStamp[fp] != int32(stamp) {
 				localStamp[fp] = int32(stamp)
-				localMax[fp] = f.Finish[from]
-			} else if f.Finish[from] > localMax[fp] {
-				localMax[fp] = f.Finish[from]
+				localMax[fp] = f.finish[from]
+			} else if f.finish[from] > localMax[fp] {
+				localMax[fp] = f.finish[from]
 			}
 		}
 		dat := func(q int32) float64 {
@@ -666,10 +653,10 @@ func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedu
 				}
 			}
 		}
-		f.Assign[n] = best
-		f.Start[n] = bestStart
-		f.Finish[n] = bestStart + c.NodeW[n]
-		ready[best] = f.Finish[n]
+		f.assign[n] = best
+		f.start[n] = bestStart
+		f.finish[n] = bestStart + c.NodeW[n]
+		ready[best] = f.finish[n]
 	}
 	a.ReleaseF64(ready)
 	a.ReleaseF64(localMax)

@@ -137,11 +137,9 @@ func TestSpliceGOMAXPROCSBitIdentical(t *testing.T) {
 			want = f
 			continue
 		}
-		for n := range want.Assign {
-			if f.Assign[n] != want.Assign[n] || f.Start[n] != want.Start[n] || f.Finish[n] != want.Finish[n] {
-				t.Fatalf("GOMAXPROCS=%d: schedule diverges at node %d: (%d,%v,%v) vs (%d,%v,%v)",
-					gmp, n, f.Assign[n], f.Start[n], f.Finish[n],
-					want.Assign[n], want.Start[n], want.Finish[n])
+		for n := 0; n < c.NumNodes(); n++ {
+			if got, exp := f.Of(dag.NodeID(n)), want.Of(dag.NodeID(n)); got != exp {
+				t.Fatalf("GOMAXPROCS=%d: schedule diverges at node %d: %+v vs %+v", gmp, n, got, exp)
 			}
 		}
 	}

@@ -19,6 +19,8 @@ import (
 	"fastsched/internal/sched"
 )
 
+var errEmpty = errors.New("hlfet: empty graph")
+
 // Scheduler implements sched.Scheduler with the HLFET algorithm.
 type Scheduler struct{}
 
@@ -30,54 +32,47 @@ func (*Scheduler) Name() string { return "HLFET" }
 
 // Schedule implements sched.Scheduler. procs <= 0 is treated as one
 // processor per node.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	if g.NumNodes() == 0 {
-		return nil, errors.New("hlfet: empty graph")
-	}
-	l, err := dag.ComputeLevels(g)
-	if err != nil {
-		return nil, err
-	}
-	return scheduleWithLevels(g, l, procs)
+func (h *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	return h.ScheduleCSR(dag.BuildCSR(g), procs)
 }
 
 // ScheduleCompiled schedules against a pre-compiled plan, reusing its
-// level tables instead of recomputing them. Bit-identical to Schedule.
+// CSR and static levels instead of recomputing them. Bit-identical to
+// Schedule.
 func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	if cg.Graph.NumNodes() == 0 {
-		return nil, errors.New("hlfet: empty graph")
-	}
-	return scheduleWithLevels(cg.Graph, cg.Levels, procs)
+	return schedule(cg.CSR, cg.Levels.Static, procs)
 }
 
 // ScheduleCSR is the CSR-only entry point: static levels come from a
 // compact plan (plan.CompileCompact) and the whole run touches nothing
-// but flat arrays — no *dag.Graph, no *sched.Schedule, no per-node
-// maps. The result is bit-identical to Schedule on the same graph:
-// the static-level fold, the ready-node max scan, the per-processor
-// DAT folds and every tie-break replicate the legacy path's visit
-// order exactly (pinned by TestScheduleCSRBitIdentical). procs <= 0 is
+// but flat arrays — no *dag.Graph and no per-node maps. procs <= 0 is
 // treated as one processor per node.
 func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
-	v := c.NumNodes()
-	if v == 0 {
-		return nil, errors.New("hlfet: empty graph")
+	if c.NumNodes() == 0 {
+		return nil, errEmpty
 	}
 	cp, err := plan.CompileCompact(c, nil)
 	if err != nil {
 		return nil, err
 	}
-	static := cp.Static()
+	return schedule(c, cp.Static(), procs)
+}
+
+// schedule is HLFET's one loop. Each step scans the ready nodes for the
+// highest static level (ties to the smaller ID), then the processors
+// for the earliest start (ties to the lower index), folding each
+// processor's data arrival over the predecessor slots in stored order.
+func schedule(c *dag.CSR, static []float64, procs int) (*sched.Schedule, error) {
+	v := c.NumNodes()
+	if v == 0 {
+		return nil, errEmpty
+	}
 	if procs <= 0 {
 		procs = v
 	}
-	f := &sched.Flat{
-		Algorithm: "HLFET",
-		Procs:     procs,
-		Assign:    make([]int32, v),
-		Start:     make([]float64, v),
-		Finish:    make([]float64, v),
-	}
+	assign := make([]int32, v)
+	start := make([]float64, v)
+	finish := make([]float64, v)
 	unschedParents := make([]int32, v)
 	ready := make([]bool, v)
 	readyCount := 0
@@ -94,42 +89,33 @@ func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 			return nil, errors.New("hlfet: no ready node (cyclic graph?)")
 		}
 		listsched.ObserveReadyList(readyCount)
-		// Highest static level among ready nodes; ties to smaller ID.
 		best := -1
 		for n := 0; n < v; n++ {
-			if !ready[n] {
-				continue
-			}
-			if best < 0 || static[n] > static[best] {
+			if ready[n] && (best < 0 || static[n] > static[best]) {
 				best = n
 			}
 		}
-		// Earliest-start processor for that node, scan order breaks
-		// ties — the same max fold per processor the DATCache collapses,
-		// in the same pred slot order.
-		proc, start := -1, 0.0
+		proc, st := -1, 0.0
 		for p := 0; p < procs; p++ {
 			dat := 0.0
 			for s := c.PredOff[best]; s < c.PredOff[best+1]; s++ {
 				from := c.PredFrom[s]
-				arr := f.Finish[from]
-				if f.Assign[from] != int32(p) {
+				arr := finish[from]
+				if assign[from] != int32(p) {
 					arr += c.PredW[s]
 				}
 				if arr > dat {
 					dat = arr
 				}
 			}
-			st := math.Max(procReady[p], dat)
-			if proc == -1 || st < start {
-				proc, start = p, st
+			if t := math.Max(procReady[p], dat); proc == -1 || t < st {
+				proc, st = p, t
 			}
 		}
-		w := c.NodeW[best]
-		f.Assign[best] = int32(proc)
-		f.Start[best] = start
-		f.Finish[best] = start + w
-		procReady[proc] = start + w
+		assign[best] = int32(proc)
+		start[best] = st
+		finish[best] = st + c.NodeW[best]
+		procReady[proc] = finish[best]
 		ready[best] = false
 		readyCount--
 		for s := c.SuccOff[best]; s < c.SuccOff[best+1]; s++ {
@@ -141,66 +127,5 @@ func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 			}
 		}
 	}
-	return f, nil
-}
-
-func scheduleWithLevels(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
-	if procs <= 0 {
-		procs = v
-	}
-	m := listsched.NewMachine(procs)
-	s := sched.New(v)
-	s.Algorithm = "HLFET"
-
-	unschedParents := make([]int, v)
-	ready := make([]bool, v)
-	readyCount := 0
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
-		if unschedParents[i] == 0 {
-			ready[i] = true
-			readyCount++
-		}
-	}
-
-	for scheduled := 0; scheduled < v; scheduled++ {
-		if readyCount == 0 {
-			return nil, errors.New("hlfet: no ready node (cyclic graph?)")
-		}
-		listsched.ObserveReadyList(readyCount)
-		// Highest static level among ready nodes; ties to smaller ID.
-		best := dag.None
-		for i := 0; i < v; i++ {
-			if !ready[i] {
-				continue
-			}
-			n := dag.NodeID(i)
-			if best == dag.None || l.Static[n] > l.Static[best] {
-				best = n
-			}
-		}
-		// Earliest-start processor for that node, scan order breaks ties.
-		cache := listsched.NewDATCache(g, s, best)
-		proc, start := -1, 0.0
-		for p := 0; p < procs; p++ {
-			st := m.Proc(p).EarliestStartAppend(cache.DAT(p))
-			if proc == -1 || st < start {
-				proc, start = p, st
-			}
-		}
-		w := g.Weight(best)
-		m.Proc(proc).Insert(best, start, w)
-		s.Place(best, proc, start, start+w)
-		ready[best] = false
-		readyCount--
-		for _, e := range g.Succ(best) {
-			unschedParents[e.To]--
-			if unschedParents[e.To] == 0 {
-				ready[e.To] = true
-				readyCount++
-			}
-		}
-	}
-	return s, nil
+	return sched.FromArrays("HLFET", procs, assign, start, finish), nil
 }

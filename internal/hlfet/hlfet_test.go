@@ -5,6 +5,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
 	"fastsched/internal/workload"
@@ -67,8 +68,9 @@ func TestPlacementAvoidsComm(t *testing.T) {
 	}
 }
 
-// TestScheduleCSRBitIdentical pins the CSR-only path against the
-// legacy *dag.Graph path: same assignments, same start/finish times,
+// TestScheduleCSRBitIdentical pins HLFET's one loop against the
+// *dag.Graph oracle in oracle_test.go: Schedule, ScheduleCompiled and
+// ScheduleCSR all give the oracle's assignments and start/finish times,
 // bit for bit, across shapes, sizes and processor counts — including
 // procs <= 0 (one processor per node).
 func TestScheduleCSRBitIdentical(t *testing.T) {
@@ -86,23 +88,71 @@ func TestScheduleCSRBitIdentical(t *testing.T) {
 	}
 	graphs = append(graphs, lg.ToGraph())
 	for gi, g := range graphs {
+		l, err := dag.ComputeLevels(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg, err := plan.Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, procs := range []int{-1, 1, 2, 4, 7} {
-			want, err := New().Schedule(g, procs)
+			want, err := scheduleWithLevels(g, l, procs)
 			if err != nil {
-				t.Fatalf("graph %d procs %d: legacy: %v", gi, procs, err)
+				t.Fatalf("graph %d procs %d: oracle: %v", gi, procs, err)
 			}
-			f, err := New().ScheduleCSR(dag.BuildCSR(g), procs)
+			viaGraph, err := New().Schedule(g, procs)
+			if err != nil {
+				t.Fatalf("graph %d procs %d: graph: %v", gi, procs, err)
+			}
+			viaPlan, err := New().ScheduleCompiled(cg, procs)
+			if err != nil {
+				t.Fatalf("graph %d procs %d: plan: %v", gi, procs, err)
+			}
+			viaCSR, err := New().ScheduleCSR(dag.BuildCSR(g), procs)
 			if err != nil {
 				t.Fatalf("graph %d procs %d: csr: %v", gi, procs, err)
 			}
 			for n := 0; n < g.NumNodes(); n++ {
 				id := dag.NodeID(n)
 				pl := want.Of(id)
-				if int(f.Assign[n]) != pl.Proc || f.Start[n] != pl.Start || f.Finish[n] != pl.Finish {
-					t.Fatalf("graph %d procs %d node %d: csr (%d, %v, %v) vs legacy (%d, %v, %v)",
-						gi, procs, n, f.Assign[n], f.Start[n], f.Finish[n], pl.Proc, pl.Start, pl.Finish)
+				for name, got := range map[string]*sched.Schedule{"graph": viaGraph, "plan": viaPlan, "csr": viaCSR} {
+					if got.Of(id) != pl {
+						t.Fatalf("graph %d procs %d node %d: %s %+v vs oracle %+v", gi, procs, n, name, got.Of(id), pl)
+					}
 				}
 			}
+			if err := sched.Validate(g, viaGraph); err != nil {
+				t.Fatalf("graph %d procs %d: %v", gi, procs, err)
+			}
 		}
+	}
+}
+
+// TestEmptyAndCyclicRejected covers the error paths of every entry
+// point.
+func TestEmptyAndCyclicRejected(t *testing.T) {
+	if _, err := New().ScheduleCSR(dag.BuildCSR(dag.New(0)), 2); err == nil {
+		t.Fatal("empty CSR scheduled")
+	}
+	if _, err := New().ScheduleCompiled(&plan.CompiledGraph{CSR: dag.BuildCSR(dag.New(0)), Levels: &dag.Levels{}}, 2); err == nil {
+		t.Fatal("empty plan scheduled")
+	}
+	g := dag.New(2)
+	a, b := g.AddNode("a", 1), g.AddNode("b", 1)
+	g.MustAddEdge(a, b, 0)
+	c := dag.BuildCSR(g)
+	// Close a cycle b->a behind the graph's back.
+	c.PredOff = []int32{0, 1, 2}
+	c.PredFrom = []int32{1, 0}
+	c.PredW = []float64{0, 0}
+	c.SuccOff = []int32{0, 1, 2}
+	c.SuccTo = []int32{1, 0}
+	c.SuccW = []float64{0, 0}
+	if _, err := New().ScheduleCSR(c, 2); err == nil {
+		t.Fatal("cyclic CSR scheduled")
+	}
+	if _, err := schedule(c, []float64{1, 1}, 2); err == nil {
+		t.Fatal("cyclic CSR scheduled by the loop")
 	}
 }

@@ -529,7 +529,7 @@ func (e *engine) trySolo(js *jobState, t float64) bool {
 	if err != nil || out == nil {
 		return false
 	}
-	if err := sched.Validate(js.job.Graph, out); err != nil {
+	if err := sched.ValidateFlat(js.cg.CSR, out); err != nil {
 		return false
 	}
 	v := js.job.Graph.NumNodes()

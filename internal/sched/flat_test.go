@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"testing"
@@ -23,13 +25,7 @@ func flatFixture(t *testing.T) (*dag.CSR, *Flat) {
 	g.MustAddEdge(n0, n2, 4)
 	g.MustAddEdge(n1, n3, 1)
 	g.MustAddEdge(n2, n3, 1)
-	f := &Flat{
-		Algorithm: "test",
-		Procs:     2,
-		Assign:    []int32{0, 0, 1, 0},
-		Start:     []float64{0, 2, 6, 8},
-		Finish:    []float64{2, 5, 7, 10},
-	}
+	f := FromArrays("test", 2, []int32{0, 0, 1, 0}, []float64{0, 2, 6, 8}, []float64{2, 5, 7, 10})
 	return dag.BuildCSR(g), f
 }
 
@@ -44,13 +40,16 @@ func TestValidateFlatAccepts(t *testing.T) {
 	if f.ProcsUsed() != 2 {
 		t.Fatalf("procs used %d, want 2", f.ProcsUsed())
 	}
-	// ToSchedule must agree with the arrays and pass the rich validator.
-	s := f.ToSchedule()
-	if s.Length() != f.Length() {
-		t.Fatalf("ToSchedule length %v != %v", s.Length(), f.Length())
-	}
-	if err := Validate(c.ToGraph(), s); err != nil {
+	// Both views of the one validator agree.
+	if err := Validate(c.ToGraph(), f); err != nil {
 		t.Fatal(err)
+	}
+	if got := f.OnProc(0); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("OnProc(0) = %v", got)
+	}
+	// Busy time 7 on PE 0 and 1 on PE 1: max 7 over mean 4.
+	if b := f.Balance(); b != 7.0/4 {
+		t.Fatalf("balance %v, want 1.75", b)
 	}
 }
 
@@ -59,15 +58,22 @@ func TestValidateFlatRejects(t *testing.T) {
 		name   string
 		mutate func(f *Flat)
 	}{
-		{"short arrays", func(f *Flat) { f.Assign = f.Assign[:3] }},
-		{"proc out of range", func(f *Flat) { f.Assign[2] = 2 }},
-		{"negative proc", func(f *Flat) { f.Assign[0] = -1 }},
-		{"negative start", func(f *Flat) { f.Start[0] = -1; f.Finish[0] = 1 }},
-		{"wrong duration", func(f *Flat) { f.Finish[1] = 4 }},
-		{"overlap", func(f *Flat) { f.Start[1] = 1; f.Finish[1] = 4 }},
-		{"precedence same proc", func(f *Flat) { f.Start[1] = 1.5; f.Finish[1] = 4.5 }},
-		{"precedence missing comm", func(f *Flat) { f.Start[2] = 2; f.Finish[2] = 3 }},
-		{"nan start", func(f *Flat) { f.Start[3] = nan(); f.Finish[3] = nan() }},
+		{"short arrays", func(f *Flat) { f.proc, f.start, f.finish = f.proc[:3], f.start[:3], f.finish[:3] }},
+		{"proc out of range", func(f *Flat) { f.proc[2] = 2 }},
+		{"unassigned", func(f *Flat) { f.proc[0] = -1 }},
+		{"negative proc", func(f *Flat) { f.proc[0] = -3 }},
+		{"negative start", func(f *Flat) { f.start[0] = -1; f.finish[0] = 1 }},
+		{"wrong duration", func(f *Flat) { f.finish[1] = 4 }},
+		{"overlap", func(f *Flat) { f.start[1] = 1; f.finish[1] = 4 }},
+		{"precedence same proc", func(f *Flat) { f.start[1] = 1.5; f.finish[1] = 4.5 }},
+		{"precedence missing comm", func(f *Flat) { f.start[2] = 2; f.finish[2] = 3 }},
+		{"nan start", func(f *Flat) { f.start[3] = nan(); f.finish[3] = nan() }},
+		{"inf times", func(f *Flat) {
+			for n := range f.start {
+				f.start[n], f.finish[n] = math.Inf(1), math.Inf(1)
+			}
+		}},
+		{"nan finish", func(f *Flat) { f.finish[3] = nan() }},
 	}
 	for _, tc := range cases {
 		c, f := flatFixture(t)
@@ -87,12 +93,7 @@ func TestValidateFlatZeroDuration(t *testing.T) {
 	g.AddNode("z", 0)
 	g.AddNode("b", 2)
 	c := dag.BuildCSR(g)
-	f := &Flat{
-		Procs:  1,
-		Assign: []int32{0, 0, 0},
-		Start:  []float64{0, 1, 2},
-		Finish: []float64{2, 1, 4},
-	}
+	f := FromArrays("", 1, []int32{0, 0, 0}, []float64{0, 1, 2}, []float64{2, 1, 4})
 	if err := ValidateFlat(c, f); err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,32 @@ func TestValidateFlatZeroDuration(t *testing.T) {
 func nan() float64 {
 	z := 0.0
 	return z / z
+}
+
+// layeredRoundRobin is a round-robin list schedule over procs
+// processors in the given topological order — cheap to build and legal
+// by construction.
+func layeredRoundRobin(c *dag.CSR, order []int32, procs int) *Flat {
+	v := c.NumNodes()
+	assign, start, finish := make([]int32, v), make([]float64, v), make([]float64, v)
+	ready := make([]float64, procs)
+	for i, n := range order {
+		p := int32(i % procs)
+		assign[n] = p
+		st := ready[p]
+		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+			from := c.PredFrom[s]
+			arrival := finish[from]
+			if assign[from] != p {
+				arrival += c.PredW[s]
+			}
+			st = max(st, arrival)
+		}
+		start[n] = st
+		finish[n] = st + c.NodeW[n]
+		ready[p] = finish[n]
+	}
+	return FromArrays("", procs, assign, start, finish)
 }
 
 // TestValidateFlatBig checks the validator's scaling contract
@@ -121,43 +148,42 @@ func TestValidateFlatBig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin list schedule over 8 processors in topological order —
-	// cheap to build and legal by construction.
 	order, err := c.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const procs = 8
-	f := &Flat{
-		Procs:  procs,
-		Assign: make([]int32, v),
-		Start:  make([]float64, v),
-		Finish: make([]float64, v),
-	}
-	ready := make([]float64, procs)
-	for i, n := range order {
-		p := int32(i % procs)
-		f.Assign[n] = p
-		start := ready[p]
-		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
-			from := c.PredFrom[s]
-			arrival := f.Finish[from]
-			if f.Assign[from] != p {
-				arrival += c.PredW[s]
-			}
-			if arrival > start {
-				start = arrival
-			}
-		}
-		f.Start[n] = start
-		f.Finish[n] = start + c.NodeW[n]
-		ready[p] = f.Finish[n]
-	}
+	f := layeredRoundRobin(c, order, 8)
 	begin := time.Now()
 	if err := ValidateFlat(c, f); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(begin); d > 5*time.Second {
 		t.Fatalf("validated %d nodes in %v, budget 5s", v, d)
+	}
+}
+
+// BenchmarkValidateFlat times the one validator on an 8-processor
+// layered schedule, the per-processor view rebuilt every iteration.
+func BenchmarkValidateFlat(b *testing.B) {
+	for _, v := range []int{100000, 1000000} {
+		b.Run(fmt.Sprintf("v=%d", v), func(b *testing.B) {
+			c, err := workload.LayeredCSR(workload.LayeredOpts{V: v, Seed: 17})
+			if err != nil {
+				b.Fatal(err)
+			}
+			order, err := c.TopoOrder()
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := layeredRoundRobin(c, order, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.view.Store(nil)
+				if err := ValidateFlat(c, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"fastsched/internal/dag"
 )
@@ -55,6 +56,9 @@ func ReadJSON(r io.Reader, g *dag.Graph) (*Schedule, error) {
 	for _, pl := range js.Placements {
 		if pl.Node < 0 || pl.Node >= g.NumNodes() {
 			return nil, fmt.Errorf("sched: placement for unknown node %d", pl.Node)
+		}
+		if pl.Proc < 0 || pl.Proc > math.MaxInt32 {
+			return nil, fmt.Errorf("sched: node %d on processor %d, outside [0, %d]", pl.Node, pl.Proc, math.MaxInt32)
 		}
 		n := dag.NodeID(pl.Node)
 		if s.Assigned(n) {

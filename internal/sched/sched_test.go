@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fastsched/internal/dag"
@@ -275,4 +278,155 @@ func TestValidateDurations(t *testing.T) {
 	if err := ValidateDurations(g, s, nil); err == nil {
 		t.Fatal("nil durations must behave like plain Validate")
 	}
+}
+
+// TestValidateRejectsBadValues covers the values both former
+// validators let through: non-finite times, a negative processor and
+// an infinite realized duration.
+func TestValidateRejectsBadValues(t *testing.T) {
+	g := chainGraph(t)
+	inf := math.Inf(1)
+	every := func(start, finish float64) *Schedule {
+		s := New(3)
+		for n := 0; n < 3; n++ {
+			s.Place(dag.NodeID(n), 0, start, finish)
+		}
+		return s
+	}
+	chain := func(last float64) *Schedule {
+		s := New(3)
+		s.Place(0, 0, 0, 2)
+		s.Place(1, 0, 2, 5)
+		s.Place(2, 0, 5, last)
+		return s
+	}
+	cases := []struct {
+		name string
+		s    *Schedule
+		dur  []float64
+		want string
+	}{
+		{"all NaN times", every(math.NaN(), math.NaN()), nil, "non-finite"},
+		{"all +Inf times", every(inf, inf), nil, "non-finite"},
+		{"negative processor", FromArrays("", 0, []int32{-3, -3, -3}, []float64{0, 2, 5}, []float64{2, 5, 6}), nil, "< 0"},
+		{"+Inf realized duration", chain(inf), []float64{2, 3, inf}, "non-finite"},
+		{"NaN realized duration", chain(6), []float64{2, 3, math.NaN()}, "duration"},
+	}
+	for _, tc := range cases {
+		if err := ValidateDurations(g, tc.s, tc.dur); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if err := ValidateDurations(g, chain(6), []float64{2, 3, 1}); err != nil {
+		t.Fatalf("finite control case rejected: %v", err)
+	}
+}
+
+func TestPlaceRejectsOutOfRangeProcessors(t *testing.T) {
+	for _, p := range []int{-1, -3, math.MaxInt32 + 1, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Place on processor %d did not panic", p)
+				}
+			}()
+			New(1).Place(0, p, 0, 1)
+		}()
+	}
+	s := New(1)
+	s.Place(0, math.MaxInt32, 0, 1)
+	if s.Proc(0) != math.MaxInt32 {
+		t.Fatalf("proc = %d", s.Proc(0))
+	}
+}
+
+func TestFromArraysRejectsMismatchedLengths(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched arrays accepted")
+		}
+	}()
+	FromArrays("", 1, []int32{0, 0}, []float64{0}, []float64{1, 2})
+}
+
+// TestViewSparseProcessors pins the per-processor view on IDs far apart
+// in every byte: groups come out ascending and ordered by (start, node).
+func TestViewSparseProcessors(t *testing.T) {
+	s := New(6)
+	s.Place(0, math.MaxInt32, 3, 4)
+	s.Place(1, 1<<20, 0, 1)
+	s.Place(2, math.MaxInt32, 1, 2)
+	s.Place(3, 5, 2, 3)
+	s.Place(4, 1<<20, 0, 0)
+	// node 5 stays unassigned
+	if got, want := s.Procs(), []int{5, 1 << 20, math.MaxInt32}; !slices.Equal(got, want) {
+		t.Fatalf("Procs = %v, want %v", got, want)
+	}
+	if s.ProcsUsed() != 3 {
+		t.Fatalf("ProcsUsed = %d", s.ProcsUsed())
+	}
+	if got := s.OnProc(1 << 20); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Fatalf("OnProc(1<<20) = %v, want [1 4] (equal starts break to the smaller ID)", got)
+	}
+	if got := s.OnProc(math.MaxInt32); len(got) != 2 || got[0] != 2 || got[1] != 0 {
+		t.Fatalf("OnProc(MaxInt32) = %v, want [2 0]", got)
+	}
+	if s.OnProc(6) != nil {
+		t.Fatal("idle processor lists nodes")
+	}
+	// Busy 1 on PE 5, 1 on PE 1<<20, 2 on PE MaxInt32: max 2 over mean 4/3.
+	if b := s.Balance(); b != 2/(4.0/3) {
+		t.Fatalf("Balance = %v", b)
+	}
+}
+
+// TestViewFollowsPlace checks that a read after Place sees the change,
+// and that a clone carries a built view without sharing later moves.
+func TestViewFollowsPlace(t *testing.T) {
+	s := New(3)
+	s.Place(0, 0, 0, 1)
+	s.Place(1, 0, 1, 2)
+	s.Place(2, 1, 0, 1)
+	if s.ProcsUsed() != 2 {
+		t.Fatalf("ProcsUsed = %d", s.ProcsUsed())
+	}
+	c := s.Clone()
+	if c.view.Load() != s.view.Load() {
+		t.Fatal("clone rebuilt a view it could share")
+	}
+	s.Place(2, 0, 2, 3)
+	if s.ProcsUsed() != 1 || len(s.OnProc(0)) != 3 {
+		t.Fatalf("view missed a move: used %d, OnProc(0) = %v", s.ProcsUsed(), s.OnProc(0))
+	}
+	if c.ProcsUsed() != 2 || len(c.OnProc(1)) != 1 {
+		t.Fatal("move reached the clone")
+	}
+	if b := New(2).Balance(); b != 1 {
+		t.Fatalf("empty Balance = %v", b)
+	}
+}
+
+// TestConcurrentReadsOfSharedSchedule is the result cache's pattern:
+// one published schedule read and cloned from many goroutines, its view
+// built by whichever reader comes first. Run under -race.
+func TestConcurrentReadsOfSharedSchedule(t *testing.T) {
+	g := chainGraph(t)
+	s := New(3)
+	s.Place(0, 0, 0, 2)
+	s.Place(1, 0, 2, 5)
+	s.Place(2, 1, 6, 7)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if s.ProcsUsed() != 2 || s.Clone().ProcsUsed() != 2 || len(s.OnProc(0)) != 2 {
+				t.Error("concurrent reads disagree")
+			}
+			if err := Validate(g, s); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -89,7 +89,7 @@ func engineErrorBody(err error, retryAfter time.Duration) (int, ErrorBody) {
 		return http.StatusBadRequest, ErrorBody{Code: CodeInvalidGraph, Message: msg}
 	case errors.Is(err, batch.ErrBadAlgorithm):
 		return http.StatusBadRequest, ErrorBody{Code: CodeInvalidAlgorithm, Message: msg}
-	case errors.Is(err, batch.ErrBadDeadline), errors.Is(err, batch.ErrBadBudget):
+	case errors.Is(err, batch.ErrBadDeadline), errors.Is(err, batch.ErrBadBudget), errors.Is(err, batch.ErrBadProcs):
 		return http.StatusBadRequest, ErrorBody{Code: CodeInvalidRequest, Message: msg}
 	case errors.Is(err, batch.ErrQueueFull):
 		return http.StatusServiceUnavailable, ErrorBody{

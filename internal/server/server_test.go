@@ -131,6 +131,39 @@ func TestScheduleSyncEndToEnd(t *testing.T) {
 	}
 }
 
+// TestProcsCapAtAdmission: a processor count costs memory whatever the
+// graph's size, so the engine caps it. batch.MaxProcs is scheduled,
+// one more is a 400, and neither allocates more than a few MB.
+func TestProcsCapAtAdmission(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	g := schedtest.Chain(3, 1)
+	for _, tc := range []struct {
+		procs  int
+		status int
+	}{{batch.MaxProcs, http.StatusOK}, {batch.MaxProcs + 1, http.StatusBadRequest}} {
+		body, err := json.Marshal(submitRequest{Graph: graphJSON(t, g), Procs: tc.procs, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postJSON(t, ts.URL+"/v1/schedule", body, "")
+		out := readBody(t, resp)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("procs %d: status %d, want %d; body: %s", tc.procs, resp.StatusCode, tc.status, out)
+		}
+		if tc.status != http.StatusOK {
+			if eb := decodeError(t, out); eb.Code != CodeInvalidRequest {
+				t.Errorf("procs %d: code %q, want %q", tc.procs, eb.Code, CodeInvalidRequest)
+			}
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 8<<20 {
+			t.Errorf("procs %d: request allocated %d bytes, limit 8 MB", tc.procs, d)
+		}
+	}
+}
+
 func TestTypedRejections(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, MaxBodyBytes: 2048})
 	g := schedtest.Chain(4, 1)
