@@ -286,7 +286,9 @@ func AlgorithmNames() []string { return casch.AlgorithmNames() }
 // automatically) skip the per-request graph analysis entirely;
 // results are bit-identical to uncompiled runs.
 
-// CompiledGraph is the immutable compiled form of a task graph.
+// CompiledGraph is the immutable compiled form of a task graph: the
+// graph, its CSR, the level tables, the classification and both FAST
+// priority lists. It carries no content key; GraphKey computes one.
 type CompiledGraph = plan.CompiledGraph
 
 // GraphContentKey is a graph's content address: a SHA-256 over its
@@ -310,22 +312,14 @@ func GraphKey(g *Graph) GraphContentKey { return plan.GraphKey(g) }
 // receives the plan.* metrics.
 func NewPlanCache(max int, sink MetricsSink) *PlanCache { return plan.NewCache(max, sink) }
 
-// compiledScheduler is implemented by schedulers with a compiled-plan
-// entry point (the FAST family via FindCompiled/ScheduleCompiled, and
-// the ETF/DLS/HLFET/DSC baselines via ScheduleCompiled).
-type compiledScheduler interface {
-	ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-}
-
-// ScheduleCompiled schedules a pre-compiled graph with s when s has a
-// compiled-plan entry point, falling back to s.Schedule(cg.Graph, ...)
-// otherwise. Either way the result is bit-identical to s.Schedule on
-// the original graph.
+// ScheduleCompiled schedules a pre-compiled graph with s: through s's
+// plan entry when it has one (the FAST family, FAST-H, ETF, DLS, DSC
+// and HLFET), else through s.Schedule(cg.Graph, ...). Either way the
+// result is bit-identical to s.Schedule on the original graph. FAST's
+// Options.Context, when set, still bounds the run. A plan carries no
+// content key; GraphKey computes one.
 func ScheduleCompiled(s Scheduler, cg *CompiledGraph, procs int) (*Schedule, error) {
-	if cs, ok := s.(compiledScheduler); ok {
-		return cs.ScheduleCompiled(cg, procs)
-	}
-	return s.Schedule(cg.Graph, procs)
+	return casch.ScheduleCompiled(nil, s, cg, procs)
 }
 
 // Batch serving. The batch engine schedules many DAGs concurrently

@@ -2,6 +2,8 @@ package fastsched_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -160,5 +162,34 @@ func TestPublicAPISolveOptimal(t *testing.T) {
 	}
 	if !rep.ProcsDefaulted || rep.Procs != 4 {
 		t.Fatalf("Procs=%d Defaulted=%v, want 4/true", rep.Procs, rep.ProcsDefaulted)
+	}
+}
+
+// TestPublicAPIScheduleCompiled covers the compiled-plan facade: a plan
+// scheduler and a graph-only one both match their graph entry, and an
+// already-cancelled FASTOptions.Context still governs the run.
+func TestPublicAPIScheduleCompiled(t *testing.T) {
+	g := fastsched.PaperExampleGraph()
+	cg, err := fastsched.CompileGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []fastsched.Scheduler{fastsched.ETF(), fastsched.MD()} {
+		want, err := s.Schedule(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fastsched.ScheduleCompiled(s, cg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Length() != want.Length() {
+			t.Fatalf("%s: compiled length %v, want %v", s.Name(), got.Length(), want.Length())
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := fastsched.ScheduleCompiled(fastsched.FASTWith(fastsched.FASTOptions{Seed: 1, Context: ctx}), cg, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled FASTOptions.Context: err = %v, want %v", err, context.Canceled)
 	}
 }

@@ -510,10 +510,10 @@ func (e *Engine) execute(j *job) Result {
 }
 
 // run performs one cold scheduling run under the request's context and
-// deadline. With the plan cache enabled, schedulers that accept a
-// compiled graph are dispatched through it — the compilation happens
-// (and is cached) once per unique graph; the produced schedules are
-// bit-identical to the ad-hoc path (pinned by the differential tests).
+// deadline, always from a plan: the plan cache's, compiled once per
+// unique graph, or a per-run compile when the cache is disabled. The
+// produced schedules are bit-identical either way (pinned by the
+// differential tests).
 func (e *Engine) run(ctx context.Context, req Request, gk plan.Key) (*sched.Schedule, error) {
 	s, err := casch.NewScheduler(req.Algorithm, req.Seed)
 	if err != nil {
@@ -533,59 +533,24 @@ func (e *Engine) run(ctx context.Context, req Request, gk plan.Key) (*sched.Sche
 		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
 		defer cancel()
 	}
-	type compiledFinder interface {
-		FindCompiled(ctx context.Context, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-	}
-	type compiledScheduler interface {
-		ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-	}
-	type finder interface {
-		Find(ctx context.Context, g *dag.Graph, procs int) (*sched.Schedule, error)
-	}
+	// validate checked the graph (or found its plan cached), so the
+	// uncached compile trusts it too.
 	var cg *plan.CompiledGraph
 	if e.plans != nil {
-		switch s.(type) {
-		case compiledFinder, compiledScheduler:
-			if cg, err = e.plans.GetKeyed(req.Graph, gk); err != nil {
-				// Unreachable after validate (Compile only fails on empty
-				// or cyclic graphs), but don't run with a nil plan.
-				return nil, fmt.Errorf("%w: %v", ErrBadGraph, err)
-			}
-		}
-	}
-	var out *sched.Schedule
-	var err2 error
-	if cg != nil {
-		// cg is only compiled when s matched one of the two interfaces.
-		switch cs := s.(type) {
-		case compiledFinder: // the FAST family: context plumbed through
-			out, err2 = cs.FindCompiled(ctx, cg, req.Procs)
-		case compiledScheduler:
-			// Compiled baselines have no context plumbing; honour the
-			// context at the request boundary at least.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			out, err2 = cs.ScheduleCompiled(cg, req.Procs)
-		}
-	} else if f, ok := s.(finder); ok {
-		out, err2 = f.Find(ctx, req.Graph, req.Procs)
+		cg, err = e.plans.GetKeyed(req.Graph, gk)
 	} else {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		out, err2 = s.Schedule(req.Graph, req.Procs)
+		cg, err = plan.CompileKeyed(req.Graph, gk)
 	}
-	if out != nil && err2 == nil {
-		var verr error
-		if cg != nil {
-			verr = sched.ValidateFlat(cg.CSR, out)
-		} else {
-			verr = sched.Validate(req.Graph, out)
-		}
-		if verr != nil {
+	if err != nil {
+		// Unreachable after validate (a compile only fails on empty or
+		// cyclic graphs), but don't run without a plan.
+		return nil, fmt.Errorf("%w: %v", ErrBadGraph, err)
+	}
+	out, err := casch.ScheduleCompiled(ctx, s, cg, req.Procs)
+	if out != nil && err == nil {
+		if verr := sched.ValidateFlat(cg.CSR, out); verr != nil {
 			return nil, fmt.Errorf("batch: %s produced an invalid schedule: %w", req.Algorithm, verr)
 		}
 	}
-	return out, err2
+	return out, err
 }

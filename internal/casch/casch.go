@@ -6,6 +6,7 @@
 package casch
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"fastsched/internal/md"
 	"fastsched/internal/mh"
 	"fastsched/internal/optimal"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/sim"
 )
@@ -70,6 +72,40 @@ func Run(g *dag.Graph, s sched.Scheduler, procs int, machine sim.Config) (*Resul
 		r.Speedup = g.TotalWork() / report.Time
 	}
 	return r, nil
+}
+
+// planFinder is a scheduler whose plan entry takes a context: the FAST
+// family.
+type planFinder interface {
+	FindCompiled(ctx context.Context, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
+}
+
+// planScheduler is a scheduler with a plan entry.
+type planScheduler interface {
+	ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
+}
+
+// ScheduleCompiled is the one place that picks a scheduler's plan entry
+// or its graph entry. With a non-nil ctx, a scheduler with FindCompiled
+// runs under it. Otherwise a non-nil ctx is checked once, so a
+// cancelled request runs nothing, and s runs its ScheduleCompiled when
+// it has one, else s.Schedule(cg.Graph, procs). A nil ctx leaves the
+// scheduler's own configuration, such as FAST's Options.Context, in
+// charge. Schedulers without a plan entry need a plan compiled from a
+// graph.
+func ScheduleCompiled(ctx context.Context, s sched.Scheduler, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	if f, ok := s.(planFinder); ok && ctx != nil {
+		return f.FindCompiled(ctx, cg, procs)
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if ps, ok := s.(planScheduler); ok {
+		return ps.ScheduleCompiled(cg, procs)
+	}
+	return s.Schedule(cg.Graph, procs)
 }
 
 // NewScheduler constructs a scheduler by its table name, as used by the

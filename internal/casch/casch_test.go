@@ -1,10 +1,15 @@
 package casch
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/fast"
+	"fastsched/internal/plan"
 	"fastsched/internal/sim"
 	"fastsched/internal/timing"
 	"fastsched/internal/workload"
@@ -93,5 +98,72 @@ func TestPaperSchedulersRowOrder(t *testing.T) {
 		if s.Name() != want[i] {
 			t.Fatalf("row %d = %s, want %s", i, s.Name(), want[i])
 		}
+	}
+}
+
+// TestScheduleCompiledMatchesSchedule pins the one dispatch function:
+// for every registry algorithm, scheduling the compiled plan under a
+// live context or a nil one equals s.Schedule on the graph node for
+// node.
+func TestScheduleCompiledMatchesSchedule(t *testing.T) {
+	g := example.Graph()
+	cg, err := plan.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range AlgorithmNames() {
+		for _, procs := range []int{2, 0} {
+			for _, ctx := range []context.Context{context.Background(), nil} {
+				s, err := NewScheduler(name, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := s.Schedule(g, procs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := ScheduleCompiled(ctx, s, cg, procs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.Length() != want.Length() {
+					t.Fatalf("%s procs %d: length %v, want %v", name, procs, got.Length(), want.Length())
+				}
+				for n := 0; n < g.NumNodes(); n++ {
+					if gp, wp := got.Of(dag.NodeID(n)), want.Of(dag.NodeID(n)); gp != wp {
+						t.Fatalf("%s procs %d: node %d placed %+v, want %+v", name, procs, n, gp, wp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScheduleCompiledContext pins how the dispatch treats contexts: a
+// cancelled one stops every scheduler without a context-aware plan
+// entry before it runs, and a nil one leaves FAST's own
+// Options.Context in charge.
+func TestScheduleCompiledContext(t *testing.T) {
+	cg, err := plan.Compile(example.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range AlgorithmNames() {
+		s, err := NewScheduler(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(planFinder); ok {
+			continue // the FAST family returns its best schedule so far
+		}
+		if out, err := ScheduleCompiled(ctx, s, cg, 2); out != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got (%v, %v), want (nil, %v)", name, out, err, context.Canceled)
+		}
+	}
+	s := fast.New(fast.Options{Seed: 1, Context: ctx})
+	if _, err := ScheduleCompiled(nil, s, cg, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("nil ctx with a cancelled Options.Context: err = %v, want %v", err, context.Canceled)
 	}
 }

@@ -40,10 +40,11 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if v == 0 {
 		return nil, errors.New("dcp: empty graph")
 	}
-	order, err := g.TopologicalOrder()
+	_, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}
+	order := l.Order
 	m := listsched.NewMachine(procs)
 	s := sched.New(v)
 	s.Algorithm = "DCP"

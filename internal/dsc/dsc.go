@@ -25,6 +25,8 @@ import (
 	"fastsched/internal/sched"
 )
 
+var errEmpty = errors.New("dsc: empty graph")
+
 // Scheduler implements sched.Scheduler with the DSC algorithm.
 type Scheduler struct{}
 
@@ -34,35 +36,31 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "DSC" }
 
-// Schedule implements sched.Scheduler. DSC assumes an unbounded number
-// of processors and ignores procs entirely (the paper's experiments do
-// the same: DSC "in general uses O(v) processors").
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+// Schedule implements sched.Scheduler: it compiles g, which validates
+// it, and runs the plan entry. DSC assumes an unbounded number of
+// processors and ignores procs entirely (the paper's experiments do the
+// same: DSC "in general uses O(v) processors").
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if g.NumNodes() == 0 {
-		return nil, errors.New("dsc: empty graph")
+		return nil, errEmpty
 	}
-	l, err := dag.ComputeLevels(g)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		return nil, err
 	}
-	return scheduleWithLevels(g, l)
+	return s.ScheduleCompiled(cg, procs)
 }
 
-// ScheduleCompiled schedules against a pre-compiled plan, reusing its
-// level tables instead of recomputing them. Bit-identical to Schedule;
-// procs is ignored exactly as in Schedule.
+// ScheduleCompiled runs the DSC examination loop against a plan
+// compiled from a graph; procs is ignored exactly as in Schedule. It
+// reads l.BLevel and copies l.TLevel (the t-levels are updated
+// incrementally), so a shared CompiledGraph's tables are never mutated.
 func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	if cg.Graph.NumNodes() == 0 {
-		return nil, errors.New("dsc: empty graph")
-	}
-	return scheduleWithLevels(cg.Graph, cg.Levels)
-}
-
-// scheduleWithLevels runs the DSC examination loop. It reads l.BLevel
-// and copies l.TLevel (the t-levels are updated incrementally), so a
-// shared CompiledGraph's tables are never mutated.
-func scheduleWithLevels(g *dag.Graph, l *dag.Levels) (*sched.Schedule, error) {
+	g, l := cg.Graph, cg.Levels
 	v := g.NumNodes()
+	if v == 0 {
+		return nil, errEmpty
+	}
 
 	cluster := make([]int, v) // -1 while unexamined
 	for i := range cluster {

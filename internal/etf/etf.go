@@ -17,6 +17,8 @@ import (
 	"fastsched/internal/sched"
 )
 
+var errEmpty = errors.New("etf: empty graph")
+
 // Scheduler implements sched.Scheduler with the ETF algorithm.
 type Scheduler struct{}
 
@@ -26,29 +28,27 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "ETF" }
 
-// Schedule implements sched.Scheduler. procs <= 0 is treated as one
-// processor per node ("more than enough").
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+// Schedule implements sched.Scheduler: it compiles g, which validates
+// it, and runs the plan entry. procs <= 0 is treated as one processor
+// per node ("more than enough").
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if g.NumNodes() == 0 {
-		return nil, errors.New("etf: empty graph")
+		return nil, errEmpty
 	}
-	l, err := dag.ComputeLevels(g)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		return nil, err
 	}
-	return scheduleWithLevels(g, l, procs)
+	return s.ScheduleCompiled(cg, procs)
 }
 
-// ScheduleCompiled schedules against a pre-compiled plan, reusing its
-// level tables instead of recomputing them. Bit-identical to Schedule.
+// ScheduleCompiled schedules against a plan compiled from a graph,
+// reading its level tables and its Graph.
 func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	if cg.Graph.NumNodes() == 0 {
-		return nil, errors.New("etf: empty graph")
+	g, l := cg.Graph, cg.Levels
+	if g.NumNodes() == 0 {
+		return nil, errEmpty
 	}
-	return scheduleWithLevels(cg.Graph, cg.Levels, procs)
-}
-
-func scheduleWithLevels(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) {
 	if procs <= 0 {
 		procs = g.NumNodes()
 	}

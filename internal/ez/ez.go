@@ -35,7 +35,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if v == 0 {
 		return nil, errors.New("ez: empty graph")
 	}
-	l, err := dag.ComputeLevels(g)
+	_, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}

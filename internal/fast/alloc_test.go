@@ -33,7 +33,7 @@ func TestWarmSchedulingAllocFree(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	run := func() {
-		st := acquireState(cg.Graph, cg.CPNDominate, cg.CSR, procs, telemetry{})
+		st := acquireState(cg.CPNDominate, cg.CSR, procs, telemetry{})
 		st.initialReadyTime()
 		st.evaluate()
 		if err := st.search(ctx, cg.Blocking, 32, rng); err != nil {

@@ -66,8 +66,24 @@ func assertSameSchedule(t *testing.T, nodes int, want, got *sched.Schedule) {
 // compiled entry point (plan.Compile itself rejects empty graphs, so
 // the guard needs a hand-built CompiledGraph to trigger).
 func TestScheduleCompiledEmptyGraph(t *testing.T) {
-	if _, err := Default().ScheduleCompiled(&plan.CompiledGraph{Graph: dag.New(0)}, 2); err == nil {
+	if _, err := Default().ScheduleCompiled(&plan.CompiledGraph{CSR: dag.BuildCSR(dag.New(0))}, 2); err == nil {
 		t.Fatal("want error for empty compiled graph")
+	}
+}
+
+// TestInsertionNeedsGraph covers the insertion ablation's guard: its
+// slot search runs on a *dag.Graph, so a plan compiled from a CSR alone
+// is rejected rather than scheduled.
+func TestInsertionNeedsGraph(t *testing.T) {
+	cg, err := plan.CompileCompact(dag.BuildCSR(example.Graph()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{Insertion: true}).ScheduleCompiled(cg, 2); err == nil {
+		t.Fatal("insertion ran on a plan without a graph")
+	}
+	if _, err := New(Options{}).ScheduleCompiled(cg, 2); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
-	"fastsched/internal/plan"
 )
 
 // The CSR layout must mirror g.Pred / g.Succ slot for slot: same
@@ -19,7 +18,7 @@ func TestCSRMatchesGraph(t *testing.T) {
 		graphs = append(graphs, randomLayeredGraph(rng, 2+rng.Intn(80)))
 	}
 	for gi, g := range graphs {
-		c := plan.NewCSR(g)
+		c := dag.BuildCSR(g)
 		v := g.NumNodes()
 		if len(c.PredOff) != v+1 || int(c.PredOff[v]) != g.NumEdges() {
 			t.Fatalf("graph %d: pred offsets len %d / end %d, want %d / %d", gi, len(c.PredOff), c.PredOff[v], v+1, g.NumEdges())

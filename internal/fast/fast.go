@@ -272,15 +272,18 @@ func (f *Scheduler) FindCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 }
 
 func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	g := cg.Graph
-	if g.NumNodes() == 0 {
+	v := cg.CSR.NumNodes()
+	if v == 0 {
 		return nil, errors.New("fast: empty graph")
 	}
 	if procs <= 0 {
-		procs = g.NumNodes()
+		procs = v
 	}
 	if f.opts.Budget > 0 && f.opts.Strategy != Greedy {
 		return nil, fmt.Errorf("fast: Budget is only supported with the Greedy strategy, got %v", f.opts.Strategy)
+	}
+	if f.opts.Insertion && cg.Graph == nil {
+		return nil, errors.New("fast: Insertion needs a plan compiled from a graph")
 	}
 
 	maxSteps := f.opts.MaxSteps
@@ -303,12 +306,12 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 	}
 
 	list := f.priorityList(cg)
-	st := acquireState(g, list, cg.CSR, procs, tele)
+	st := acquireState(list, cg.CSR, procs, tele)
 	defer st.release()
 	var searchErr error
 	t0 := time.Now()
 	if f.opts.Insertion {
-		st.initialInsertion()
+		st.initialInsertion(cg.Graph)
 	} else {
 		st.initialReadyTime()
 	}
@@ -362,7 +365,6 @@ func (f *Scheduler) gauge(name string) *obs.Gauge {
 // recover; a panic surfaces as a nil schedule plus an error. On
 // context expiry the best partial result is returned with ctx's error.
 func (f *Scheduler) multiStart(ctx context.Context, cg *plan.CompiledGraph, procs, maxSteps int, tele telemetry) (*sched.Schedule, error) {
-	g := cg.Graph
 	orders := []ListOrder{CPNDominate, BLevelOrder, StaticLevelOrder}
 	workers := f.opts.Parallelism
 	// Start w uses the list for orders[w%3]; build each used order's
@@ -400,13 +402,13 @@ func (f *Scheduler) multiStart(ctx context.Context, cg *plan.CompiledGraph, proc
 			panic("injected test panic")
 		}
 		list := lists[w%len(orders)]
-		local.init(g, list, cg.CSR, procs, checkpointInterval(procs))
+		local.init(list, cg.CSR, procs, checkpointInterval(procs))
 		local.tele = tele
 		local.tele.worker = w
 		local.cutoff = true
 		local.incumbent = incumbent
 		if f.opts.Insertion {
-			local.initialInsertion()
+			local.initialInsertion(cg.Graph)
 		} else {
 			local.initialReadyTime()
 		}
@@ -431,7 +433,7 @@ func (f *Scheduler) multiStart(ctx context.Context, cg *plan.CompiledGraph, proc
 		go func() {
 			defer wg.Done()
 			local := statePool.Get().(*state)
-			if local.g == nil && local.assign == nil {
+			if local.assign == nil {
 				tele.poolNews.Inc()
 			} else {
 				tele.poolGets.Inc()
@@ -469,7 +471,7 @@ func (f *Scheduler) multiStart(ctx context.Context, cg *plan.CompiledGraph, proc
 		}
 	}
 	r := results[best]
-	return buildScheduleFrom(g, procs, r.list, r.assign, r.start, r.finish), ctxErr
+	return buildScheduleFrom(procs, r.list, r.assign, r.start, r.finish), ctxErr
 }
 
 // priorityList builds the phase-1 list for the configured order from
@@ -480,9 +482,9 @@ func (f *Scheduler) priorityList(cg *plan.CompiledGraph) []dag.NodeID {
 	l := cg.Levels
 	switch f.opts.Order {
 	case BLevelOrder:
-		return levelSortedList(cg.Graph, l, func(n dag.NodeID) float64 { return l.BLevel[n] })
+		return levelSortedList(l, func(n dag.NodeID) float64 { return l.BLevel[n] })
 	case StaticLevelOrder:
-		return levelSortedList(cg.Graph, l, func(n dag.NodeID) float64 { return l.Static[n] })
+		return levelSortedList(l, func(n dag.NodeID) float64 { return l.Static[n] })
 	default:
 		return cg.CPNDominate
 	}
@@ -491,8 +493,8 @@ func (f *Scheduler) priorityList(cg *plan.CompiledGraph) []dag.NodeID {
 // levelSortedList returns the nodes sorted by decreasing key, with ties
 // broken by topological position so the list stays a valid topological
 // order even with zero-weight nodes.
-func levelSortedList(g *dag.Graph, l *dag.Levels, key func(dag.NodeID) float64) []dag.NodeID {
-	pos := make([]int, g.NumNodes())
+func levelSortedList(l *dag.Levels, key func(dag.NodeID) float64) []dag.NodeID {
+	pos := make([]int, len(l.Order))
 	for i, n := range l.Order {
 		pos[n] = i
 	}

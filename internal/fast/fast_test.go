@@ -18,7 +18,7 @@ func exampleList(t *testing.T) (*dag.Graph, []dag.NodeID) {
 		t.Fatal(err)
 	}
 	cls := dag.Classify(g, l)
-	return g, plan.CPNDominateList(g, l, cls)
+	return g, plan.CPNDominateList(dag.BuildCSR(g), l, cls)
 }
 
 // The paper gives the CPN-Dominate list of the Figure-1 graph verbatim:
@@ -282,7 +282,7 @@ func TestFASTPropertiesOnRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		cls := dag.Classify(g, l)
-		list := plan.CPNDominateList(g, l, cls)
+		list := plan.CPNDominateList(dag.BuildCSR(g), l, cls)
 		assertTopological(t, g, list)
 
 		procs := 1 + rng.Intn(6)

@@ -8,17 +8,28 @@ import (
 	"fastsched/internal/sched"
 )
 
+// hierEdgeListSeeds are FuzzHierEdgeList's seed corpus, which
+// TestContractMatchesGraphOracle reuses.
+var hierEdgeListSeeds = []struct {
+	text     string
+	procPick uint8
+}{
+	{"v 2\nn 1\nn 2\ne 0 1 3\n", 2},
+	{"v 1\nn 0\n", 0},
+	{"# c\nv 3\nn 1\nn 1\ne 0 1 1\nn 1\ne 0 2 2\ne 1 2 1\n", 1},
+	// The contracted-cycle shape of TestHierContractedCycleCollapse.
+	{"v 3\nn 2\nn 1\nn 1\ne 0 2 10\ne 0 1 1\ne 1 2 1\n", 2},
+	{"v 6\nn 1\nn 0\nn 3\nn 2\nn 2\nn 0.5\ne 0 2 4\ne 0 3 0\ne 1 3 7\ne 2 4 1\ne 3 4 2\ne 3 5 9\n", 3},
+}
+
 // FuzzHierEdgeList drives edge-list text through both stream readers
 // into hierarchical FAST, once without an arena and once with one.
 // Both schedules must pass ValidateFlat and stay under the work+comm
 // envelope, and they must be identical.
 func FuzzHierEdgeList(f *testing.F) {
-	f.Add("v 2\nn 1\nn 2\ne 0 1 3\n", uint8(2))
-	f.Add("v 1\nn 0\n", uint8(0))
-	f.Add("# c\nv 3\nn 1\nn 1\ne 0 1 1\nn 1\ne 0 2 2\ne 1 2 1\n", uint8(1))
-	// The contracted-cycle shape of TestHierContractedCycleCollapse.
-	f.Add("v 3\nn 2\nn 1\nn 1\ne 0 2 10\ne 0 1 1\ne 1 2 1\n", uint8(2))
-	f.Add("v 6\nn 1\nn 0\nn 3\nn 2\nn 2\nn 0.5\ne 0 2 4\ne 0 3 0\ne 1 3 7\ne 2 4 1\ne 3 4 2\ne 3 5 9\n", uint8(3))
+	for _, seed := range hierEdgeListSeeds {
+		f.Add(seed.text, seed.procPick)
+	}
 	f.Fuzz(func(t *testing.T, text string, procPick uint8) {
 		c, err := dag.StreamEdgeList(strings.NewReader(text))
 		if err != nil {

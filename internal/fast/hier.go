@@ -92,15 +92,22 @@ func (h *Hierarchical) Instrument(sink obs.Sink, _ *obs.Trajectory) {
 	h.opts.Metrics = sink
 }
 
-// Schedule implements sched.Scheduler. procs <= 0 means one processor
-// per cluster.
+// Schedule implements sched.Scheduler: it compiles g, which validates
+// it, and runs the plan entry. procs <= 0 means one processor per
+// cluster.
 func (h *Hierarchical) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	return h.ScheduleCSR(dag.BuildCSR(g), procs)
+	if g.NumNodes() == 0 {
+		return nil, errors.New("fast: empty graph")
+	}
+	cg, err := plan.Compile(g)
+	if err != nil {
+		return nil, err
+	}
+	return h.ScheduleCompiled(cg, procs)
 }
 
-// ScheduleCompiled runs against a pre-compiled graph. The result is
-// bit-identical to Schedule(cg.Graph, procs): ScheduleCSR is a pure
-// function of the CSR, and cg.CSR is BuildCSR of the same graph.
+// ScheduleCompiled runs against a pre-compiled graph: ScheduleCSR on
+// the plan's CSR, a pure function of it.
 func (h *Hierarchical) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
 	return h.ScheduleCSR(cg.CSR, procs)
 }
@@ -108,9 +115,10 @@ func (h *Hierarchical) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sch
 // ScheduleCSR is the native large-graph entry point: CSR in, dense
 // schedule out, no *dag.Graph ever materialized for the full node set.
 // With a nil arena, allocations are O(v) dense arrays plus the
-// contracted graph (≤ MaxClusters nodes); with HierOptions.Arena set,
-// the dense arrays come from the arena and warm re-runs allocate only
-// the contracted graph and the inner search.
+// contracted CSR and its plan (≤ MaxClusters nodes); with
+// HierOptions.Arena set, the dense arrays come from the arena and warm
+// re-runs allocate only the contracted CSR, its plan and the inner
+// search.
 func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 	v := c.NumNodes()
 	if v == 0 {
@@ -147,11 +155,14 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 		vc = maxClusters
 	}
 
-	cg, clusterOf := contract(c, cluster, vc, a)
+	cc, clusterOf, err := contract(c, cluster, vc, a)
+	if err != nil {
+		return nil, fmt.Errorf("fast: hierarchical contraction: %w", err)
+	}
 	if sink := h.opts.Metrics; sink != nil {
 		sink.Counter("hier.clusters").Add(int64(vc))
-		sink.Counter("hier.contracted.nodes").Add(int64(cg.NumNodes()))
-		sink.Counter("hier.contracted.edges").Add(int64(cg.NumEdges()))
+		sink.Counter("hier.contracted.nodes").Add(int64(cc.NumNodes()))
+		sink.Counter("hier.contracted.edges").Add(int64(cc.NumEdges()))
 	}
 
 	inner := New(Options{
@@ -159,7 +170,11 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 		MaxSteps: h.opts.MaxSteps,
 		Metrics:  h.opts.Metrics,
 	})
-	is, err := inner.Schedule(cg, procs)
+	icg, err := plan.CompileCompact(cc, nil)
+	if err != nil {
+		return nil, fmt.Errorf("fast: hierarchical inner search: %w", err)
+	}
+	is, err := inner.ScheduleCompiled(icg, procs)
 	if err != nil {
 		return nil, fmt.Errorf("fast: hierarchical inner search: %w", err)
 	}
@@ -276,11 +291,13 @@ func linearClusters(c *dag.CSR, l *dag.CompactLevels, prio []int32, a *dag.Scale
 // communication weight. Linear clusters can close cycles through other
 // clusters (a1→a2 in one cluster plus a1→x→a2 outside), so strongly
 // connected components of the contracted multigraph are collapsed.
-// Returns the contracted graph and the per-original-node super-cluster
-// index aligned with the graph's node IDs. The cluster array and all
-// O(v) scratch are released back to the arena; only super (the
-// caller's) and the small contracted *dag.Graph survive.
-func contract(c *dag.CSR, cluster []int32, vc int, a *dag.ScaleArena) (*dag.Graph, []int32) {
+// Returns the contracted CSR and the per-original-node super-cluster
+// index aligned with the graph's node IDs. The CSR comes from
+// dag.FinishCSR, which validates it: a summed weight that overflows to
+// +Inf is an error. The cluster array and all O(v) scratch are released
+// back to the arena; only super (the caller's) and the small contracted
+// CSR survive.
+func contract(c *dag.CSR, cluster []int32, vc int, a *dag.ScaleArena) (*dag.CSR, []int32, error) {
 	v := c.NumNodes()
 
 	// Counting-sort members by cluster so each cluster's out-edges are
@@ -333,13 +350,11 @@ func contract(c *dag.CSR, cluster []int32, vc int, a *dag.ScaleArena) (*dag.Grap
 
 	scc, nscc := condense(vc, efrom, eto, a)
 
-	g := dag.New(nscc)
-	sccW := a.F64(nscc)
+	// The contracted CSR keeps sccW and the edge arrays, so they come
+	// from the heap, not the arena.
+	sccW := make([]float64, nscc)
 	for cl, w := range nodeW {
 		sccW[scc[cl]] += w
-	}
-	for i := 0; i < nscc; i++ {
-		g.AddNode(fmt.Sprintf("c%d", i), sccW[i])
 	}
 	// Re-deduplicate edges at the SCC level. Edges are grouped by
 	// source via another counting sort to reuse the stamp trick.
@@ -362,11 +377,8 @@ func contract(c *dag.CSR, cluster []int32, vc int, a *dag.ScaleArena) (*dag.Grap
 	eslot := slot
 	clear(estamp[:nscc])
 	clear(eslot[:nscc])
-	type cedge struct {
-		from, to dag.NodeID
-		w        float64
-	}
-	var edges []cedge
+	var cfrom, cto []int32
+	var cw []float64
 	for su := int32(0); su < int32(nscc); su++ {
 		for k := eoff[su]; k < eoff[su+1]; k++ {
 			i := eorder[k]
@@ -375,16 +387,15 @@ func contract(c *dag.CSR, cluster []int32, vc int, a *dag.ScaleArena) (*dag.Grap
 				continue // intra-SCC edge, absorbed by the collapse
 			}
 			if estamp[sv] == su+1 {
-				edges[eslot[sv]].w += ew[i]
+				cw[eslot[sv]] += ew[i]
 				continue
 			}
 			estamp[sv] = su + 1
-			eslot[sv] = int32(len(edges))
-			edges = append(edges, cedge{dag.NodeID(su), dag.NodeID(sv), ew[i]})
+			eslot[sv] = int32(len(cfrom))
+			cfrom = append(cfrom, su)
+			cto = append(cto, sv)
+			cw = append(cw, ew[i])
 		}
-	}
-	for _, e := range edges {
-		g.MustAddEdge(e.from, e.to, e.w)
 	}
 
 	super := a.I32(v)
@@ -400,11 +411,15 @@ func contract(c *dag.CSR, cluster []int32, vc int, a *dag.ScaleArena) (*dag.Grap
 	a.ReleaseI32(eto)
 	a.ReleaseF64(ew)
 	a.ReleaseI32(scc)
-	a.ReleaseF64(sccW)
 	a.ReleaseI32(eoff)
 	a.ReleaseI32(eorder)
 	a.ReleaseI32(efill)
-	return g, super
+	cc, err := dag.FinishCSR(sccW, cfrom, cto, cw, 0)
+	if err != nil {
+		a.ReleaseI32(super)
+		return nil, nil, err
+	}
+	return cc, super, nil
 }
 
 // condense computes strongly connected components of the (vc, edges)

@@ -1,6 +1,9 @@
 package fast
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"fastsched/internal/dag"
@@ -176,5 +179,166 @@ func TestHierEmptyGraph(t *testing.T) {
 	}
 	if _, err := h.ScheduleCSR(dag.BuildCSR(dag.New(0)), 2); err == nil {
 		t.Fatal("empty CSR scheduled")
+	}
+}
+
+// contractOracle is the graph-building contraction that contract
+// replaced, kept as its differential oracle: the same cluster sums,
+// SCC collapse and two-level edge deduplication, written into a
+// *dag.Graph edge by edge in insertion order.
+func contractOracle(c *dag.CSR, cluster []int32, vc int) *dag.Graph {
+	v := c.NumNodes()
+	off := make([]int32, vc+1)
+	for _, cl := range cluster {
+		off[cl+1]++
+	}
+	for i := 0; i < vc; i++ {
+		off[i+1] += off[i]
+	}
+	members := make([]int32, v)
+	fill := slices.Clone(off[:vc])
+	for n := 0; n < v; n++ {
+		cl := cluster[n]
+		members[fill[cl]] = int32(n)
+		fill[cl]++
+	}
+	nodeW := make([]float64, vc)
+	var efrom, eto []int32
+	var ew []float64
+	stamp := make([]int32, vc)
+	slot := make([]int32, vc)
+	for cu := int32(0); cu < int32(vc); cu++ {
+		for m := off[cu]; m < off[cu+1]; m++ {
+			n := members[m]
+			nodeW[cu] += c.NodeW[n]
+			for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+				cv := cluster[c.SuccTo[s]]
+				if cv == cu {
+					continue
+				}
+				if stamp[cv] == cu+1 {
+					ew[slot[cv]] += c.SuccW[s]
+					continue
+				}
+				stamp[cv] = cu + 1
+				slot[cv] = int32(len(efrom))
+				efrom = append(efrom, cu)
+				eto = append(eto, cv)
+				ew = append(ew, c.SuccW[s])
+			}
+		}
+	}
+
+	scc, nscc := condense(vc, efrom, eto, nil)
+	g := dag.New(nscc)
+	sccW := make([]float64, nscc)
+	for cl, w := range nodeW {
+		sccW[scc[cl]] += w
+	}
+	for i := 0; i < nscc; i++ {
+		g.AddNode(fmt.Sprintf("c%d", i), sccW[i])
+	}
+	eoff := make([]int32, nscc+1)
+	for i := range efrom {
+		eoff[scc[efrom[i]]+1]++
+	}
+	for i := 0; i < nscc; i++ {
+		eoff[i+1] += eoff[i]
+	}
+	eorder := make([]int32, len(efrom))
+	efill := slices.Clone(eoff[:nscc])
+	for i := range efrom {
+		su := scc[efrom[i]]
+		eorder[efill[su]] = int32(i)
+		efill[su]++
+	}
+	estamp := make([]int32, nscc)
+	eslot := make([]int32, nscc)
+	type cedge struct {
+		from, to dag.NodeID
+		w        float64
+	}
+	var edges []cedge
+	for su := int32(0); su < int32(nscc); su++ {
+		for k := eoff[su]; k < eoff[su+1]; k++ {
+			i := eorder[k]
+			sv := scc[eto[i]]
+			if sv == su {
+				continue
+			}
+			if estamp[sv] == su+1 {
+				edges[eslot[sv]].w += ew[i]
+				continue
+			}
+			estamp[sv] = su + 1
+			eslot[sv] = int32(len(edges))
+			edges = append(edges, cedge{dag.NodeID(su), dag.NodeID(sv), ew[i]})
+		}
+	}
+	for _, e := range edges {
+		g.MustAddEdge(e.from, e.to, e.w)
+	}
+	return g
+}
+
+// TestContractMatchesGraphOracle pins the CSR contraction to the
+// graph-building one: on the splice-balance shapes and the
+// FuzzHierEdgeList seeds, the inner plan's CPN-Dominate list and the
+// inner FAST schedule equal the oracle graph's node for node. The CSR
+// orders each parent's successor slots by child where the graph kept
+// insertion order; nothing the inner FAST computes depends on that.
+func TestContractMatchesGraphOracle(t *testing.T) {
+	var csrs []*dag.CSR
+	for _, opts := range spliceShapes {
+		c, err := workload.LayeredCSR(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csrs = append(csrs, c)
+	}
+	for _, seed := range hierEdgeListSeeds {
+		c, err := dag.StreamEdgeList(strings.NewReader(seed.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		csrs = append(csrs, c)
+	}
+	for i, c := range csrs {
+		l, err := c.ComputeLevelsCompactArena(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prio := buildPriorityOrder(l, c.NumNodes(), nil)
+		cluster, vc := linearClusters(c, l, prio, nil)
+		if vc > DefaultMaxClusters {
+			t.Fatalf("graph %d: %d clusters need the fold this test skips", i, vc)
+		}
+		og := contractOracle(c, cluster, vc)
+		cc, _, err := contract(c, cluster, vc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plan.Compile(og)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan.CompileCompact(cc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.CPNDominate, want.CPNDominate) {
+			t.Fatalf("graph %d: inner CPN-Dominate list\n got %v\nwant %v", i, got.CPNDominate, want.CPNDominate)
+		}
+		for _, procs := range []int{0, 2, 4, 8} {
+			ws, err := New(Options{Seed: 1}).ScheduleCompiled(want, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, err := New(Options{Seed: 1}).ScheduleCompiled(got, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameSchedule(t, og.NumNodes(), ws, gs)
+		}
 	}
 }

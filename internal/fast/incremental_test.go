@@ -45,22 +45,35 @@ func referenceReplay(g *dag.Graph, list []dag.NodeID, assign []int, procs int) (
 	return start, finish, length
 }
 
+// newState builds a search state over g's CSR with fresh tables.
+func newState(g *dag.Graph, list []dag.NodeID, procs int) *state {
+	return newStateK(g, list, procs, checkpointInterval(procs))
+}
+
+// newStateK is newState with an explicit checkpoint interval, so tests
+// can exercise degenerate spacings (K=1, K ≥ v).
+func newStateK(g *dag.Graph, list []dag.NodeID, procs, ckK int) *state {
+	st := &state{}
+	st.init(list, dag.BuildCSR(g), procs, ckK)
+	return st
+}
+
 func stateList(t *testing.T, g *dag.Graph) []dag.NodeID {
 	t.Helper()
 	l, err := dag.ComputeLevels(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plan.CPNDominateList(g, l, dag.Classify(g, l))
+	return plan.CPNDominateList(dag.BuildCSR(g), l, dag.Classify(g, l))
 }
 
-func assertTablesMatchReference(t *testing.T, st *state, ctx string) {
+func assertTablesMatchReference(t *testing.T, g *dag.Graph, st *state, ctx string) {
 	t.Helper()
-	start, finish, length := referenceReplay(st.g, st.list, st.assign, st.procs)
+	start, finish, length := referenceReplay(g, st.list, st.assign, st.procs)
 	if st.length != length {
 		t.Fatalf("%s: length %v, want %v", ctx, st.length, length)
 	}
-	for n := 0; n < st.g.NumNodes(); n++ {
+	for n := 0; n < g.NumNodes(); n++ {
 		if st.start[n] != start[n] || st.finish[n] != finish[n] {
 			t.Fatalf("%s: node %d tables (%v,%v), want (%v,%v)",
 				ctx, n, st.start[n], st.finish[n], start[n], finish[n])
@@ -83,21 +96,21 @@ func TestEvaluateFromMatchesReference(t *testing.T) {
 			st := newStateK(g, list, procs, k)
 			st.initialReadyTime()
 			st.evaluate()
-			assertTablesMatchReference(t, st, "after initial evaluate")
+			assertTablesMatchReference(t, g, st, "after initial evaluate")
 			for step := 0; step < 120; step++ {
 				n := dag.NodeID(rng.Intn(g.NumNodes()))
 				p := rng.Intn(procs)
 				old := st.assign[n]
 				st.assign[n] = p
 				st.evaluateFrom(st.pos[n])
-				assertTablesMatchReference(t, st, "after transfer")
+				assertTablesMatchReference(t, g, st, "after transfer")
 				if rng.Intn(2) == 0 { // revert, as a rejected search move does
 					st.assign[n] = old
 					st.markDirty(st.pos[n])
 				}
 			}
 			st.flush()
-			assertTablesMatchReference(t, st, "after flush")
+			assertTablesMatchReference(t, g, st, "after flush")
 		}
 	}
 }
@@ -125,10 +138,10 @@ func TestTryTransferRevertMatchesReference(t *testing.T) {
 					continue
 				}
 				st.tryTransfer(n, p)
-				assertTablesMatchReference(t, st, "after tryTransfer")
+				assertTablesMatchReference(t, g, st, "after tryTransfer")
 				if rng.Intn(2) == 0 {
 					st.revertTransfer()
-					assertTablesMatchReference(t, st, "after revertTransfer")
+					assertTablesMatchReference(t, g, st, "after revertTransfer")
 				}
 			}
 		}

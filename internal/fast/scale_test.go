@@ -76,6 +76,16 @@ func TestScaleSmoke(t *testing.T) {
 	}
 }
 
+// spliceShapes are TestSpliceBalanceLayered's layered graphs, which
+// TestContractMatchesGraphOracle reuses.
+var spliceShapes = []workload.LayeredOpts{
+	{V: 2000, Seed: 3},
+	{V: 2000, Seed: 11, Width: 32},
+	{V: 3000, Seed: 5, Width: 128},
+	{V: 4000, Seed: 23, Width: 96},
+	{V: 5000, Seed: 7},
+}
+
 // TestSpliceBalanceLayered is the load-balance property test: on
 // layered graphs across widths and seeds, the balanced splice keeps the
 // max/mean PE busy-time at or under 1.5 for every processor count in
@@ -85,14 +95,7 @@ func TestScaleSmoke(t *testing.T) {
 // layers are narrower than the machine cannot keep every PE busy, and
 // idle PEs count toward the mean.
 func TestSpliceBalanceLayered(t *testing.T) {
-	shapes := []workload.LayeredOpts{
-		{V: 2000, Seed: 3},
-		{V: 2000, Seed: 11, Width: 32},
-		{V: 3000, Seed: 5, Width: 128},
-		{V: 4000, Seed: 23, Width: 96},
-		{V: 5000, Seed: 7},
-	}
-	for _, opts := range shapes {
+	for _, opts := range spliceShapes {
 		c, err := workload.LayeredCSR(opts)
 		if err != nil {
 			t.Fatal(err)

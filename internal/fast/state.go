@@ -14,7 +14,6 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
 	"fastsched/internal/obs"
-	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
 
@@ -106,12 +105,11 @@ func checkpointInterval(procs int) int {
 // evaluateFrom restores the per-processor ready times from the nearest
 // checkpoint at or before q in O(p) and replays only the tail.
 type state struct {
-	g     *dag.Graph
 	list  []dag.NodeID // topological priority order (phase-1 list)
 	procs int
 
-	csr *plan.CSR // flat adjacency layout; immutable, shared by clones
-	pos []int     // node -> list position; shared read-only by clones
+	csr *dag.CSR // flat adjacency layout; immutable, shared by clones
+	pos []int    // node -> list position; shared read-only by clones
 
 	assign []int // processor of each node
 	start  []float64
@@ -168,32 +166,18 @@ type state struct {
 	cutoff    bool
 	incumbent *sharedBound
 
-	fullReplay bool // mirror of debugFullReplay, captured at newState
+	fullReplay bool // mirror of debugFullReplay, captured at init
 }
 
-func newState(g *dag.Graph, list []dag.NodeID, procs int) *state {
-	return newStateK(g, list, procs, checkpointInterval(procs))
-}
-
-// newStateK is newState with an explicit checkpoint interval, so tests
-// can exercise degenerate spacings (K=1, K ≥ v). It always allocates
-// fresh tables; the serving paths use acquireState to draw recycled
-// scratch from the package pool instead.
-func newStateK(g *dag.Graph, list []dag.NodeID, procs, ckK int) *state {
-	st := &state{}
-	st.init(g, list, plan.NewCSR(g), procs, ckK)
-	return st
-}
-
-// init sizes every table of st for (g, list, procs, ckK), reusing the
+// init sizes every table of st for (csr, list, procs, ckK), reusing the
 // slices' existing capacity. Checkpoint 0 (the empty machine) is
 // zeroed because the first full replay restores from it before
 // rewriting it; every other table is fully overwritten before it is
 // read, so recycled scratch never leaks values into a run (the
 // differential tests pin this by comparing pooled runs against fresh
 // ones bit for bit).
-func (st *state) init(g *dag.Graph, list []dag.NodeID, csr *plan.CSR, procs, ckK int) {
-	v := g.NumNodes()
+func (st *state) init(list []dag.NodeID, csr *dag.CSR, procs, ckK int) {
+	v := csr.NumNodes()
 	if ckK < 1 {
 		ckK = 1
 	}
@@ -201,7 +185,6 @@ func (st *state) init(g *dag.Graph, list []dag.NodeID, csr *plan.CSR, procs, ckK
 	if v > 0 {
 		numCk = (v-1)/ckK + 1
 	}
-	st.g = g
 	st.list = list
 	st.procs = procs
 	st.csr = csr
@@ -260,14 +243,14 @@ var statePool = sync.Pool{New: func() any { return &state{} }}
 // acquireState draws a state from the pool and initializes it for this
 // run. Release with st.release() once the schedule has been extracted;
 // a released state must not be touched again.
-func acquireState(g *dag.Graph, list []dag.NodeID, csr *plan.CSR, procs int, tele telemetry) *state {
+func acquireState(list []dag.NodeID, csr *dag.CSR, procs int, tele telemetry) *state {
 	st := statePool.Get().(*state)
-	if st.g == nil && st.assign == nil {
+	if st.assign == nil {
 		tele.poolNews.Inc()
 	} else {
 		tele.poolGets.Inc()
 	}
-	st.init(g, list, csr, procs, checkpointInterval(procs))
+	st.init(list, csr, procs, checkpointInterval(procs))
 	st.tele = tele
 	return st
 }
@@ -275,7 +258,6 @@ func acquireState(g *dag.Graph, list []dag.NodeID, csr *plan.CSR, procs int, tel
 // release returns st to the pool, dropping the references that would
 // otherwise keep the graph alive. The tables keep their capacity.
 func (st *state) release() {
-	st.g = nil
 	st.list = nil
 	st.csr = nil
 	st.tele = telemetry{}
@@ -359,9 +341,10 @@ func (st *state) initialReadyTime() {
 
 // initialInsertion is the ablation variant of phase 1: like
 // initialReadyTime but each candidate processor is searched for the
-// earliest idle slot that fits the node (insertion scheduling).
-func (st *state) initialInsertion() {
-	g := st.g
+// earliest idle slot that fits the node (insertion scheduling). g is
+// the graph the state's CSR was built from; listsched's slot search
+// runs on it.
+func (st *state) initialInsertion(g *dag.Graph) {
 	m := listsched.NewMachine(st.procs)
 	sc := sched.New(g.NumNodes())
 	var scratch listsched.CandidateScratch
@@ -392,7 +375,7 @@ func (st *state) initialInsertion() {
 func (st *state) place(n dag.NodeID, p int, s float64) {
 	st.assign[n] = p
 	st.start[n] = s
-	st.finish[n] = s + st.g.Weight(n)
+	st.finish[n] = s + st.csr.NodeW[n]
 	st.ready[p] = st.finish[n]
 }
 
@@ -967,8 +950,8 @@ func runSearch(ctx context.Context, st *state, blocking []dag.NodeID, maxSteps i
 }
 
 // cloneFromPool checks a scratch state out of the package pool and
-// shapes it like st for an independent searcher. The graph, list, CSR
-// layout and telemetry handles are shared read-only; the position
+// shapes it like st for an independent searcher. The list, CSR layout
+// and telemetry handles are shared read-only; the position
 // index is copied, not aliased — a pooled state must own every slice
 // it may later resize in place, or a reuse for a different run would
 // scribble over the base state's tables. The mutable tables are sized
@@ -976,13 +959,13 @@ func runSearch(ctx context.Context, st *state, blocking []dag.NodeID, maxSteps i
 // each start.
 func (st *state) cloneFromPool() *state {
 	c := statePool.Get().(*state)
-	if c.g == nil && c.assign == nil {
+	if c.assign == nil {
 		st.tele.poolNews.Inc()
 	} else {
 		st.tele.poolGets.Inc()
 	}
 	v := len(st.assign)
-	c.g, c.list, c.procs, c.csr = st.g, st.list, st.procs, st.csr
+	c.list, c.procs, c.csr = st.list, st.procs, st.csr
 	c.pos = resizeInt(c.pos, v)
 	copy(c.pos, st.pos)
 	c.assign = resizeInt(c.assign, v)
@@ -1028,14 +1011,14 @@ func (st *state) resetToBase(base *state) {
 // compact processor numbering (processors renumbered 0..k-1 in order of
 // first use, so reports show contiguous PE indices).
 func (st *state) buildSchedule() *sched.Schedule {
-	return buildScheduleFrom(st.g, st.procs, st.list, st.assign, st.start, st.finish)
+	return buildScheduleFrom(st.procs, st.list, st.assign, st.start, st.finish)
 }
 
 // buildScheduleFrom is buildSchedule over bare tables, so multi-start
 // can materialize the winning start's copied-out result after its
 // pooled state has been recycled.
-func buildScheduleFrom(g *dag.Graph, procs int, list []dag.NodeID, assign []int, start, finish []float64) *sched.Schedule {
-	s := sched.New(g.NumNodes())
+func buildScheduleFrom(procs int, list []dag.NodeID, assign []int, start, finish []float64) *sched.Schedule {
+	s := sched.New(len(assign))
 	renumber := make([]int, procs)
 	for i := range renumber {
 		renumber[i] = -1

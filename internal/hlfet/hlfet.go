@@ -30,32 +30,39 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "HLFET" }
 
-// Schedule implements sched.Scheduler. procs <= 0 is treated as one
-// processor per node.
+// Schedule implements sched.Scheduler: it compiles g, which validates
+// it, and runs the plan entry. procs <= 0 is treated as one processor
+// per node.
 func (h *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	return h.ScheduleCSR(dag.BuildCSR(g), procs)
-}
-
-// ScheduleCompiled schedules against a pre-compiled plan, reusing its
-// CSR and static levels instead of recomputing them. Bit-identical to
-// Schedule.
-func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	return schedule(cg.CSR, cg.Levels.Static, procs)
-}
-
-// ScheduleCSR is the CSR-only entry point: static levels come from a
-// compact plan (plan.CompileCompact) and the whole run touches nothing
-// but flat arrays — no *dag.Graph and no per-node maps. procs <= 0 is
-// treated as one processor per node.
-func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
-	if c.NumNodes() == 0 {
+	if g.NumNodes() == 0 {
 		return nil, errEmpty
 	}
-	cp, err := plan.CompileCompact(c, nil)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		return nil, err
 	}
-	return schedule(c, cp.Static(), procs)
+	return h.ScheduleCompiled(cg, procs)
+}
+
+// ScheduleCompiled schedules against a plan, reading only its CSR and
+// static levels, so a plan compiled from a CSR alone serves too.
+func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	return schedule(cg.CSR, cg.Static(), procs)
+}
+
+// ScheduleCSR is the CSR-only entry point: it compiles a plan from c
+// (plan.CompileCompact), which trusts c as its builder validated it,
+// and the whole run touches nothing but flat arrays — no *dag.Graph and
+// no per-node maps. procs <= 0 is treated as one processor per node.
+func (h *Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
+	if c.NumNodes() == 0 {
+		return nil, errEmpty
+	}
+	cg, err := plan.CompileCompact(c, nil)
+	if err != nil {
+		return nil, err
+	}
+	return h.ScheduleCompiled(cg, procs)
 }
 
 // schedule is HLFET's one loop. Each step scans the ready nodes for the

@@ -34,7 +34,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if v == 0 {
 		return nil, errors.New("lc: empty graph")
 	}
-	l, err := dag.ComputeLevels(g)
+	_, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func Map(g *dag.Graph, s *sched.Schedule, procs int, strategy Strategy) (*sched.
 	if s.ProcsUsed() <= procs {
 		return s, nil
 	}
-	l, err := dag.ComputeLevels(g)
+	_, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if procs <= 0 {
 		procs = v
 	}
-	l, err := dag.ComputeLevels(g)
+	_, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}

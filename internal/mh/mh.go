@@ -39,7 +39,7 @@ func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if procs <= 0 {
 		procs = v
 	}
-	l, err := dag.ComputeLevels(g)
+	_, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}

@@ -507,7 +507,8 @@ func (e *engine) onArrival(j int, t float64) {
 }
 
 // trySolo delegates a job arriving to an idle, crash-free machine to
-// the registry algorithm in one piece: the offline schedule, shifted to
+// the registry algorithm in one piece: the offline schedule, dispatched
+// from the job's plan as the batch engine dispatches it and shifted to
 // the arrival instant, is committed as the job's reservations. Returns
 // false (and leaves the job to dynamic dispatch) when the machine is
 // not idle, a crash already happened, delegation is disabled, or the
@@ -525,7 +526,7 @@ func (e *engine) trySolo(js *jobState, t float64) bool {
 	if err != nil {
 		return false // unreachable: validated at admission
 	}
-	out, err := scheduleWhole(s, js.cg, e.opts.Procs)
+	out, err := casch.ScheduleCompiled(context.Background(), s, js.cg, e.opts.Procs)
 	if err != nil || out == nil {
 		return false
 	}
@@ -560,26 +561,6 @@ func (e *engine) trySolo(js *jobState, t float64) bool {
 	js.solo = true
 	e.mSoloPlans.Inc()
 	return true
-}
-
-// scheduleWhole dispatches one whole-DAG run exactly as the batch
-// engine's compiled path does, so delegated jobs are bit-identical to
-// offline results.
-func scheduleWhole(s sched.Scheduler, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	type compiledFinder interface {
-		FindCompiled(ctx context.Context, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-	}
-	type compiledScheduler interface {
-		ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-	}
-	switch cs := s.(type) {
-	case compiledFinder:
-		return cs.FindCompiled(context.Background(), cg, procs)
-	case compiledScheduler:
-		return cs.ScheduleCompiled(cg, procs)
-	default:
-		return s.Schedule(cg.Graph, procs)
-	}
 }
 
 // dispatch places ready tasks onto currently free processors in policy

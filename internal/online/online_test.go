@@ -2,6 +2,7 @@ package online
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -95,7 +96,7 @@ func TestSoloMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := scheduleWhole(s, cg, 4)
+	off, err := casch.ScheduleCompiled(context.Background(), s, cg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

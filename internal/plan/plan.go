@@ -2,14 +2,17 @@
 // artifacts every scheduling run otherwise re-derives from scratch: a
 // flat CSR view of the adjacency, the five level metrics, the node
 // classification, the topological order, and FAST's CPN-Dominate
-// priority list. A CompiledGraph is computed once per unique graph —
-// behind the content-addressed Cache — and then shared read-only by any
-// number of concurrent scheduling runs, so the steady-state serving
-// path pays only for the work that actually depends on the request
-// (seed, processor count, search budget), not for the graph analysis.
+// priority list. One analysis core over the CSR builds every plan,
+// whether it starts from a *dag.Graph (Compile, CompileKeyed) or from a
+// CSR alone (CompileCompact). A CompiledGraph is computed once per
+// unique graph — behind the content-addressed Cache — and then shared
+// read-only by any number of concurrent scheduling runs, so the
+// steady-state serving path pays only for the work that actually
+// depends on the request (seed, processor count, search budget), not
+// for the graph analysis.
 //
 // Compilation is deterministic: every artifact is a pure function of
-// the graph's stored node and edge order, so a run fed a CompiledGraph
+// the CSR's stored node and slot order, so a run fed a CompiledGraph
 // is bit-identical to a run that derives the same artifacts ad hoc
 // (pinned by the differential tests in internal/batch).
 package plan
@@ -66,23 +69,17 @@ func GraphKey(g *dag.Graph) Key {
 	return k
 }
 
-// CSR is the flat compressed-sparse-row view of a graph's adjacency,
-// built once per compilation and shared read-only by every scheduling
-// run (PFAST workers included). The type itself lives in internal/dag
-// (dag.CSR) since the streaming readers produce it without a *Graph;
-// the alias keeps every existing plan-based call site source-compatible.
-type CSR = dag.CSR
-
-// NewCSR flattens g's adjacency in stored order.
-func NewCSR(g *dag.Graph) *CSR { return dag.BuildCSR(g) }
-
-// CompiledGraph bundles every immutable per-graph artifact the
-// schedulers consume. All fields are read-only after Compile; a
-// CompiledGraph may be shared freely across goroutines and runs.
+// CompiledGraph is FAST's phase-1 analysis of one graph (paper
+// §4.1–4.2), the plan every plan scheduler runs from: the CSR, the
+// level tables, the CPN/IBN/OBN partition and both priority lists. All
+// fields are read-only once built; a CompiledGraph may be shared freely
+// across goroutines and runs.
 type CompiledGraph struct {
+	// Graph is the graph the plan was compiled from, nil for a plan
+	// compiled from a CSR alone (CompileCompact). Only the schedulers
+	// that work on a *dag.Graph read it.
 	Graph *dag.Graph
-	Key   Key
-	CSR   *CSR
+	CSR   *dag.CSR
 	// Levels holds the t-level, b-level, static level, ALAP table and
 	// the topological order (Levels.Order) the levels were computed in.
 	Levels *dag.Levels
@@ -96,55 +93,67 @@ type CompiledGraph struct {
 }
 
 // Compile validates g exactly as Graph.Validate does, then analyzes it
-// once and hashes it for the content address. Validation rides on the
-// analysis: the CSR comes from Validate's checked flatten and the
-// levels kernel's topological pass is the cycle check, so over an
-// unchecked compile it adds only the per-slot checks and the mirror
-// check. An invalid graph gets Validate's error (errors.Is matches the
-// same dag sentinel); an empty one errors too.
+// once. Validation rides on the analysis: the CSR comes from Validate's
+// checked flatten and the levels kernel's topological pass is the cycle
+// check, so over an unchecked compile it adds only the per-slot checks
+// and the mirror check. An invalid graph gets Validate's error
+// (errors.Is matches the same dag sentinel); an empty one errors too.
 func Compile(g *dag.Graph) (*CompiledGraph, error) {
 	csr, l, err := g.ValidatedLevels()
 	if err != nil {
 		return nil, err
 	}
-	return build(g, GraphKey(g), csr, l), nil
+	return analyze(g, csr, l), nil
 }
 
-// CompileKeyed compiles g under a precomputed content key and trusts
-// its caller: g must already be validated and key must be GraphKey(g).
-// It is for admission paths that have done both (the batch engine
-// validates each request and derives its result key from the same
-// hash), so the serving path never checks or hashes twice. It errors
-// only when g is empty or cyclic.
-func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
-	csr := dag.BuildCSR(g)
-	l, err := dag.ComputeLevelsCSR(csr)
+// CompileKeyed compiles g and trusts its caller to have validated it,
+// as the batch engine does at admission. The key is unused: a plan
+// carries no content key, and the parameter stays only for the callers
+// that pass one. It errors only when g is empty or cyclic.
+func CompileKeyed(g *dag.Graph, _ Key) (*CompiledGraph, error) {
+	return compile(g, dag.BuildCSR(g))
+}
+
+// CompileCompact compiles a plan from a CSR alone; the plan's Graph is
+// nil. It trusts c, as the streaming readers and dag.FinishCSR validate
+// what they build. The arena is unused and stays only for the callers
+// that pass one. It errors only when c is empty or cyclic.
+func CompileCompact(c *dag.CSR, _ *dag.ScaleArena) (*CompiledGraph, error) {
+	return compile(nil, c)
+}
+
+// compile is the unchecked constructors' shared body: the levels, then
+// the rest of the analysis.
+func compile(g *dag.Graph, c *dag.CSR) (*CompiledGraph, error) {
+	l, err := dag.ComputeLevelsCSR(c)
 	if err != nil {
 		return nil, err
 	}
-	return build(g, key, csr, l), nil
+	return analyze(g, c, l), nil
 }
 
-// build derives the classification and both priority lists from the
-// levels.
-func build(g *dag.Graph, key Key, csr *CSR, l *dag.Levels) *CompiledGraph {
-	cls := csr.ClassifyCompactArena(&l.CompactLevels, nil)
-	blocking := make([]dag.NodeID, 0, g.NumNodes())
-	for i, c := range cls {
-		if c != dag.CPN {
+// analyze derives the classification and both priority lists from the
+// levels, all over the CSR.
+func analyze(g *dag.Graph, c *dag.CSR, l *dag.Levels) *CompiledGraph {
+	cls := c.ClassifyCompactArena(&l.CompactLevels, nil)
+	blocking := make([]dag.NodeID, 0, c.NumNodes())
+	for i, cl := range cls {
+		if cl != dag.CPN {
 			blocking = append(blocking, dag.NodeID(i))
 		}
 	}
 	return &CompiledGraph{
 		Graph:       g,
-		Key:         key,
-		CSR:         csr,
+		CSR:         c,
 		Levels:      l,
 		Classes:     cls,
-		CPNDominate: CPNDominateList(g, l, cls),
+		CPNDominate: CPNDominateList(c, l, cls),
 		Blocking:    blocking,
 	}
 }
+
+// Static returns the static levels (computation-only b-levels).
+func (cg *CompiledGraph) Static() []float64 { return cg.Levels.Static }
 
 // CPNDominateList constructs the paper's CPN-Dominate list: critical
 // path nodes in path order, each preceded by its yet-unlisted ancestors
@@ -161,8 +170,8 @@ func build(g *dag.Graph, key Key, csr *CSR, l *dag.Levels) *CompiledGraph {
 // (larger b-level, then smaller t-level, then smaller ID) orders both
 // every node's parents and the OBNs, and the CPNs are sorted on their
 // own.
-func CPNDominateList(g *dag.Graph, l *dag.Levels, cls []dag.Class) []dag.NodeID {
-	v := g.NumNodes()
+func CPNDominateList(c *dag.CSR, l *dag.Levels, cls []dag.Class) []dag.NodeID {
+	v := c.NumNodes()
 	byKey := make([]dag.NodeID, v)
 	for i := range byKey {
 		byKey[i] = dag.NodeID(i)
@@ -180,17 +189,16 @@ func CPNDominateList(g *dag.Graph, l *dag.Levels, cls []dag.Class) []dag.NodeID 
 	// parents[off[n]:off[n+1]] lists n's parents in the order step (5)
 	// examines them. The key is a total order, so visiting nodes by key
 	// and appending each to its children's lists leaves every list
-	// sorted. fill starts as the offsets and ends as off[n+1].
-	off := make([]int32, v+1)
-	for n := 0; n < v; n++ {
-		off[n+1] = off[n] + int32(g.InDegree(dag.NodeID(n)))
-	}
+	// sorted. The offsets are the CSR's predecessor offsets; fill starts
+	// as them and ends as off[n+1].
+	off := c.PredOff
 	parents := make([]dag.NodeID, off[v])
 	fill := slices.Clone(off[:v])
 	for _, p := range byKey {
-		for _, e := range g.Succ(p) {
-			parents[fill[e.To]] = p
-			fill[e.To]++
+		for s := c.SuccOff[p]; s < c.SuccOff[p+1]; s++ {
+			to := c.SuccTo[s]
+			parents[fill[to]] = p
+			fill[to]++
 		}
 	}
 

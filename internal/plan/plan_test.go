@@ -2,6 +2,8 @@ package plan
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fastsched/internal/dag"
@@ -75,9 +77,6 @@ func TestCompileMatchesAdHoc(t *testing.T) {
 	if cg.Graph != g {
 		t.Fatal("compiled graph does not reference the input graph")
 	}
-	if cg.Key != GraphKey(g) {
-		t.Fatal("compiled key differs from GraphKey")
-	}
 	l, err := dag.ComputeLevels(g)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +92,7 @@ func TestCompileMatchesAdHoc(t *testing.T) {
 			t.Fatalf("node %d: compiled class %v, ad hoc %v", i, cg.Classes[i], c)
 		}
 	}
-	wantList := CPNDominateList(g, l, cls)
+	wantList := CPNDominateList(dag.BuildCSR(g), l, cls)
 	if len(cg.CPNDominate) != len(wantList) {
 		t.Fatalf("CPN-Dominate length %d, want %d", len(cg.CPNDominate), len(wantList))
 	}
@@ -293,43 +292,35 @@ func TestCacheHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestCompactPlanStaticMatchesLevels pins the compact plan's tables to
-// the full Levels of the same graph: t-/b-levels, order and CP length
-// from the kernel, and the lazily folded static levels, with and
-// without an arena.
-func TestCompactPlanStaticMatchesLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	graphs := []*dag.Graph{example.Graph(), diamond()}
-	for i := 0; i < 200; i++ {
-		graphs = append(graphs, tieHeavyDAG(rng))
-	}
-	a := dag.NewScaleArena()
-	for gi, g := range graphs {
-		l, err := dag.ComputeLevels(g)
+// TestCompileCompactMatchesCompile pins "one plan, whatever the
+// entry": a plan compiled from a graph's CSR alone equals the plan
+// compiled from the graph, table for table, on the plan corpus.
+func TestCompileCompactMatchesCompile(t *testing.T) {
+	eachCorpusGraph(t, func(name string, g *dag.Graph) {
+		want, err := Compile(g)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, arena := range []*dag.ScaleArena{nil, a} {
-			a.Reset()
-			p, err := CompileCompact(dag.BuildCSR(g), arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			static := p.Static()
-			if &p.Static()[0] != &static[0] {
-				t.Fatalf("graph %d: Static recomputed on the second call", gi)
-			}
-			if p.Levels.CPLen != l.CPLen {
-				t.Fatalf("graph %d: CPLen %v != %v", gi, p.Levels.CPLen, l.CPLen)
-			}
-			for n := 0; n < g.NumNodes(); n++ {
-				if static[n] != l.Static[n] || p.Levels.TLevel[n] != l.TLevel[n] ||
-					p.Levels.BLevel[n] != l.BLevel[n] || dag.NodeID(p.Levels.Order[n]) != l.Order[n] {
-					t.Fatalf("graph %d node %d (arena %v): compact plan diverges from Levels", gi, n, arena != nil)
-				}
-			}
+		got, err := CompileCompact(dag.BuildCSR(g), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
+		if got.Graph != nil {
+			t.Fatalf("%s: a plan compiled from a CSR carries a graph", name)
+		}
+		if !reflect.DeepEqual(got.Levels, want.Levels) || !slices.Equal(got.Static(), want.Levels.Static) {
+			t.Fatalf("%s: levels differ", name)
+		}
+		if !slices.Equal(got.Classes, want.Classes) {
+			t.Fatalf("%s: classes differ", name)
+		}
+		if !slices.Equal(got.CPNDominate, want.CPNDominate) {
+			t.Fatalf("%s: CPN-Dominate list\n got %v\nwant %v", name, got.CPNDominate, want.CPNDominate)
+		}
+		if !slices.Equal(got.Blocking, want.Blocking) {
+			t.Fatalf("%s: blocking list\n got %v\nwant %v", name, got.Blocking, want.Blocking)
+		}
+	})
 	if _, err := CompileCompact(dag.BuildCSR(dag.New(0)), nil); err == nil {
 		t.Fatal("compiling an empty CSR did not error")
 	}

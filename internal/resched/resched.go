@@ -308,15 +308,12 @@ func newPlanner(g *dag.Graph, pre Prefix, survivors []int, floor map[int]float64
 
 // priorityOrder builds FAST's phase-1 list over the suffix subgraph.
 func (pl *planner) priorityOrder() error {
-	c := dag.BuildCSR(pl.sub)
-	l, err := dag.ComputeLevelsCSR(c)
+	cg, err := plan.Compile(pl.sub)
 	if err != nil {
-		return fmt.Errorf("resched: suffix levels: %w", err)
+		return fmt.Errorf("resched: suffix plan: %w", err)
 	}
-	cls := c.ClassifyCompactArena(&l.CompactLevels, nil)
-	list := plan.CPNDominateList(pl.sub, l, cls)
-	pl.list = make([]int, len(list))
-	for i, n := range list {
+	pl.list = make([]int, len(cg.CPNDominate))
+	for i, n := range cg.CPNDominate {
 		pl.list[i] = int(n)
 	}
 	return nil

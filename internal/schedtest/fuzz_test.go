@@ -1,6 +1,8 @@
 package schedtest_test
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"fastsched/internal/casch"
@@ -8,11 +10,21 @@ import (
 	"fastsched/internal/sched"
 )
 
+// fuzzWeight decodes a weight byte: 0–249 give 0–9, and the reserved
+// bytes 250–255 give NaN, +Inf and −1 in turn, the weights Validate
+// rejects.
+func fuzzWeight(b byte) float64 {
+	if b >= 250 {
+		return [...]float64{math.NaN(), math.Inf(1), -1}[(b-250)%3]
+	}
+	return float64(b % 10)
+}
+
 // fuzzGraph decodes bytes into a DAG of 1–10 nodes: the first byte
-// picks the size, the next v bytes the node weights (0–9), and every
-// following triple an edge between two distinct nodes with a weight of
-// 0–9. Each edge runs from the smaller ID to the larger, so the graph
-// is acyclic by construction; a repeated pair is dropped.
+// picks the size, the next v bytes the node weights (fuzzWeight), and
+// every following triple an edge between two distinct nodes with a
+// fuzzWeight weight. Each edge runs from the smaller ID to the larger,
+// so the graph is acyclic by construction; a repeated pair is dropped.
 func fuzzGraph(data []byte) *dag.Graph {
 	v := 1
 	if len(data) > 0 {
@@ -23,7 +35,7 @@ func fuzzGraph(data []byte) *dag.Graph {
 	for n := 0; n < v; n++ {
 		w := 1.0
 		if n < len(data) {
-			w = float64(data[n] % 10)
+			w = fuzzWeight(data[n])
 		}
 		g.AddNode("", w)
 	}
@@ -37,7 +49,7 @@ func fuzzGraph(data []byte) *dag.Graph {
 		if a == b {
 			continue
 		}
-		_ = g.AddEdge(min(a, b), max(a, b), float64(data[2]%10))
+		_ = g.AddEdge(min(a, b), max(a, b), fuzzWeight(data[2]))
 	}
 	return g
 }
@@ -47,15 +59,35 @@ func fuzzGraph(data []byte) *dag.Graph {
 // pass the validator, stay inside the bounds schedtest.Conformance
 // checks — the dependence and area lower bounds, the work+comm
 // envelope, and the processor cap for bounded algorithms — and come out
-// bit-identical from a second scheduler built with the same seed.
+// bit-identical from a second scheduler built with the same seed. A
+// graph with a weight Validate rejects must instead make every
+// algorithm return an error matching dag.ErrBadWeight.
 func FuzzRegistrySchedules(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3})
 	f.Add([]byte{3, 2, 3, 1, 2, 0, 1, 5, 0, 2, 1, 1, 3, 9, 2, 3, 4})
 	f.Add([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 1, 3, 0, 2, 7, 1, 5, 0, 4, 9, 2, 2, 8, 6, 3, 9, 1})
 	f.Add([]byte{5, 0, 0, 4, 0, 0, 0, 1, 0, 0, 2, 9, 1, 3, 9, 2, 4, 0})
+	f.Add([]byte{2, 1, 252, 1, 0, 1, 1, 1, 2, 1}) // a -> b -> c with w(b) = -1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGraph(data)
+		if err := g.Validate(); err != nil {
+			if !errors.Is(err, dag.ErrBadWeight) {
+				t.Fatalf("fuzzGraph built an invalid graph: %v", err)
+			}
+			for _, name := range casch.AlgorithmNames() {
+				for _, procs := range []int{1, 2, 3, 0} {
+					s, err := casch.NewScheduler(name, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Schedule(g, procs); !errors.Is(err, dag.ErrBadWeight) {
+						t.Fatalf("%s procs %d: want %v, got %v", name, procs, dag.ErrBadWeight, err)
+					}
+				}
+			}
+			return
+		}
 		l, err := dag.ComputeLevels(g)
 		if err != nil {
 			t.Fatal(err)
