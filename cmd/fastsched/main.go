@@ -430,7 +430,7 @@ func runFlat(o options) error {
 	var fl *sched.Flat
 	switch o.algo {
 	case "fast", "fast-hier":
-		h := fast.NewHierarchical(fast.HierOptions{Seed: o.seed, Arena: arena})
+		h := fast.NewHierarchical(fast.HierOptions{Arena: arena})
 		fl, err = h.ScheduleCSR(c, o.procs)
 	case "hlfet":
 		fl, err = hlfet.New().ScheduleCSR(c, o.procs)

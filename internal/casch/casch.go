@@ -122,7 +122,7 @@ func NewScheduler(name string, seed int64) (sched.Scheduler, error) {
 	case "pfast":
 		return fast.New(fast.Options{Seed: seed, Parallelism: 4}), nil
 	case "fast-hier":
-		return fast.NewHierarchical(fast.HierOptions{Seed: seed}), nil
+		return fast.NewHierarchical(fast.HierOptions{}), nil
 	case "dsc":
 		return dsc.New(), nil
 	case "md":

@@ -76,6 +76,43 @@ func TestFindCancelledAllStrategies(t *testing.T) {
 	}
 }
 
+// lateTimerCtx has a deadline in the past but reports no error, like a
+// deadline context whose cancelling timer has not run yet.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestFindStopsAtPastDeadlineBeforeTimer: every strategy stops at its
+// first check once the deadline has passed, without waiting for the
+// context's timer, and returns its best-so-far schedule with
+// DeadlineExceeded.
+func TestFindStopsAtPastDeadlineBeforeTimer(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g := randomLayeredGraph(rng, 200)
+	cases := map[string]Options{
+		"greedy":     {Seed: 1, MaxSteps: 1 << 30},
+		"budget":     {Seed: 1, Budget: 10 * time.Second},
+		"steepest":   {Seed: 1, MaxSteps: 1 << 30, Strategy: SteepestDescent},
+		"annealing":  {Seed: 1, MaxSteps: 1 << 30, Strategy: Annealing},
+		"pfast":      {Seed: 1, MaxSteps: 1 << 30, Parallelism: 4},
+		"multistart": {Seed: 1, MaxSteps: 1 << 30, Parallelism: 4, MultiStart: true},
+	}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(opts).Find(lateTimerCtx{context.Background()}, g, 8)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("want DeadlineExceeded, got %v", err)
+			}
+			if s == nil {
+				t.Fatal("no best-so-far schedule")
+			}
+			if verr := sched.Validate(g, s); verr != nil {
+				t.Fatalf("partial schedule invalid: %v", verr)
+			}
+		})
+	}
+}
+
 // TestOptionsContextFlowsThroughSchedule checks the sched.Scheduler
 // path: a cancelled Options.Context surfaces through plain Schedule.
 func TestOptionsContextFlowsThroughSchedule(t *testing.T) {

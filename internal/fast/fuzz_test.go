@@ -9,7 +9,7 @@ import (
 )
 
 // hierEdgeListSeeds are FuzzHierEdgeList's seed corpus, which
-// TestContractMatchesGraphOracle reuses.
+// TestHierMatchesReferencePlacement reuses.
 var hierEdgeListSeeds = []struct {
 	text     string
 	procPick uint8
@@ -17,7 +17,7 @@ var hierEdgeListSeeds = []struct {
 	{"v 2\nn 1\nn 2\ne 0 1 3\n", 2},
 	{"v 1\nn 0\n", 0},
 	{"# c\nv 3\nn 1\nn 1\ne 0 1 1\nn 1\ne 0 2 2\ne 1 2 1\n", 1},
-	// The contracted-cycle shape of TestHierContractedCycleCollapse.
+	// A heavy edge beside a two-hop detour around it.
 	{"v 3\nn 2\nn 1\nn 1\ne 0 2 10\ne 0 1 1\ne 1 2 1\n", 2},
 	{"v 6\nn 1\nn 0\nn 3\nn 2\nn 2\nn 0.5\ne 0 2 4\ne 0 3 0\ne 1 3 7\ne 2 4 1\ne 3 4 2\ne 3 5 9\n", 3},
 }
@@ -25,7 +25,9 @@ var hierEdgeListSeeds = []struct {
 // FuzzHierEdgeList drives edge-list text through both stream readers
 // into hierarchical FAST, once without an arena and once with one.
 // Both schedules must pass ValidateFlat and stay under the work+comm
-// envelope, and they must be identical.
+// envelope, and they must be identical; the schedule must match
+// referencePlacement node for node and start every node at the
+// earliest time any processor offers it (checkPlacement).
 func FuzzHierEdgeList(f *testing.F) {
 	for _, seed := range hierEdgeListSeeds {
 		f.Add(seed.text, seed.procPick)
@@ -64,5 +66,6 @@ func FuzzHierEdgeList(f *testing.F) {
 			}
 		}
 		assertSameSchedule(t, c.NumNodes(), want, got)
+		checkPlacement(t, c, procs, want)
 	})
 }

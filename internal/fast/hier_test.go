@@ -1,13 +1,13 @@
 package fast
 
 import (
+	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 	"testing"
 
 	"fastsched/internal/dag"
-	"fastsched/internal/obs"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
@@ -112,65 +112,6 @@ func TestHierCompiledMatchesSchedule(t *testing.T) {
 	}
 }
 
-// TestHierMaxClustersFold forces the monotone fold by capping the
-// cluster count far below the natural cluster count: the schedule must
-// stay valid and the contracted graph must respect the cap.
-func TestHierMaxClustersFold(t *testing.T) {
-	g := hierGraphs(t)["random"]
-	c := dag.BuildCSR(g)
-	sink := obs.NewRegistry()
-	h := NewHierarchical(HierOptions{Seed: 1, MaxClusters: 4, Metrics: sink})
-	f, err := h.ScheduleCSR(c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.ValidateFlat(c, f); err != nil {
-		t.Fatal(err)
-	}
-	if n := sink.Counter("hier.contracted.nodes").Value(); n < 1 || n > 4 {
-		t.Fatalf("contracted to %d super-nodes, cap was 4", n)
-	}
-}
-
-// TestHierContractedCycleCollapse builds the canonical cycle-inducing
-// shape: a heavy edge a1→a2 pulls both into one linear cluster while a
-// detour a1→x→a2 stays outside, so the contracted multigraph has the
-// 2-cycle {a1,a2}→{x}→{a1,a2}. The SCC collapse must absorb it and the
-// spliced schedule must still be a legal execution of the original DAG.
-func TestHierContractedCycleCollapse(t *testing.T) {
-	g := dag.New(3)
-	a1 := g.AddNode("a1", 2)
-	x := g.AddNode("x", 1)
-	a2 := g.AddNode("a2", 1)
-	g.MustAddEdge(a1, a2, 10) // dominant: clustered together
-	g.MustAddEdge(a1, x, 1)   // detour around the cluster
-	g.MustAddEdge(x, a2, 1)
-	c := dag.BuildCSR(g)
-
-	sink := obs.NewRegistry()
-	h := NewHierarchical(HierOptions{Seed: 1, Metrics: sink})
-	f, err := h.ScheduleCSR(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.ValidateFlat(c, f); err != nil {
-		t.Fatal(err)
-	}
-	if vc := sink.Counter("hier.clusters").Value(); vc != 2 {
-		t.Fatalf("linear clustering produced %d clusters, want 2", vc)
-	}
-	// The two clusters close a cycle through each other; the collapse
-	// must leave a single super-node.
-	if n := sink.Counter("hier.contracted.nodes").Value(); n != 1 {
-		t.Fatalf("contracted graph has %d nodes, want 1 after SCC collapse", n)
-	}
-	// One super-node on one processor: serial execution in priority
-	// order, no communication.
-	if got, want := f.Length(), c.TotalWork(); got != want {
-		t.Fatalf("makespan %v, want serialized %v", got, want)
-	}
-}
-
 // TestHierEmptyGraph checks the empty-graph error paths.
 func TestHierEmptyGraph(t *testing.T) {
 	h := NewHierarchical(HierOptions{})
@@ -182,163 +123,217 @@ func TestHierEmptyGraph(t *testing.T) {
 	}
 }
 
-// contractOracle is the graph-building contraction that contract
-// replaced, kept as its differential oracle: the same cluster sums,
-// SCC collapse and two-level edge deduplication, written into a
-// *dag.Graph edge by edge in insertion order.
-func contractOracle(c *dag.CSR, cluster []int32, vc int) *dag.Graph {
+// referencePlacement is ScheduleCSR's rule written out directly: the
+// same priority order and candidates, but each candidate's data arrival
+// is a walk over the node's predecessors, with no decomposition.
+func referencePlacement(t *testing.T, c *dag.CSR, procs int) (proc []int32, start, finish []float64) {
+	t.Helper()
 	v := c.NumNodes()
-	off := make([]int32, vc+1)
-	for _, cl := range cluster {
-		off[cl+1]++
+	l, err := c.ComputeLevelsCompactArena(nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < vc; i++ {
-		off[i+1] += off[i]
+	prio := buildPriorityOrder(l, v, nil)
+	P := procs
+	if P <= 0 || P > v {
+		P = v
 	}
-	members := make([]int32, v)
-	fill := slices.Clone(off[:vc])
-	for n := 0; n < v; n++ {
-		cl := cluster[n]
-		members[fill[cl]] = int32(n)
-		fill[cl]++
-	}
-	nodeW := make([]float64, vc)
-	var efrom, eto []int32
-	var ew []float64
-	stamp := make([]int32, vc)
-	slot := make([]int32, vc)
-	for cu := int32(0); cu < int32(vc); cu++ {
-		for m := off[cu]; m < off[cu+1]; m++ {
-			n := members[m]
-			nodeW[cu] += c.NodeW[n]
-			for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
-				cv := cluster[c.SuccTo[s]]
-				if cv == cu {
-					continue
-				}
-				if stamp[cv] == cu+1 {
-					ew[slot[cv]] += c.SuccW[s]
-					continue
-				}
-				stamp[cv] = cu + 1
-				slot[cv] = int32(len(efrom))
-				efrom = append(efrom, cu)
-				eto = append(eto, cv)
-				ew = append(ew, c.SuccW[s])
+	proc, start, finish = make([]int32, v), make([]float64, v), make([]float64, v)
+	ready := make([]float64, P)
+	used := int32(0)
+	for _, n := range prio {
+		var cands []int32
+		if int(used) < P {
+			for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+				cands = append(cands, proc[c.PredFrom[s]])
+			}
+			cands = append(cands, used)
+		} else {
+			for q := range int32(P) {
+				cands = append(cands, q)
 			}
 		}
-	}
-
-	scc, nscc := condense(vc, efrom, eto, nil)
-	g := dag.New(nscc)
-	sccW := make([]float64, nscc)
-	for cl, w := range nodeW {
-		sccW[scc[cl]] += w
-	}
-	for i := 0; i < nscc; i++ {
-		g.AddNode(fmt.Sprintf("c%d", i), sccW[i])
-	}
-	eoff := make([]int32, nscc+1)
-	for i := range efrom {
-		eoff[scc[efrom[i]]+1]++
-	}
-	for i := 0; i < nscc; i++ {
-		eoff[i+1] += eoff[i]
-	}
-	eorder := make([]int32, len(efrom))
-	efill := slices.Clone(eoff[:nscc])
-	for i := range efrom {
-		su := scc[efrom[i]]
-		eorder[efill[su]] = int32(i)
-		efill[su]++
-	}
-	estamp := make([]int32, nscc)
-	eslot := make([]int32, nscc)
-	type cedge struct {
-		from, to dag.NodeID
-		w        float64
-	}
-	var edges []cedge
-	for su := int32(0); su < int32(nscc); su++ {
-		for k := eoff[su]; k < eoff[su+1]; k++ {
-			i := eorder[k]
-			sv := scc[eto[i]]
-			if sv == su {
-				continue
+		best, bestStart := int32(-1), 0.0
+		for _, q := range cands {
+			st := max(ready[q], arrivalOn(c, proc, finish, n, q))
+			if best < 0 || st < bestStart || st == bestStart && q < best {
+				best, bestStart = q, st
 			}
-			if estamp[sv] == su+1 {
-				edges[eslot[sv]].w += ew[i]
-				continue
-			}
-			estamp[sv] = su + 1
-			eslot[sv] = int32(len(edges))
-			edges = append(edges, cedge{dag.NodeID(su), dag.NodeID(sv), ew[i]})
 		}
+		if best == used {
+			used++
+		}
+		proc[n], start[n], finish[n] = best, bestStart, bestStart+c.NodeW[n]
+		ready[best] = finish[n]
 	}
-	for _, e := range edges {
-		g.MustAddEdge(e.from, e.to, e.w)
-	}
-	return g
+	return proc, start, finish
 }
 
-// TestContractMatchesGraphOracle pins the CSR contraction to the
-// graph-building one: on the splice-balance shapes and the
-// FuzzHierEdgeList seeds, the inner plan's CPN-Dominate list and the
-// inner FAST schedule equal the oracle graph's node for node. The CSR
-// orders each parent's successor slots by child where the graph kept
-// insertion order; nothing the inner FAST computes depends on that.
-func TestContractMatchesGraphOracle(t *testing.T) {
-	var csrs []*dag.CSR
+// arrivalOn is the time node n's last input reaches processor q: the
+// latest parent finish, plus the message when the parent ran elsewhere.
+func arrivalOn(c *dag.CSR, proc []int32, finish []float64, n, q int32) float64 {
+	d := 0.0
+	for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+		from := c.PredFrom[s]
+		t := finish[from]
+		if proc[from] != q {
+			t += c.PredW[s]
+		}
+		d = max(d, t)
+	}
+	return d
+}
+
+// checkPlacement fails unless s equals referencePlacement node for node
+// and every node starts at the earliest time any of the P processors
+// offers it: replaying s in priority order, its start must equal the
+// minimum over all processors of max(ready, arrival) at its turn.
+// Processors nothing has run on yet all offer the same start, so the
+// lowest-numbered one stands for them.
+func checkPlacement(t *testing.T, c *dag.CSR, procs int, s *sched.Schedule) {
+	t.Helper()
+	v := c.NumNodes()
+	proc, start, finish := referencePlacement(t, c, procs)
+	for n := range v {
+		got := s.Of(dag.NodeID(n))
+		if got.Proc != int(proc[n]) || got.Start != start[n] || got.Finish != finish[n] {
+			t.Fatalf("procs %d, node %d: placed %+v, reference proc %d start %v finish %v",
+				procs, n, got, proc[n], start[n], finish[n])
+		}
+	}
+
+	l, err := c.ComputeLevelsCompactArena(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := procs
+	if P <= 0 || P > v {
+		P = v
+	}
+	ready := make([]float64, P)
+	clear(proc)
+	clear(finish)
+	opened := 0 // processors 0..opened-1 have run something
+	for _, n := range buildPriorityOrder(l, v, nil) {
+		got := s.Of(dag.NodeID(n))
+		earliest := math.Inf(1)
+		for q := 0; q <= opened && q < P; q++ {
+			earliest = min(earliest, max(ready[q], arrivalOn(c, proc, finish, n, int32(q))))
+		}
+		if got.Start != earliest {
+			t.Fatalf("procs %d, node %d: starts at %v on processor %d, earliest offer %v",
+				procs, n, got.Start, got.Proc, earliest)
+		}
+		proc[n], finish[n] = int32(got.Proc), got.Finish
+		ready[got.Proc] = got.Finish
+		opened = max(opened, got.Proc+1)
+	}
+}
+
+// placementCSRs are the graphs the placement checks run on:
+// TestSpliceBalanceLayered's shapes, hierGraphs, the oracle corpus and
+// the FuzzHierEdgeList seeds.
+func placementCSRs(t *testing.T) map[string]*dag.CSR {
+	t.Helper()
+	out := map[string]*dag.CSR{}
 	for _, opts := range spliceShapes {
 		c, err := workload.LayeredCSR(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		csrs = append(csrs, c)
+		out[fmt.Sprintf("layered/v%d/seed%d/w%d", opts.V, opts.Seed, opts.Width)] = c
 	}
-	for _, seed := range hierEdgeListSeeds {
+	for name, g := range hierGraphs(t) {
+		out["hier/"+name] = dag.BuildCSR(g)
+	}
+	for _, inst := range schedtest.OracleCorpus() {
+		out["corpus/"+inst.Name] = dag.BuildCSR(inst.Graph)
+	}
+	for i, seed := range hierEdgeListSeeds {
 		c, err := dag.StreamEdgeList(strings.NewReader(seed.text))
 		if err != nil {
 			t.Fatal(err)
 		}
-		csrs = append(csrs, c)
+		out[fmt.Sprintf("fuzzseed/%d", i)] = c
 	}
-	for i, c := range csrs {
-		l, err := c.ComputeLevelsCompactArena(nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prio := buildPriorityOrder(l, c.NumNodes(), nil)
-		cluster, vc := linearClusters(c, l, prio, nil)
-		if vc > DefaultMaxClusters {
-			t.Fatalf("graph %d: %d clusters need the fold this test skips", i, vc)
-		}
-		og := contractOracle(c, cluster, vc)
-		cc, _, err := contract(c, cluster, vc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := plan.Compile(og)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := plan.CompileCompact(cc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.CPNDominate, want.CPNDominate) {
-			t.Fatalf("graph %d: inner CPN-Dominate list\n got %v\nwant %v", i, got.CPNDominate, want.CPNDominate)
-		}
-		for _, procs := range []int{0, 2, 4, 8} {
-			ws, err := New(Options{Seed: 1}).ScheduleCompiled(want, procs)
-			if err != nil {
-				t.Fatal(err)
+	return out
+}
+
+// TestHierMatchesReferencePlacement pins ScheduleCSR to
+// referencePlacement node for node — processor, start and finish — and
+// checks that every node starts at the earliest time any processor
+// offers it, at procs 1, 2, 3, 8, v and 0 (one processor per node).
+func TestHierMatchesReferencePlacement(t *testing.T) {
+	for name, c := range placementCSRs(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, procs := range []int{1, 2, 3, 8, c.NumNodes(), 0} {
+				s, err := NewHierarchical(HierOptions{}).ScheduleCSR(c, procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlacement(t, c, procs, s)
 			}
-			gs, err := New(Options{Seed: 1}).ScheduleCompiled(got, procs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameSchedule(t, og.NumNodes(), ws, gs)
+		})
+	}
+}
+
+// TestHierUnboundedForkJoin schedules a width-10⁵ fork-join at procs 0.
+// One processor per node lets every spoke start as soon as the fork's
+// message arrives, so the makespan is the critical path with every
+// message paid. The pass costs O(e) there: the join's candidates are
+// its 10⁵ parents' processors, each priced in O(1). The schedule's
+// processor count is the number of processors it used, so Balance is
+// taken over them.
+func TestHierUnboundedForkJoin(t *testing.T) {
+	const (
+		width                   = 100_000
+		entry, spoke, exit, msg = 2.0, 4.0, 2.0, 3.0
+	)
+	v := width + 2
+	nodeW := make([]float64, v)
+	nodeW[0], nodeW[v-1] = entry, exit
+	var from, to []int32
+	for i := 1; i <= width; i++ {
+		nodeW[i] = spoke
+		from, to = append(from, 0, int32(i)), append(to, int32(i), int32(v-1))
+	}
+	c, err := dag.FinishCSR(nodeW, from, to, nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewHierarchical(HierOptions{}).ScheduleCSR(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.ValidateFlat(c, s); err != nil {
+		t.Fatal(err)
+	}
+	if got, bound := s.Length(), entry+msg+spoke+msg+exit; got > bound {
+		t.Fatalf("makespan %v, want at most the paid critical path %v", got, bound)
+	}
+	busy := make([]float64, v)
+	var total, most float64
+	for n := range v {
+		p := s.Of(dag.NodeID(n))
+		busy[p.Proc] += p.Finish - p.Start
+		total += p.Finish - p.Start
+		most = max(most, busy[p.Proc])
+	}
+	if want := most / (total / float64(s.ProcsUsed())); s.Balance() != want {
+		t.Fatalf("balance %v, want %v over the %d processors used", s.Balance(), want, s.ProcsUsed())
+	}
+}
+
+// TestHierOverflowIsBadWeight checks that a finish time overflowing to
+// +Inf is an error matching dag.ErrBadWeight, not a schedule.
+func TestHierOverflowIsBadWeight(t *testing.T) {
+	c, err := dag.FinishCSR([]float64{1e308, 1e308}, []int32{0}, []int32{1}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 0} {
+		if _, err := NewHierarchical(HierOptions{}).ScheduleCSR(c, procs); !errors.Is(err, dag.ErrBadWeight) {
+			t.Fatalf("procs %d: error %v, want one matching dag.ErrBadWeight", procs, err)
 		}
 	}
 }

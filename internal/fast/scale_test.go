@@ -44,8 +44,8 @@ func scaleV() int {
 // generator → edge-list parse → CSR → hierarchical FAST → flat
 // validation — at FASTSCHED_SCALE_V nodes (default 20k, 5k under
 // -short). ci.sh runs this at 10⁵ under the race detector. Beyond
-// validity and the envelope bound, the balanced splice's load bound is
-// asserted here so the CI smoke also gates the one-PE-dominates fix.
+// validity and the envelope bound, the schedule's load bound is
+// asserted here so the CI smoke also gates one PE dominating.
 func TestScaleSmoke(t *testing.T) {
 	v := scaleV()
 	if testing.Short() {
@@ -77,7 +77,7 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // spliceShapes are TestSpliceBalanceLayered's layered graphs, which
-// TestContractMatchesGraphOracle reuses.
+// TestHierMatchesReferencePlacement reuses.
 var spliceShapes = []workload.LayeredOpts{
 	{V: 2000, Seed: 3},
 	{V: 2000, Seed: 11, Width: 32},
@@ -87,13 +87,11 @@ var spliceShapes = []workload.LayeredOpts{
 }
 
 // TestSpliceBalanceLayered is the load-balance property test: on
-// layered graphs across widths and seeds, the balanced splice keeps the
+// layered graphs across widths and seeds, the placement pass keeps the
 // max/mean PE busy-time at or under 1.5 for every processor count in
-// {4, 8, 16}. This is the gap the work-stealing splice exists to close —
-// the pinned splice routinely leaves one PE dominating on these shapes.
-// Widths stay at 2x the largest processor count or more: a graph whose
-// layers are narrower than the machine cannot keep every PE busy, and
-// idle PEs count toward the mean.
+// {4, 8, 16}. Widths stay at 2x the largest processor count or more: a
+// graph whose layers are narrower than the machine cannot keep every PE
+// busy, and idle PEs count toward the mean.
 func TestSpliceBalanceLayered(t *testing.T) {
 	for _, opts := range spliceShapes {
 		c, err := workload.LayeredCSR(opts)
@@ -117,7 +115,7 @@ func TestSpliceBalanceLayered(t *testing.T) {
 	}
 }
 
-// TestSpliceGOMAXPROCSBitIdentical pins the balanced splice's
+// TestSpliceGOMAXPROCSBitIdentical pins the placement pass's
 // determinism contract: the schedule is a pure sequential replay, so
 // its output is bit-identical no matter how many OS threads the
 // runtime is allowed to use.
@@ -151,10 +149,9 @@ func TestSpliceGOMAXPROCSBitIdentical(t *testing.T) {
 // TestScaleArenaWarmZeroAllocs pins the warm-path contract: once the
 // arena is warmed by one cold pass, re-running the arena kernels —
 // streaming parse, compact levels, static levels, classification,
-// priority order, clustering — allocates nothing at all. (The full
-// scheduler additionally builds the ≤ MaxClusters contracted graph and
-// runs the inner search, which allocate O(clusters), not O(v); the
-// benchmark's warm-allocs/node series accounts for those.)
+// priority order — allocates nothing at all, and the whole arena-backed
+// scheduler allocates exactly one object per run, the schedule header
+// sched.FromArrays returns.
 func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 	if schedtest.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
@@ -184,8 +181,7 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 		static := c.StaticLevels(l, a)
 		cls := c.ClassifyCompactArena(l, a)
 		prio := buildPriorityOrder(l, c.NumNodes(), a)
-		cluster, vc := linearClusters(c, l, prio, a)
-		if len(static) == 0 || len(cls) == 0 || len(cluster) == 0 || vc <= 0 {
+		if len(static) == 0 || len(cls) == 0 || len(prio) == 0 {
 			runErr = fmt.Errorf("degenerate pipeline output")
 		}
 	}
@@ -194,6 +190,24 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 		t.Fatal(runErr)
 	} else if n != 0 {
 		t.Fatalf("warm arena kernels allocate %v times per run, want 0", n)
+	}
+
+	// The whole scheduler on a CSR that outlives the arena's resets.
+	c, err := dag.StreamEdgeList(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHierarchical(HierOptions{Arena: a})
+	schedule := func() {
+		a.Reset()
+		if _, err := h.ScheduleCSR(c, 8); err != nil {
+			runErr = err
+		}
+	}
+	if n := testing.AllocsPerRun(10, schedule); runErr != nil {
+		t.Fatal(runErr)
+	} else if n != 1 {
+		t.Fatalf("warm arena-backed ScheduleCSR allocates %v times per run, want 1 (the schedule header)", n)
 	}
 }
 
@@ -215,10 +229,9 @@ var benchSink float64
 // re-enters the function; the single-shot pipelines at v = 10⁶ are far
 // too expensive to repeat).
 type scaleStat struct {
-	peakB         float64
-	balance       float64
-	balancePinned float64
-	coldAllocs    float64
+	peakB      float64
+	balance    float64
+	coldAllocs float64
 }
 
 var scaleStats = map[int]*scaleStat{}
@@ -228,8 +241,7 @@ var scaleStats = map[int]*scaleStat{}
 // pipeline. Three measurement modes per size:
 //
 //   - an untimed nil-arena single shot reports peak-B/node (live heap
-//     at stage boundaries) plus the splice's busy-time balance and the
-//     pinned splice's balance for comparison;
+//     at stage boundaries) plus the schedule's busy-time balance;
 //   - an untimed fresh-arena pass reports cold-allocs/node (Mallocs
 //     delta over the whole pipeline, generator included);
 //   - the timed loop runs the warm serving path — arena Reset, parse,
@@ -286,7 +298,6 @@ func BenchmarkScale(b *testing.B) {
 
 			b.ReportMetric(st.peakB, "peak-B/node")
 			b.ReportMetric(st.balance, "balance")
-			b.ReportMetric(st.balancePinned, "balance-pinned")
 			b.ReportMetric(st.coldAllocs, "cold-allocs/node")
 			b.ReportMetric(warmAllocs, "warm-allocs/node")
 		})
@@ -294,8 +305,8 @@ func BenchmarkScale(b *testing.B) {
 }
 
 // measureScaleOnce performs the untimed single-shot measurements for
-// one graph size: the nil-arena pipeline's peak live heap and splice
-// balances, then a fresh arena's cold allocation count.
+// one graph size: the nil-arena pipeline's peak live heap and busy-time
+// balance, then a fresh arena's cold allocation count.
 func measureScaleOnce(b *testing.B, opts workload.LayeredOpts) *scaleStat {
 	v := opts.V
 	st := &scaleStat{}
@@ -324,11 +335,6 @@ func measureScaleOnce(b *testing.B, opts workload.LayeredOpts) *scaleStat {
 		st.peakB = float64(hi-base) / float64(v)
 	}
 	st.balance = f.Balance()
-	fp, err := NewHierarchical(HierOptions{Seed: 1, PinnedSplice: true}).ScheduleCSR(c, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st.balancePinned = fp.Balance()
 
 	// Cold allocations: a fresh arena through the whole pipeline,
 	// generator goroutine included (its emitter is allocation-free past

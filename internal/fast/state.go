@@ -606,12 +606,12 @@ func (st *state) search(ctx context.Context, blocking []dag.NodeID, maxSteps int
 	if len(blocking) == 0 || st.procs < 2 {
 		// With one processor or no movable node the neighborhood is empty.
 		st.evaluate()
-		return ctx.Err()
+		return stopErr(ctx)
 	}
 	best := st.evaluate()
 	st.tele.best.Set(best)
 	for step := 0; step < maxSteps; step++ {
-		if err := ctx.Err(); err != nil {
+		if err := stopErr(ctx); err != nil {
 			return err
 		}
 		n := blocking[rng.Intn(len(blocking))]
@@ -670,13 +670,13 @@ func (st *state) tryCandidate(n dag.NodeID, p int, best float64) (float64, bool)
 func (st *state) searchBudget(ctx context.Context, blocking []dag.NodeID, budget time.Duration, rng *rand.Rand) error {
 	if len(blocking) == 0 || st.procs < 2 {
 		st.evaluate()
-		return ctx.Err()
+		return stopErr(ctx)
 	}
 	deadline := time.Now().Add(budget)
 	best := st.evaluate()
 	st.tele.best.Set(best)
 	for step := 0; ; step++ {
-		if err := ctx.Err(); err != nil {
+		if err := stopErr(ctx); err != nil {
 			return err
 		}
 		if step%32 == 0 && !time.Now().Before(deadline) {
@@ -717,7 +717,7 @@ func (st *state) searchBudget(ctx context.Context, blocking []dag.NodeID, budget
 func (st *state) searchSteepest(ctx context.Context, blocking []dag.NodeID, rounds int) error {
 	if len(blocking) == 0 || st.procs < 2 {
 		st.evaluate()
-		return ctx.Err()
+		return stopErr(ctx)
 	}
 	best := st.evaluate()
 	st.tele.best.Set(best)
@@ -735,7 +735,7 @@ func (st *state) searchSteepest(ctx context.Context, blocking []dag.NodeID, roun
 				// cancellation check sits on the innermost loop; the
 				// tables are consistent here (the previous candidate
 				// was reverted), holding the best committed schedule.
-				if err := ctx.Err(); err != nil {
+				if err := stopErr(ctx); err != nil {
 					return err
 				}
 				st.tele.steps.Inc()
@@ -767,7 +767,7 @@ func (st *state) searchSteepest(ctx context.Context, blocking []dag.NodeID, roun
 func (st *state) searchAnnealing(ctx context.Context, blocking []dag.NodeID, maxSteps int, rng *rand.Rand) error {
 	if len(blocking) == 0 || st.procs < 2 {
 		st.evaluate()
-		return ctx.Err()
+		return stopErr(ctx)
 	}
 	cur := st.evaluate()
 	bestAssign := append([]int(nil), st.assign...)
@@ -790,7 +790,7 @@ func (st *state) searchAnnealing(ctx context.Context, blocking []dag.NodeID, max
 	temp := t0
 	st.tele.best.Set(best)
 	for step := 0; step < maxSteps; step++ {
-		if err := ctx.Err(); err != nil {
+		if err := stopErr(ctx); err != nil {
 			restore()
 			return err
 		}
@@ -930,6 +930,20 @@ func (st *state) searchParallel(ctx context.Context, blocking []dag.NodeID, maxS
 // search to stop early.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// stopErr is ctx.Err(), except that a deadline already past counts as
+// expired before the runtime timer that cancels ctx has fired: on a
+// busy processor that timer can lag a short deadline by milliseconds,
+// and the CPU-bound search would run on past it.
+func stopErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // runSearch dispatches one searcher over the shared strategy switch so

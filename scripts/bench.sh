@@ -141,7 +141,7 @@ echo "wrote $TOUT"
 # streamed through the edge-list reader into CSR arenas and scheduled
 # with hierarchical FAST. Each size reports three measurement modes
 # (see BenchmarkScale): the nil-arena single shot's peak-B/node and
-# splice balances, the fresh-arena cold-allocs/node, and the timed
+# busy-time balance, the fresh-arena cold-allocs/node, and the timed
 # warm serving loop's ns/op + warm-allocs/node. The benchmark does its
 # own warm-up pass and forced GC before the timed region, so the timed
 # loop measures the allocation-flat warm path and run-to-run variance
@@ -156,7 +156,7 @@ echo "$scaleraw"
 # Benchmark lines carry (value, unit) pairs after the iteration count,
 # with custom metrics sorted alphabetically between ns/op and B/op —
 # positions are not fixed, so scan the pairs by unit name:
-#   BenchmarkScale/v=10000-1  1  18665879 ns/op  1.000 balance  7.969 balance-pinned  0.046 cold-allocs/node  160.5 peak-B/node  0.036 warm-allocs/node  1093664 B/op  359 allocs/op
+#   BenchmarkScale/v=10000-1  1  18665879 ns/op  1.000 balance  0.046 cold-allocs/node  160.5 peak-B/node  0.036 warm-allocs/node  1093664 B/op  359 allocs/op
 echo "$scaleraw" | awk -v count="$SCOUNT" -v goversion="$(go version)" -v ncpu="$(nproc)" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^BenchmarkScale\// {
@@ -181,10 +181,10 @@ END {
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= n; i++) {
         name = order[i]
-        printf "    {\"name\": \"%s\", \"ns_per_op\": [%s], \"peak_b_per_node\": [%s], \"allocs_per_op\": [%s], \"cold_allocs_per_node\": [%s], \"warm_allocs_per_node\": [%s], \"balance\": [%s], \"balance_pinned\": [%s]}%s\n",
+        printf "    {\"name\": \"%s\", \"ns_per_op\": [%s], \"peak_b_per_node\": [%s], \"allocs_per_op\": [%s], \"cold_allocs_per_node\": [%s], \"warm_allocs_per_node\": [%s], \"balance\": [%s]}%s\n",
             name, arr[name, "ns/op"], arr[name, "peak-B/node"], arr[name, "allocs/op"],
             arr[name, "cold-allocs/node"], arr[name, "warm-allocs/node"],
-            arr[name, "balance"], arr[name, "balance-pinned"], i < n ? "," : ""
+            arr[name, "balance"], i < n ? "," : ""
     }
     printf "  ],\n"
     printf "  \"peak_b_per_node\": {\n"
@@ -217,8 +217,7 @@ END {
         name = order[i]
         v = name
         sub(/.*\/v=/, "", v)
-        printf "    \"v=%s\": {\"balanced\": %.3f, \"pinned\": %.3f}%s\n",
-            v, minv[name, "balance"], minv[name, "balance-pinned"], i < n ? "," : ""
+        printf "    \"v=%s\": %.3f%s\n", v, minv[name, "balance"], i < n ? "," : ""
     }
     printf "  }\n"
     printf "}\n"

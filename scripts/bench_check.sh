@@ -16,11 +16,17 @@
 # (speedup, PFAST slack) divide two same-epoch measurements and are
 # immune to the drift, which is why they stay tight.
 #
+# The search, throughput and scale sections run in turn whatever the
+# earlier ones found; the script exits non-zero at the end if any gate
+# failed, naming the failed sections.
+#
 # Usage: scripts/bench_check.sh                 # 30% gate, count=3
 #        THRESHOLD=15 COUNT=5 scripts/bench_check.sh
 #        BASELINE=other.json scripts/bench_check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+failed=""
 
 THRESHOLD="${THRESHOLD:-30}"
 COUNT="${COUNT:-3}"
@@ -54,7 +60,7 @@ if [ -z "$base" ]; then
     exit 1
 fi
 
-echo "$raw" | awk -v threshold="$THRESHOLD" -v baseline="$base" '
+if ! echo "$raw" | awk -v threshold="$THRESHOLD" -v baseline="$base" '
 BEGIN {
     n = split(baseline, lines, "\n")
     for (i = 1; i <= n; i++) {
@@ -90,7 +96,9 @@ END {
         exit 1
     }
     print "bench_check.sh: within threshold"
-}'
+}'; then
+    failed="$failed search"
+fi
 
 # ---------------------------------------------------------------------------
 # Throughput gate: compiled-plan serving path vs BENCH_throughput.json.
@@ -150,7 +158,7 @@ tbase="$(awk '
     printf "%s %d %d\n", name, minns, minal
 }' "$TBASELINE")"
 
-printf '%s\n%s\n' "$traw" "$praw" | awk \
+if ! printf '%s\n%s\n' "$traw" "$praw" | awk \
     -v tthreshold="$TTHRESHOLD" -v athreshold="$ALLOC_THRESHOLD" \
     -v tspeedup="$TSPEEDUP" -v pslack="$PFAST_SLACK" -v baseline="$tbase" '
 BEGIN {
@@ -204,7 +212,9 @@ END {
         exit 1
     }
     print "bench_check.sh: throughput within gates"
-}'
+}'; then
+    failed="$failed throughput"
+fi
 
 # ---------------------------------------------------------------------------
 # Scale gate: the million-node path vs BENCH_scale.json.
@@ -224,9 +234,8 @@ END {
 #   4. cold-allocs/node <= SCALE_COLD_MAX and warm-allocs/node <
 #      SCALE_WARM_MAX — the arena's allocation-flat contract in
 #      absolute terms;
-#   5. balance <= SCALE_BALANCE_MAX AND balance <= SCALE_BALANCE_RATIO
-#      x balance-pinned — the work-stealing splice must both meet the
-#      1.5 max/mean busy-time bound and beat the pinned splice by >=25%.
+#   5. balance <= SCALE_BALANCE_MAX — the schedule's max/mean PE
+#      busy-time stays within 1.5.
 
 SCALE_THRESHOLD="${SCALE_THRESHOLD:-15}"
 SCALE_NS_THRESHOLD="${SCALE_NS_THRESHOLD:-30}"
@@ -234,7 +243,6 @@ SCALE_PEAK_MAX="${SCALE_PEAK_MAX:-157}"
 SCALE_COLD_MAX="${SCALE_COLD_MAX:-4}"
 SCALE_WARM_MAX="${SCALE_WARM_MAX:-0.5}"
 SCALE_BALANCE_MAX="${SCALE_BALANCE_MAX:-1.5}"
-SCALE_BALANCE_RATIO="${SCALE_BALANCE_RATIO:-0.75}"
 SBASELINE="${SBASELINE:-BENCH_scale.json}"
 SBENCH='BenchmarkScale/v=100000$'
 
@@ -274,9 +282,9 @@ sbase="$(awk '
 
 # Current run: benchmark lines carry (value, unit) pairs with custom
 # metrics sorted alphabetically — scan by unit name, keep best-of-N.
-echo "$sraw" | awk -v sthreshold="$SCALE_THRESHOLD" -v nsthreshold="$SCALE_NS_THRESHOLD" \
+if ! echo "$sraw" | awk -v sthreshold="$SCALE_THRESHOLD" -v nsthreshold="$SCALE_NS_THRESHOLD" \
     -v peakmax="$SCALE_PEAK_MAX" -v coldmax="$SCALE_COLD_MAX" -v warmmax="$SCALE_WARM_MAX" \
-    -v balmax="$SCALE_BALANCE_MAX" -v balratio="$SCALE_BALANCE_RATIO" -v baseline="$sbase" '
+    -v balmax="$SCALE_BALANCE_MAX" -v baseline="$sbase" '
 BEGIN {
     n = split(baseline, lines, "\n")
     for (i = 1; i <= n; i++) {
@@ -308,7 +316,6 @@ END {
     curcold = minv[target, "cold-allocs/node"] + 0
     curwarm = minv[target, "warm-allocs/node"] + 0
     curbal = minv[target, "balance"] + 0
-    curbalpin = minv[target, "balance-pinned"] + 0
     # 1. peak: relative and absolute.
     pdelta = 100 * (curpk - basepk[target]) / basepk[target]
     verdict = "ok"; if (pdelta > sthreshold) { verdict = "REGRESSED"; fail = 1 }
@@ -331,15 +338,19 @@ END {
     printf "%-36s %9.4f allocs/node (cap %.1f)  %s\n", target " cold", curcold, coldmax, verdict
     verdict = "ok"; if (curwarm >= warmmax + 0) { verdict = "ABOVE CAP"; fail = 1 }
     printf "%-36s %9.4f allocs/node (cap %.1f)  %s\n", target " warm", curwarm, warmmax, verdict
-    # 5. splice balance: absolute bound and win over the pinned splice.
+    # 5. busy-time balance: absolute bound.
     verdict = "ok"; if (curbal > balmax + 0) { verdict = "ABOVE CAP"; fail = 1 }
     printf "%-36s %9.3f max/mean busy (cap %.2f)  %s\n", target " balance", curbal, balmax, verdict
-    verdict = "ok"; if (curbalpin <= 0 || curbal > balratio * curbalpin) { verdict = "BELOW GATE"; fail = 1 }
-    printf "%-36s %9.3f vs pinned %.3f (gate <= %.2fx)  %s\n",
-        target " balance vs pinned", curbal, curbalpin, balratio, verdict
     if (fail) {
         print "bench_check.sh: scale gate failed — investigate or re-baseline with scripts/bench.sh" > "/dev/stderr"
         exit 1
     }
     print "bench_check.sh: scale within gates"
-}'
+}'; then
+    failed="$failed scale"
+fi
+
+if [ -n "$failed" ]; then
+    echo "bench_check.sh: failed sections:$failed" >&2
+    exit 1
+fi

@@ -52,7 +52,7 @@ echo "== streaming scale smoke (v=100000, race)"
 # scheduled hierarchically, and flat-validated — under the race
 # detector, at 5x the default test size. The generator/parser pipe is
 # the one genuinely concurrent stage of the ingest path. TestScaleSmoke
-# also asserts the balanced splice's max/mean PE busy-time bound (1.5),
+# also asserts the schedule's max/mean PE busy-time bound (1.5),
 # so the one-PE-dominates regression fails here, at scale, under race.
 # TestScaleArenaWarmZeroAllocs skips itself under -race (instrumentation
 # allocates), hence the separate non-race invocation below.
@@ -60,9 +60,10 @@ FASTSCHED_SCALE_V=100000 go test -race -timeout 300s \
     -run 'TestScaleSmoke|TestScaleArenaWarmZeroAllocs|TestValidateFlatBig' ./internal/fast ./internal/sched
 
 echo "== arena warm-path zero-alloc gate"
-# The tentpole's allocation contract, enforced: after one cold pass the
+# The arena's allocation contract, enforced: after one cold pass the
 # arena kernels (streaming parse, compact levels, classification,
-# priority order, clustering) run with exactly zero allocations.
+# priority order) run with exactly zero allocations, and the whole
+# arena-backed fast-hier scheduler with one (the schedule header).
 go test -timeout 120s -run 'TestScaleArenaWarmZeroAllocs' ./internal/fast
 
 echo "== schedd smoke (race)"
