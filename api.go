@@ -264,11 +264,16 @@ type instrumentable interface {
 }
 
 // Instrument attaches sink and traj to s when s supports telemetry
-// (the FAST family: fast, fast-initial, pfast), reporting whether it
-// did. Schedulers without their own hooks still contribute through
+// (the FAST family: fast, fast-initial, pfast, and fast-hier for a sink
+// alone), reporting whether it did. A trajectory needs a search to
+// record, so with a non-nil traj only the FAST schedulers qualify.
+// Schedulers without their own hooks still contribute through
 // EnableSchedulerMetrics and SimConfig.Metrics.
 func Instrument(s Scheduler, sink MetricsSink, traj *SearchTrajectory) bool {
 	i, ok := s.(instrumentable)
+	if traj != nil {
+		_, ok = s.(*fast.Scheduler)
+	}
 	if ok {
 		i.Instrument(sink, traj)
 	}

@@ -95,11 +95,15 @@ func TestRunErrors(t *testing.T) {
 	if _, err := capture(t, func() error { return run(bad) }); err == nil {
 		t.Error("bad algorithm accepted")
 	}
-	traj := demoOpts()
-	traj.algo = "etf"
-	traj.trajectory = filepath.Join(t.TempDir(), "t.jsonl")
-	if _, err := capture(t, func() error { return run(traj) }); err == nil {
-		t.Error("-trajectory accepted for a non-FAST algorithm")
+	// fast-hier takes a metrics sink but runs no search, so it records
+	// no trajectory either.
+	for _, algo := range []string{"etf", "fast-hier"} {
+		traj := demoOpts()
+		traj.algo = algo
+		traj.trajectory = filepath.Join(t.TempDir(), "t.jsonl")
+		if _, err := capture(t, func() error { return run(traj) }); err == nil {
+			t.Errorf("-trajectory accepted for %s", algo)
+		}
 	}
 	badFmt := demoOpts()
 	badFmt.metrics = filepath.Join(t.TempDir(), "m.out")

@@ -34,9 +34,9 @@ func TestWarmSchedulingAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	run := func() {
 		st := acquireState(cg.CPNDominate, cg.CSR, procs, telemetry{})
-		st.initialReadyTime()
+		st.initialReadyTime(0)
 		st.evaluate()
-		if err := st.search(ctx, cg.Blocking, 32, rng); err != nil {
+		if err := st.search(ctx, cg.Blocking, 32, 0, rng); err != nil {
 			t.Fatal(err)
 		}
 		st.release()

@@ -26,7 +26,7 @@ func benchSearchState(b *testing.B) (*state, []dag.NodeID) {
 		b.Fatal(err)
 	}
 	st := newState(g, cg.CPNDominate, 128)
-	st.initialReadyTime()
+	st.initialReadyTime(0)
 	st.evaluate()
 	return st, cg.Blocking
 }
@@ -70,7 +70,7 @@ func BenchmarkSearchStep(b *testing.B) {
 			st.fullReplay = mode == "full"
 			rng := rand.New(rand.NewSource(1))
 			b.ResetTimer()
-			st.search(context.Background(), blocking, b.N, rng)
+			st.search(context.Background(), blocking, b.N, 0, rng)
 		})
 	}
 }

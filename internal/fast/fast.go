@@ -4,8 +4,11 @@
 //
 //  1. an initial schedule built by list scheduling over the
 //     CPN-Dominate list, placing each node at the ready time of the
-//     best candidate processor (the parents' processors plus one fresh
-//     processor);
+//     candidate processor that starts it earliest. The paper's
+//     candidates are the parents' processors plus one fresh processor;
+//     on a bounded machine, once no processor is fresh, this package
+//     reads the fresh candidate as every processor, so a node is never
+//     confined to its parents' processors;
 //  2. a random local search over the blocking-node list (the IBNs and
 //     OBNs) that transfers one node at a time to a random processor and
 //     keeps the move only when the schedule length strictly improves.
@@ -313,7 +316,7 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 	if f.opts.Insertion {
 		st.initialInsertion(cg.Graph)
 	} else {
-		st.initialReadyTime()
+		st.initialReadyTime(0)
 	}
 	f.timer("fast.phase1_ns").ObserveSince(t0)
 	f.gauge("fast.initial_makespan").Set(st.length)
@@ -335,6 +338,76 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 	s.Algorithm = f.Name()
 	f.gauge("fast.final_makespan").Set(s.Length())
 	return s, searchErr
+}
+
+// ScheduleFrozen runs FAST's two phases on a partly committed machine:
+// it places moves, a topological order of some of c's nodes, on
+// len(ready) processors, processor q free from ready[q]. Every other
+// node is frozen: node n stays on processor proc[n], or -1 for one
+// that takes no work (its message is then always paid), and finishes
+// at finish[n]; its weight in c is unread. A frozen node on processor
+// q must finish by ready[q]. Phase 1 runs with every processor in use,
+// and the paper's greedy search moves only the nodes in moves. Of the
+// scheduler's options, NoSearch, MaxSteps, Seed and Context apply.
+//
+// The schedule places the moves on processors 0..len(ready)-1 and
+// leaves the frozen nodes unassigned. On context expiry it holds the
+// best placement found so far, returned with ctx.Err().
+func (f *Scheduler) ScheduleFrozen(c *dag.CSR, moves []dag.NodeID, ready []float64, proc []int, finish []float64) (*sched.Schedule, error) {
+	v, P := c.NumNodes(), len(ready)
+	if len(moves) == 0 || P == 0 || len(proc) != v || len(finish) != v {
+		return nil, fmt.Errorf("fast: frozen machine: %d moves, %d processors, %d/%d frozen entries for %d nodes",
+			len(moves), P, len(proc), len(finish), v)
+	}
+	// mark is 1 for a move not yet reached in list order, 2 after.
+	mark := make([]uint8, v)
+	for _, n := range moves {
+		if n < 0 || int(n) >= v || mark[n] != 0 {
+			return nil, fmt.Errorf("fast: frozen machine: move %d out of range or repeated", n)
+		}
+		mark[n] = 1
+	}
+	for _, n := range moves {
+		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+			if mark[c.PredFrom[s]] == 1 {
+				return nil, fmt.Errorf("fast: frozen machine: move %d precedes its parent %d", n, c.PredFrom[s])
+			}
+		}
+		mark[n] = 2
+	}
+	st := acquireState(moves, c, P, telemetry{})
+	defer st.release()
+	copy(st.ckReady, ready)
+	for n := range v {
+		if mark[n] != 0 {
+			continue
+		}
+		if q := proc[n]; q < -1 || q >= P {
+			return nil, fmt.Errorf("fast: frozen machine: node %d on processor %d of %d", n, q, P)
+		} else if q >= 0 && !(finish[n] <= ready[q]) {
+			return nil, fmt.Errorf("fast: frozen machine: node %d finishes at %v on processor %d, free from %v", n, finish[n], q, ready[q])
+		}
+		st.assign[n], st.finish[n] = proc[n], finish[n]
+	}
+	st.initialReadyTime(P)
+	maxSteps := f.opts.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = DefaultMaxSteps
+	}
+	var err error
+	if !f.opts.NoSearch && maxSteps > 0 {
+		ctx := f.opts.Context
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		err = st.search(ctx, moves, maxSteps, 0, rand.New(rand.NewSource(f.opts.Seed)))
+	}
+	s := sched.New(v)
+	s.Algorithm = f.Name()
+	for _, n := range moves {
+		s.Place(n, st.assign[n], st.start[n], st.finish[n])
+	}
+	return s, err
 }
 
 // timer resolves a named timer from the configured sink (nil when
@@ -410,7 +483,7 @@ func (f *Scheduler) multiStart(ctx context.Context, cg *plan.CompiledGraph, proc
 		if f.opts.Insertion {
 			local.initialInsertion(cg.Graph)
 		} else {
-			local.initialReadyTime()
+			local.initialReadyTime(0)
 		}
 		rng := rand.New(rand.NewSource(f.opts.Seed + int64(w)))
 		errs[w] = runSearch(ctx, local, cg.Blocking, maxSteps, f.opts.Strategy, f.opts.Budget, rng)

@@ -127,46 +127,17 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 	// Processors are first used in index order: 0..used−1 are used.
 	used := int32(0)
 	for _, n := range prio {
-		// A node's data reach processor q when its last parent's result
-		// does: the parent's finish, plus the message when it ran
-		// elsewhere. The pass only appends, so a parent on q finished by
-		// ready[q], and the start on q is
-		//
-		//	max(ready[q], q == m1p ? m2 : m1)
-		//
-		// where m1 is the latest arrival with every message paid, m1p
-		// the processor of the first parent reaching it, and m2 the
-		// latest paid arrival over parents on other processors than m1p.
-		var m1, m2 float64
-		m1p := int32(-1)
-		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
-			fp := proc[c.PredFrom[s]]
-			arr := finish[c.PredFrom[s]] + c.PredW[s]
-			if arr > m1 || m1p < 0 {
-				if m1p >= 0 && fp != m1p && m1 > m2 {
-					m2 = m1
-				}
-				m1, m1p = arr, fp
-			} else if fp != m1p && arr > m2 {
-				m2 = arr
-			}
-		}
-		startOn := func(q int32) float64 {
-			if q == m1p {
-				return max(ready[q], m2)
-			}
-			return max(ready[q], m1)
-		}
-
+		// The three-term decomposition prices each candidate in O(1).
+		arr := arrivalsOf(c, n, proc, finish)
 		var best int32
 		var bestStart float64
 		if int(used) < P {
 			// The parents' processors all lie below the empty one, so
 			// the lowest index wins a tie by the second comparison.
-			best, bestStart = used, startOn(used)
+			best, bestStart = used, arr.startOn(int(used), ready[used])
 			for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
 				q := proc[c.PredFrom[s]]
-				if t := startOn(q); t < bestStart || t == bestStart && q < best {
+				if t := arr.startOn(int(q), ready[q]); t < bestStart || t == bestStart && q < best {
 					best, bestStart = q, t
 				}
 			}
@@ -174,9 +145,9 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 				used++
 			}
 		} else {
-			best, bestStart = 0, startOn(0)
+			best, bestStart = 0, arr.startOn(0, ready[0])
 			for q := int32(1); q < int32(P); q++ {
-				if t := startOn(q); t < bestStart {
+				if t := arr.startOn(int(q), ready[q]); t < bestStart {
 					best, bestStart = q, t
 				}
 			}

@@ -94,7 +94,7 @@ func TestEvaluateFromMatchesReference(t *testing.T) {
 		procs := 1 + rng.Intn(6)
 		for _, k := range []int{1, 3, 16, 1 << 20} {
 			st := newStateK(g, list, procs, k)
-			st.initialReadyTime()
+			st.initialReadyTime(0)
 			st.evaluate()
 			assertTablesMatchReference(t, g, st, "after initial evaluate")
 			for step := 0; step < 120; step++ {
@@ -129,7 +129,7 @@ func TestTryTransferRevertMatchesReference(t *testing.T) {
 		procs := 1 + rng.Intn(6)
 		for _, k := range []int{1, 5, 16, 1 << 20} {
 			st := newStateK(g, list, procs, k)
-			st.initialReadyTime()
+			st.initialReadyTime(0)
 			st.evaluate()
 			for step := 0; step < 120; step++ {
 				n := dag.NodeID(rng.Intn(g.NumNodes()))

@@ -170,20 +170,21 @@ type state struct {
 }
 
 // init sizes every table of st for (csr, list, procs, ckK), reusing the
-// slices' existing capacity. Checkpoint 0 (the empty machine) is
-// zeroed because the first full replay restores from it before
-// rewriting it; every other table is fully overwritten before it is
-// read, so recycled scratch never leaks values into a run (the
-// differential tests pin this by comparing pooled runs against fresh
-// ones bit for bit).
+// slices' existing capacity. Checkpoint 0 holds the processors'
+// starting ready times: phase 1 starts from it and every full replay
+// restores from it before rewriting it. init zeroes it (the empty
+// machine); the frozen machine overwrites it with its floors. Every
+// other table is fully overwritten before it is read, so recycled
+// scratch never leaks values into a run (the differential tests pin
+// this by comparing pooled runs against fresh ones bit for bit).
 func (st *state) init(list []dag.NodeID, csr *dag.CSR, procs, ckK int) {
 	v := csr.NumNodes()
 	if ckK < 1 {
 		ckK = 1
 	}
 	numCk := 0
-	if v > 0 {
-		numCk = (v-1)/ckK + 1
+	if len(list) > 0 {
+		numCk = (len(list)-1)/ckK + 1
 	}
 	st.list = list
 	st.procs = procs
@@ -294,49 +295,86 @@ func (b *sharedBound) update(x float64) {
 }
 
 // initialReadyTime runs the paper's InitialSchedule(): walk the list,
-// placing each node on whichever of its candidate processors (parents'
-// processors plus one fresh processor) gives the earliest start time,
-// where a processor's availability is its ready time (no gap search).
-func (st *state) initialReadyTime() {
-	for i := range st.ready {
-		st.ready[i] = 0
-	}
-	used := 0 // processors 0..used-1 have at least one task
+// placing each node on the candidate processor that starts it
+// earliest, where a processor's availability is its ready time (no gap
+// search). The candidates are the node's parents' processors, in
+// predecessor order, then the lowest-numbered empty processor while one
+// remains (the paper's fresh processor), or every processor in index
+// order once none does; the first strictly earliest start wins.
+// Processors 0..used-1 hold work on entry, and the ready times start
+// from checkpoint 0. It costs O(deg) per node while an empty processor
+// remains and O(deg + P) after.
+func (st *state) initialReadyTime(used int) {
+	copy(st.ready, st.ckReady[:st.procs])
 	for _, n := range st.list {
-		bestProc, bestStart := -1, 0.0
-		consider := func(p int) {
-			s := st.datOn(n, p)
-			if r := st.ready[p]; r > s {
-				s = r
-			}
-			if bestProc == -1 || s < bestStart {
-				bestProc, bestStart = p, s
+		a := arrivalsOf(st.csr, n, st.assign, st.finish)
+		best, bestStart := -1, 0.0
+		consider := func(q int) {
+			if s := a.startOn(q, st.ready[q]); best < 0 || s < bestStart {
+				best, bestStart = q, s
 			}
 		}
-		seen := false
 		for i := st.csr.PredOff[n]; i < st.csr.PredOff[n+1]; i++ {
-			p := st.assign[st.csr.PredFrom[i]]
-			// Parent processors can repeat; consider handles duplicates
-			// harmlessly (same candidate, same value).
-			consider(p)
-			seen = true
+			if q := st.assign[st.csr.PredFrom[i]]; q >= 0 {
+				consider(q)
+			}
 		}
 		if used < st.procs {
-			consider(used) // the fresh processor
-			seen = true
-		}
-		if !seen {
-			// Entry node with every processor in use: consider them all.
-			for p := 0; p < used; p++ {
-				consider(p)
+			consider(used)
+		} else {
+			for q := range st.procs {
+				consider(q)
 			}
 		}
-		st.place(n, bestProc, bestStart)
-		if bestProc == used {
+		st.place(n, best, bestStart)
+		if best == used {
 			used++
 		}
 	}
 	st.length = st.maxFinish()
+}
+
+// arrivals is a node's data arrival in three terms, which price every
+// candidate processor in O(1) during an append-only placement pass: m1
+// is the latest parent arrival with every message paid, m1p the
+// processor of the first parent reaching it, and m2 the latest paid
+// arrival over parents on processors other than m1p.
+type arrivals struct {
+	m1, m2 float64
+	m1p    int
+}
+
+// arrivalsOf sweeps n's predecessors once. proc and finish hold each
+// placed node's processor (-1 for one that is never a candidate) and
+// finish time.
+func arrivalsOf[N, P ~int | ~int32](c *dag.CSR, n N, proc []P, finish []float64) arrivals {
+	a := arrivals{m1p: -1}
+	lo := c.PredOff[n]
+	for s := lo; s < c.PredOff[n+1]; s++ {
+		fp := int(proc[c.PredFrom[s]])
+		arr := finish[c.PredFrom[s]] + c.PredW[s]
+		if s == lo || arr > a.m1 {
+			if s > lo && fp != a.m1p && a.m1 > a.m2 {
+				a.m2 = a.m1
+			}
+			a.m1, a.m1p = arr, fp
+		} else if fp != a.m1p && arr > a.m2 {
+			a.m2 = arr
+		}
+	}
+	return a
+}
+
+// startOn is the node's start on processor q, free from ready. The
+// pass only appends, so a parent on q finished by ready and its message
+// costs nothing there:
+//
+//	max(ready, q == m1p ? m2 : m1)
+func (a arrivals) startOn(q int, ready float64) float64 {
+	if q == a.m1p {
+		return max(ready, a.m2)
+	}
+	return max(ready, a.m1)
 }
 
 // initialInsertion is the ablation variant of phase 1: like
@@ -451,54 +489,27 @@ func (st *state) evaluateFrom(from int) float64 {
 	if st.fullReplay {
 		from = 0
 	}
-	return st.replayFrom(from / st.ckK * st.ckK)
-}
-
-// replayFrom restores the per-processor ready times and the running max
-// finish in O(p) from the checkpoint at list position base (which must
-// be a multiple of ckK, with every earlier checkpoint valid), then
-// recomputes start/finish for the tail only, refreshing every
-// checkpoint it passes. The replay performs the identical operation
-// sequence on the identical prefix values as a full replay, so the
-// results (including the max reductions) are bit-equivalent.
-func (st *state) replayFrom(base int) float64 {
-	v := len(st.list)
-	ck := base / st.ckK
-	copy(st.ready, st.ckReady[ck*st.procs:(ck+1)*st.procs])
-	length := st.ckLen[ck]
-	for i := base; i < v; i++ {
-		if i%st.ckK == 0 {
-			copy(st.ckReady[(i/st.ckK)*st.procs:], st.ready)
-			st.ckLen[i/st.ckK] = length
-		}
-		n := st.list[i]
-		p := st.assign[n]
-		s := st.datOn(n, p)
-		if st.ready[p] > s {
-			s = st.ready[p]
-		}
-		st.start[n] = s
-		f := s + st.csr.NodeW[n]
-		st.finish[n] = f
-		st.ready[p] = f
-		if f > length {
-			length = f
-		}
-	}
-	st.length = length
-	st.dirty = v
+	length, _ := st.replayFromBound(from/st.ckK*st.ckK, math.Inf(1))
 	return length
 }
 
-// replayFromBound is replayFrom with an abort bound: the replay stops
-// as soon as the running schedule length reaches bound, reporting
-// complete == false. Because the length is non-decreasing over a
-// replay, an aborted candidate's final length would also have reached
-// the bound, so aborting cannot change an accept/reject decision made
-// against a threshold <= bound. An aborted replay leaves the tables
-// mid-rewrite: the caller MUST revertTransfer (the undo journal covers
-// everything the partial replay touched). st.length and st.dirty are
-// only updated on completion.
+// replayFromBound restores the per-processor ready times and the
+// running max finish in O(p) from the checkpoint at list position base
+// (which must be a multiple of ckK, with every earlier checkpoint
+// valid), then recomputes start/finish for the tail only, refreshing
+// every checkpoint it passes. The replay performs the identical
+// operation sequence on the identical prefix values as a full replay,
+// so the results (including the max reductions) are bit-equivalent.
+//
+// The replay stops as soon as the running schedule length reaches
+// bound, reporting complete == false; +Inf replays the whole tail.
+// Because the length is non-decreasing over a replay, an aborted
+// candidate's final length would also have reached the bound, so
+// aborting cannot change an accept/reject decision made against a
+// threshold <= bound. An aborted replay leaves the tables mid-rewrite:
+// the caller MUST revertTransfer (the undo journal covers everything
+// the partial replay touched). st.length and st.dirty are only updated
+// on completion.
 func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 	v := len(st.list)
 	ck := base / st.ckK
@@ -539,7 +550,8 @@ func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 // tables must be consistent (dirty == len(list)) on entry; every search
 // strategy maintains that invariant by reverting rejected moves.
 func (st *state) tryTransfer(n dag.NodeID, p int) float64 {
-	return st.replayFrom(st.journalTransfer(n, p))
+	length, _ := st.replayFromBound(st.journalTransfer(n, p), math.Inf(1))
+	return length
 }
 
 // tryTransferBound is tryTransfer with an abort bound (see
@@ -597,22 +609,29 @@ func (st *state) revertTransfer() {
 	st.length = st.undoLength
 }
 
-// search runs the paper's local search: MaxSteps random transfer
-// attempts of blocking nodes to random processors, keeping only strict
-// improvements of the schedule length. The context is checked each
-// step; on cancellation the tables hold the best schedule found so far
-// (every rejected move was reverted) and ctx.Err() is returned.
-func (st *state) search(ctx context.Context, blocking []dag.NodeID, maxSteps int, rng *rand.Rand) error {
+// search runs the paper's local search: random transfer attempts of
+// blocking nodes to random processors, keeping only strict
+// improvements of the schedule length. It makes maxSteps attempts or,
+// with a positive budget, attempts until the wall-clock budget expires
+// (the anytime mode), reading the clock every 32 steps to keep the
+// loop cheap. The context is checked each step; on cancellation the
+// tables hold the best schedule found so far (every rejected move was
+// reverted) and ctx.Err() is returned.
+func (st *state) search(ctx context.Context, blocking []dag.NodeID, maxSteps int, budget time.Duration, rng *rand.Rand) error {
 	if len(blocking) == 0 || st.procs < 2 {
 		// With one processor or no movable node the neighborhood is empty.
 		st.evaluate()
 		return stopErr(ctx)
 	}
+	deadline := time.Now().Add(budget)
 	best := st.evaluate()
 	st.tele.best.Set(best)
-	for step := 0; step < maxSteps; step++ {
+	for step := 0; budget > 0 || step < maxSteps; step++ {
 		if err := stopErr(ctx); err != nil {
 			return err
+		}
+		if budget > 0 && step%32 == 0 && !time.Now().Before(deadline) {
+			break
 		}
 		n := blocking[rng.Intn(len(blocking))]
 		p := rng.Intn(st.procs)
@@ -625,6 +644,9 @@ func (st *state) search(ctx context.Context, blocking []dag.NodeID, maxSteps int
 		cand, complete := st.tryCandidate(n, p, best)
 		if complete && cand < best-1e-12 {
 			best = cand
+			if st.incumbent != nil {
+				st.incumbent.update(best)
+			}
 			st.tele.accepted.Inc()
 			st.tele.best.Set(best)
 			st.tele.record(step, n, from, p, cand, best, true, st.lastReplay)
@@ -661,51 +683,6 @@ func (st *state) tryCandidate(n dag.NodeID, p int, best float64) (float64, bool)
 		st.tele.cutoffs.Inc()
 	}
 	return cand, complete
-}
-
-// searchBudget is the anytime variant of the greedy search: random
-// transfer attempts until the wall-clock budget expires or the context
-// is cancelled, checking the clock every few steps to keep the loop
-// cheap.
-func (st *state) searchBudget(ctx context.Context, blocking []dag.NodeID, budget time.Duration, rng *rand.Rand) error {
-	if len(blocking) == 0 || st.procs < 2 {
-		st.evaluate()
-		return stopErr(ctx)
-	}
-	deadline := time.Now().Add(budget)
-	best := st.evaluate()
-	st.tele.best.Set(best)
-	for step := 0; ; step++ {
-		if err := stopErr(ctx); err != nil {
-			return err
-		}
-		if step%32 == 0 && !time.Now().Before(deadline) {
-			break
-		}
-		n := blocking[rng.Intn(len(blocking))]
-		p := rng.Intn(st.procs)
-		if p == st.assign[n] {
-			st.tele.skipped.Inc()
-			continue
-		}
-		from := st.assign[n]
-		st.tele.steps.Inc()
-		cand, complete := st.tryCandidate(n, p, best)
-		if complete && cand < best-1e-12 {
-			best = cand
-			if st.incumbent != nil {
-				st.incumbent.update(best)
-			}
-			st.tele.accepted.Inc()
-			st.tele.best.Set(best)
-			st.tele.record(step, n, from, p, cand, best, true, st.lastReplay)
-		} else {
-			st.revertTransfer()
-			st.tele.reverted.Inc()
-			st.tele.record(step, n, from, p, cand, best, false, st.lastReplay)
-		}
-	}
-	return nil
 }
 
 // searchSteepest applies best-improvement local search: each round
@@ -951,15 +928,13 @@ func stopErr(ctx context.Context) error {
 // It returns ctx.Err() when the search was cut short; the state then
 // holds the strategy's best-so-far schedule.
 func runSearch(ctx context.Context, st *state, blocking []dag.NodeID, maxSteps int, strategy Strategy, budget time.Duration, rng *rand.Rand) error {
-	switch {
-	case strategy == SteepestDescent:
+	switch strategy {
+	case SteepestDescent:
 		return st.searchSteepest(ctx, blocking, maxSteps)
-	case strategy == Annealing:
+	case Annealing:
 		return st.searchAnnealing(ctx, blocking, maxSteps, rng)
-	case budget > 0:
-		return st.searchBudget(ctx, blocking, budget, rng)
 	default:
-		return st.search(ctx, blocking, maxSteps, rng)
+		return st.search(ctx, blocking, maxSteps, budget, rng)
 	}
 }
 
@@ -1003,7 +978,7 @@ func (st *state) cloneFromPool() *state {
 
 // resetToBase snaps the mutable tables back to base's schedule so the
 // next start searches from the same phase-1 state. Only checkpoint 0
-// needs zeroing: the clone starts fully dirty, so its first evaluation
+// needs copying: the clone starts fully dirty, so its first evaluation
 // replays from position 0 — restoring from checkpoint 0 before
 // rewriting every later checkpoint row it passes.
 func (st *state) resetToBase(base *state) {
@@ -1011,9 +986,7 @@ func (st *state) resetToBase(base *state) {
 	copy(st.start, base.start)
 	copy(st.finish, base.finish)
 	st.length = base.length
-	for i := 0; i < st.procs && i < len(st.ckReady); i++ {
-		st.ckReady[i] = 0
-	}
+	copy(st.ckReady[:st.procs], base.ckReady)
 	if len(st.ckLen) > 0 {
 		st.ckLen[0] = 0
 	}

@@ -23,7 +23,7 @@ func teleSearchState(t *testing.T, v, procs int) (*state, []dag.NodeID) {
 		t.Fatal(err)
 	}
 	st := newState(g, cg.CPNDominate, procs)
-	st.initialReadyTime()
+	st.initialReadyTime(0)
 	st.evaluate()
 	return st, cg.Blocking
 }
@@ -50,7 +50,7 @@ func TestNilTelemetryAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ctx := context.Background()
 	if avg := testing.AllocsPerRun(10, func() {
-		if err := st.search(ctx, blocking, 32, rng); err != nil {
+		if err := st.search(ctx, blocking, 32, 0, rng); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

@@ -2,8 +2,8 @@
 // freezes the executed prefix reported by the simulator's *CrashError,
 // extracts the unexecuted suffix of the DAG, re-runs FAST's two phases
 // (CPN-Dominate initial placement plus a budgeted local search) over the
-// surviving processors, and splices the repaired suffix back onto the
-// frozen prefix.
+// surviving processors through internal/fast's frozen machine, and
+// splices the repaired suffix back onto the frozen prefix.
 //
 // The fault model behind the splice: results of completed tasks survive
 // their processor's crash (they are checkpointed off-node the moment the
@@ -16,10 +16,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/fast"
 	"fastsched/internal/obs"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
@@ -27,9 +27,8 @@ import (
 )
 
 // DefaultMaxSteps is the local-search budget of the repair: the paper's
-// MAXSTEP constant, reused because the suffix search is the same greedy
-// random walk FAST runs in phase 2.
-const DefaultMaxSteps = 64
+// MAXSTEP constant, because the suffix search is FAST's own phase 2.
+const DefaultMaxSteps = fast.DefaultMaxSteps
 
 // Options configures a repair.
 type Options struct {
@@ -97,23 +96,21 @@ type SuffixPlan struct {
 
 // PlanSuffix replans the unexecuted suffix of g — every task pre.Done
 // does not cover — onto the surviving processors, no earlier than each
-// survivor's floor. It runs FAST's two phases over the suffix subgraph:
-// the CPN-Dominate initial placement, then the budgeted greedy random
-// walk. Boundary messages from prefix parents arrive at
-// pre.Finish[parent], plus the edge's communication cost when the
-// consumer runs on a different processor than pre.Proc[parent] — a dead
-// processor's results are assumed checkpointed, so they remain
-// fetchable at that cost.
+// survivor's floor. It runs FAST's two phases over the suffix subgraph
+// on internal/fast's frozen machine: the CPN-Dominate initial placement
+// with every survivor in use, then the budgeted greedy random walk over
+// the whole suffix. The executed prefix parents are frozen nodes, so a
+// boundary message from one arrives at pre.Finish[parent], plus the
+// edge's communication cost when the consumer runs on a different
+// processor than pre.Proc[parent] — a dead processor's results are
+// assumed checkpointed, so they remain fetchable at that cost. A prefix
+// parent on a survivor must finish by that survivor's floor.
 //
 // On context expiry the best plan found so far is returned together
 // with ctx.Err(); both are non-nil in that case. This is the planner
 // the online multi-DAG engine calls once per affected job after a
 // crash, with the shared-timeline frontiers as floors.
 func PlanSuffix(g *dag.Graph, pre Prefix, survivors []int, floor map[int]float64, opts Options) (*SuffixPlan, error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	v := g.NumNodes()
 	if len(pre.Done) != v {
 		return nil, fmt.Errorf("resched: prefix sized for %d nodes, graph has %d", len(pre.Done), v)
@@ -121,46 +118,80 @@ func PlanSuffix(g *dag.Graph, pre Prefix, survivors []int, floor map[int]float64
 	if len(survivors) == 0 {
 		return nil, errors.New("resched: no surviving processors")
 	}
-	pl, err := newPlanner(g, pre, survivors, floor)
-	if err != nil {
-		return nil, err
-	}
-	if len(pl.orig) == 0 {
-		return nil, errors.New("resched: crash report shows no unexecuted tasks")
-	}
-	if err := pl.priorityOrder(); err != nil {
-		return nil, err
-	}
-
-	// Phase 1: FAST's initial placement over the suffix subgraph —
-	// CPN-Dominate list order, each node placed on the surviving
-	// processor that finishes it earliest given the boundary arrivals.
-	pl.initialPlacement()
-
-	// Phase 2: FAST's greedy random walk, budgeted at MaxSteps, moving
-	// one suffix task to a random survivor and keeping strict
-	// improvements only.
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	var ctxErr error
-	if maxSteps > 0 && len(survivors) > 1 {
-		ctxErr = pl.search(ctx, maxSteps, rand.New(rand.NewSource(opts.Seed)))
-	}
-
-	plan := &SuffixPlan{
-		Nodes:  append([]dag.NodeID(nil), pl.orig...),
-		Proc:   append([]int(nil), pl.assign...),
-		Start:  append([]float64(nil), pl.start...),
-		Finish: append([]float64(nil), pl.finish...),
-	}
-	for _, f := range plan.Finish {
-		if f > plan.Makespan {
-			plan.Makespan = f
+	// The suffix takes IDs 0..k-1 in ascending original order.
+	id := make([]int32, v)
+	var orig []dag.NodeID
+	for i := range v {
+		id[i] = -1
+		if !pre.Done[i] {
+			id[i] = int32(len(orig))
+			orig = append(orig, dag.NodeID(i))
 		}
 	}
-	return plan, ctxErr
+	k := int32(len(orig))
+	if k == 0 {
+		return nil, errors.New("resched: crash report shows no unexecuted tasks")
+	}
+	slot := make(map[int]int, len(survivors))
+	ready := make([]float64, len(survivors))
+	for q, p := range survivors {
+		slot[p], ready[q] = q, floor[p]
+	}
+	// One CSR holds the suffix and, from ID k up, the prefix parents it
+	// reads, frozen where they ran, with no work left to do; its edges
+	// keep g's predecessor order. The suffix's own edges also form the
+	// suffix graph.
+	nodeW := make([]float64, k)
+	proc, finish := make([]int, k), make([]float64, k)
+	var from, to, subFrom, subTo []int32
+	var w, subW []float64
+	for j, n := range orig {
+		nodeW[j] = g.Weight(n)
+		for _, e := range g.Pred(n) {
+			p := id[e.From]
+			switch {
+			case p < 0:
+				p, id[e.From] = int32(len(nodeW)), int32(len(nodeW))
+				q, ok := slot[pre.Proc[e.From]]
+				if !ok {
+					q = -1
+				}
+				nodeW, proc, finish = append(nodeW, 0), append(proc, q), append(finish, pre.Finish[e.From])
+			case p < k:
+				subFrom, subTo, subW = append(subFrom, p), append(subTo, int32(j)), append(subW, e.Weight)
+			}
+			from, to, w = append(from, p), append(to, int32(j)), append(w, e.Weight)
+		}
+	}
+	sub, err := dag.FinishCSR(nodeW[:k:k], subFrom, subTo, subW, 0)
+	if err != nil {
+		return nil, fmt.Errorf("resched: suffix extraction: %w", err)
+	}
+	cg, err := plan.CompileCompact(sub, nil)
+	if err != nil {
+		return nil, fmt.Errorf("resched: suffix plan: %w", err)
+	}
+	c, err := dag.FinishCSR(nodeW, from, to, w, 0)
+	if err != nil {
+		return nil, fmt.Errorf("resched: suffix extraction: %w", err)
+	}
+	f := fast.New(fast.Options{MaxSteps: opts.MaxSteps, Seed: opts.Seed, Context: opts.Context})
+	s, err := f.ScheduleFrozen(c, cg.CPNDominate, ready, proc, finish)
+	if s == nil {
+		return nil, fmt.Errorf("resched: %w", err)
+	}
+	sp := &SuffixPlan{
+		Nodes:    orig,
+		Proc:     make([]int, k),
+		Start:    make([]float64, k),
+		Finish:   make([]float64, k),
+		Makespan: s.Length(),
+	}
+	for j := range orig {
+		pl := s.Of(dag.NodeID(j))
+		sp.Proc[j], sp.Start[j], sp.Finish[j] = survivors[pl.Proc], pl.Start, pl.Finish
+	}
+	return sp, err
 }
 
 // Repair replans the unexecuted suffix of a crashed run onto the
@@ -179,33 +210,9 @@ func Repair(g *dag.Graph, s *sched.Schedule, crash *sim.CrashError, opts Options
 		return nil, fmt.Errorf("resched: crash report sized for %d nodes, graph has %d", len(crash.Done), v)
 	}
 
-	// Survivors: the schedule's processors minus the dead set, with their
-	// splice frontiers floored at the last crash (the replan instant).
-	lastCrash := 0.0
-	for _, c := range crash.Crashes {
-		if c.Time > lastCrash {
-			lastCrash = c.Time
-		}
-	}
-	var survivors []int
-	for _, p := range s.Procs() {
-		if !crash.Dead[p] {
-			survivors = append(survivors, p)
-		}
-	}
+	pre, survivors, floor := crashInputs(s, crash)
 	if len(survivors) == 0 {
 		return nil, errors.New("resched: no surviving processors")
-	}
-	floor := make(map[int]float64, len(survivors))
-	for _, p := range survivors {
-		floor[p] = maxf(crash.ProcFree[p], lastCrash)
-	}
-
-	pre := Prefix{Done: crash.Done, Finish: crash.Finish, Proc: make([]int, v)}
-	for i := 0; i < v; i++ {
-		if crash.Done[i] {
-			pre.Proc[i] = s.Proc(dag.NodeID(i))
-		}
 	}
 	plan, ctxErr := PlanSuffix(g, pre, survivors, floor, opts)
 	if plan == nil {
@@ -227,208 +234,30 @@ func Repair(g *dag.Graph, s *sched.Schedule, crash *sim.CrashError, opts Options
 	return res, ctxErr
 }
 
-// boundaryEdge is a message from an executed prefix parent into the
-// suffix: the parent finished at finish on processor proc, and fetching
-// its result from any other processor costs comm.
-type boundaryEdge struct {
-	proc   int
-	finish float64
-	comm   float64
-}
-
-// planner holds the suffix subgraph and the placement state of the
-// repair search.
-type planner struct {
-	sub      *dag.Graph
-	orig     []dag.NodeID // sub ID -> original ID
-	subOf    []int        // original ID -> sub ID, -1 for prefix tasks
-	list     []int        // phase-1 priority order (sub IDs, topological)
-	boundary [][]boundaryEdge
-	procs    []int
-	floor    map[int]float64
-
-	assign []int // sub ID -> processor
-	start  []float64
-	finish []float64
-	length float64
-
-	procReady map[int]float64 // scratch for evaluate
-}
-
-// newPlanner extracts the unexecuted suffix of g as its own graph (IDs
-// remapped densely) and records the boundary arrivals from the executed
-// prefix.
-func newPlanner(g *dag.Graph, pre Prefix, survivors []int, floor map[int]float64) (*planner, error) {
-	v := g.NumNodes()
-	subOf := make([]int, v)
-	var orig []dag.NodeID
-	for i := 0; i < v; i++ {
-		if pre.Done[i] {
-			subOf[i] = -1
-		} else {
-			subOf[i] = len(orig)
-			orig = append(orig, dag.NodeID(i))
+// crashInputs derives PlanSuffix's inputs from a crash report: the
+// executed prefix where it ran, and the survivors — the schedule's
+// processors minus the dead set — with their splice frontiers floored
+// at the last crash (the replan instant).
+func crashInputs(s *sched.Schedule, crash *sim.CrashError) (Prefix, []int, map[int]float64) {
+	lastCrash := 0.0
+	for _, c := range crash.Crashes {
+		lastCrash = max(lastCrash, c.Time)
+	}
+	var survivors []int
+	floor := make(map[int]float64)
+	for _, p := range s.Procs() {
+		if !crash.Dead[p] {
+			survivors = append(survivors, p)
+			floor[p] = max(crash.ProcFree[p], lastCrash)
 		}
 	}
-	sub := dag.New(len(orig))
-	for _, n := range orig {
-		sub.AddNode(g.Label(n), g.Weight(n))
-	}
-	boundary := make([][]boundaryEdge, len(orig))
-	for _, n := range orig {
-		j := subOf[n]
-		for _, e := range g.Pred(n) {
-			if pj := subOf[e.From]; pj >= 0 {
-				if err := sub.AddEdge(dag.NodeID(pj), dag.NodeID(j), e.Weight); err != nil {
-					return nil, fmt.Errorf("resched: suffix extraction: %w", err)
-				}
-			} else {
-				boundary[j] = append(boundary[j], boundaryEdge{
-					proc:   pre.Proc[e.From],
-					finish: pre.Finish[e.From],
-					comm:   e.Weight,
-				})
-			}
+	pre := Prefix{Done: crash.Done, Finish: crash.Finish, Proc: make([]int, len(crash.Done))}
+	for i, done := range crash.Done {
+		if done {
+			pre.Proc[i] = s.Proc(dag.NodeID(i))
 		}
 	}
-	pl := &planner{
-		sub:       sub,
-		orig:      orig,
-		subOf:     subOf,
-		boundary:  boundary,
-		procs:     survivors,
-		floor:     floor,
-		assign:    make([]int, len(orig)),
-		start:     make([]float64, len(orig)),
-		finish:    make([]float64, len(orig)),
-		procReady: make(map[int]float64, len(survivors)),
-	}
-	return pl, nil
-}
-
-// priorityOrder builds FAST's phase-1 list over the suffix subgraph.
-func (pl *planner) priorityOrder() error {
-	cg, err := plan.Compile(pl.sub)
-	if err != nil {
-		return fmt.Errorf("resched: suffix plan: %w", err)
-	}
-	pl.list = make([]int, len(cg.CPNDominate))
-	for i, n := range cg.CPNDominate {
-		pl.list[i] = int(n)
-	}
-	return nil
-}
-
-// arrivalOn returns the earliest time sub node j's external inputs are
-// available on processor p, given the current suffix placement for
-// already-planned suffix parents.
-func (pl *planner) arrivalOn(j, p int, planned []bool) float64 {
-	t := 0.0
-	for _, b := range pl.boundary[j] {
-		a := b.finish
-		if b.proc != p {
-			a += b.comm
-		}
-		if a > t {
-			t = a
-		}
-	}
-	for _, e := range pl.sub.Pred(dag.NodeID(j)) {
-		pj := int(e.From)
-		if planned != nil && !planned[pj] {
-			continue
-		}
-		a := pl.finish[pj]
-		if pl.assign[pj] != p {
-			a += e.Weight
-		}
-		if a > t {
-			t = a
-		}
-	}
-	return t
-}
-
-// initialPlacement is FAST's ready-time placement restricted to the
-// survivors: each list node goes to the processor that finishes it
-// earliest (ties to the lower processor ID).
-func (pl *planner) initialPlacement() {
-	ready := pl.procReady
-	for _, p := range pl.procs {
-		ready[p] = pl.floor[p]
-	}
-	planned := make([]bool, len(pl.orig))
-	for _, j := range pl.list {
-		bestP, bestStart, bestFinish := -1, 0.0, 0.0
-		w := pl.sub.Weight(dag.NodeID(j))
-		for _, p := range pl.procs {
-			st := maxf(ready[p], pl.arrivalOn(j, p, planned))
-			fin := st + w
-			if bestP < 0 || fin < bestFinish-1e-12 {
-				bestP, bestStart, bestFinish = p, st, fin
-			}
-		}
-		pl.assign[j] = bestP
-		pl.start[j] = bestStart
-		pl.finish[j] = bestFinish
-		ready[bestP] = bestFinish
-		planned[j] = true
-	}
-	pl.length = pl.evaluate()
-}
-
-// evaluate replays the suffix under the current assignment: nodes run in
-// list order on their processors (the list is a topological order of the
-// subgraph), starting no earlier than the processor's frontier and every
-// input's arrival. It fills start/finish and returns the makespan of the
-// suffix.
-func (pl *planner) evaluate() float64 {
-	ready := pl.procReady
-	for _, p := range pl.procs {
-		ready[p] = pl.floor[p]
-	}
-	length := 0.0
-	for _, j := range pl.list {
-		p := pl.assign[j]
-		st := maxf(ready[p], pl.arrivalOn(j, p, nil))
-		// arrivalOn with nil planned reads every suffix parent; parents
-		// precede j in the topological list, so their times are current.
-		fin := st + pl.sub.Weight(dag.NodeID(j))
-		pl.start[j] = st
-		pl.finish[j] = fin
-		ready[p] = fin
-		if fin > length {
-			length = fin
-		}
-	}
-	return length
-}
-
-// search is the budgeted greedy random walk of FAST's phase 2, applied
-// to the suffix: move one random task to a random surviving processor,
-// keep the move only when the replayed makespan strictly improves. On
-// context expiry it stops and returns ctx.Err() with the best placement
-// still committed.
-func (pl *planner) search(ctx context.Context, maxSteps int, rng *rand.Rand) error {
-	for step := 0; step < maxSteps; step++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		j := pl.list[rng.Intn(len(pl.list))]
-		p := pl.procs[rng.Intn(len(pl.procs))]
-		if p == pl.assign[j] {
-			continue
-		}
-		old := pl.assign[j]
-		pl.assign[j] = p
-		if l := pl.evaluate(); l < pl.length-1e-12 {
-			pl.length = l
-		} else {
-			pl.assign[j] = old
-			pl.length = pl.evaluate()
-		}
-	}
-	return nil
+	return pre, survivors, floor
 }
 
 // splice builds the repaired full schedule: prefix tasks at their
@@ -542,11 +371,4 @@ func ExecuteTraced(g *dag.Graph, s *sched.Schedule, cfg sim.Config, opts Options
 		tr.Record(sim.TraceEvent{Time: p.Finish, Kind: "rfinish", Node: n, Proc: p.Proc})
 	}
 	return res.Report, res, tr, rerr
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

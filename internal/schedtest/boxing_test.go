@@ -41,21 +41,21 @@ var corpusOptima = map[string]float64{
 }
 
 var corpusHeuristics = map[string][3]float64{ // fast, fast-hier, pfast
-	"layered/v25/seed1": {68, 67, 67},
-	"layered/v25/seed2": {74, 74, 74},
-	"layered/v25/seed3": {66, 53, 62},
-	"layered/v25/seed4": {77, 76, 74},
-	"layered/v25/seed7": {72, 78, 67},
-	"forkjoin/w18c3":    {32, 16, 32},
-	"forkjoin/w18c6":    {32, 22, 32},
-	"forkjoin/w20c5":    {36, 21, 36},
-	"forkjoin/w23c3":    {42, 19, 42},
-	"forkjoin/w23c7":    {42, 26, 42},
-	"random/v22/seed1":  {59, 62, 59},
-	"random/v22/seed4":  {66, 64, 60},
-	"random/v22/seed6":  {66, 68, 66},
+	"layered/v25/seed1": {67, 67, 67},
+	"layered/v25/seed2": {71, 74, 71},
+	"layered/v25/seed3": {64, 53, 64},
+	"layered/v25/seed4": {74, 76, 74},
+	"layered/v25/seed7": {75, 78, 75},
+	"forkjoin/w18c3":    {16, 16, 16},
+	"forkjoin/w18c6":    {22, 22, 22},
+	"forkjoin/w20c5":    {21, 21, 21},
+	"forkjoin/w23c3":    {19, 19, 19},
+	"forkjoin/w23c7":    {26, 26, 26},
+	"random/v22/seed1":  {58, 62, 58},
+	"random/v22/seed4":  {63, 64, 63},
+	"random/v22/seed6":  {65, 68, 65},
 	"random/v22/seed7":  {56, 56, 56},
-	"random/v22/seed8":  {64, 69, 64},
+	"random/v22/seed8":  {68, 69, 68},
 }
 
 // TestOracleCorpusBoxing proves every corpus optimum, checks it against

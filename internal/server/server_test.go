@@ -532,8 +532,10 @@ func TestAsyncJobsFlushOnDrain(t *testing.T) {
 
 func TestPerRequestDeadlineMapsTo504(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	// A 1ms deadline on a large random graph expires mid-search.
-	g := schedtest.RandomLayered(rand.New(rand.NewSource(6)), 400)
+	// A 1ms deadline on a large random graph expires mid-search. The
+	// graph is TestBodyIndexSkipsPartialResults's: 400 nodes schedule
+	// inside 1ms.
+	g := schedtest.RandomLayered(rand.New(rand.NewSource(6)), 1500)
 	b, err := json.Marshal(submitRequest{Graph: graphJSON(t, g), Procs: 4, DeadlineMS: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +546,7 @@ func TestPerRequestDeadlineMapsTo504(t *testing.T) {
 	// legal, but an expiry must be typed as deadline_exceeded.
 	switch resp.StatusCode {
 	case http.StatusOK:
-		t.Skip("machine scheduled 400 nodes inside 1ms; deadline not exercised")
+		t.Skip("machine scheduled 1500 nodes inside 1ms; deadline not exercised")
 	case http.StatusGatewayTimeout:
 		if eb := decodeError(t, body); eb.Code != CodeDeadlineExceeded || !eb.Retryable {
 			t.Errorf("error = %+v, want retryable deadline_exceeded", eb)
