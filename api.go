@@ -111,8 +111,10 @@ func CriticalPath(g *Graph, l *Levels) []NodeID { return dag.CriticalPath(g, l) 
 // Schedule(g, procs) method maps every node of g onto processors;
 // procs <= 0 requests an unbounded ("more than enough") machine.
 
-// FASTOptions configures the FAST scheduler (search steps, seed,
-// ablation switches, PFAST parallelism). See internal/fast.Options.
+// FASTOptions configures the FAST scheduler: search steps (MaxSteps < 0
+// returns phase 1 alone, FAST/initial), seed, the phase-1 ablations
+// (list order; Insertion, which needs MaxSteps < 0), PFAST parallelism
+// and multi-start. See internal/fast.Options.
 type FASTOptions = fast.Options
 
 // SearchStrategy selects FAST's phase-2 search strategy.

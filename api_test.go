@@ -173,7 +173,7 @@ func TestPublicAPIRegistry(t *testing.T) {
 	if _, err := fastsched.NewScheduler("nope", 1); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	if fastsched.FASTWith(fastsched.FASTOptions{NoSearch: true}).Name() != "FAST/initial" {
+	if fastsched.FASTWith(fastsched.FASTOptions{MaxSteps: -1}).Name() != "FAST/initial" {
 		t.Fatal("FASTWith options ignored")
 	}
 	if fastsched.CoarseGrain().Flop <= 0 || fastsched.FineGrain().Startup <= 0 {

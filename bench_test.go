@@ -266,7 +266,7 @@ func BenchmarkAblationListOrder(b *testing.B) {
 	g := gauss(b, 16)
 	for _, order := range []fast.ListOrder{fast.CPNDominate, fast.BLevelOrder, fast.StaticLevelOrder} {
 		b.Run(order.String(), func(b *testing.B) {
-			s := fast.New(fast.Options{Order: order, NoSearch: true})
+			s := fast.New(fast.Options{Order: order, MaxSteps: -1})
 			var length float64
 			for i := 0; i < b.N; i++ {
 				out, err := s.Schedule(g, 16)
@@ -314,7 +314,7 @@ func BenchmarkAblationInsertion(b *testing.B) {
 			name = "insertion"
 		}
 		b.Run(name, func(b *testing.B) {
-			s := fast.New(fast.Options{Insertion: ins, NoSearch: true})
+			s := fast.New(fast.Options{Insertion: ins, MaxSteps: -1})
 			var length float64
 			for i := 0; i < b.N; i++ {
 				out, err := s.Schedule(g, 16)

@@ -61,7 +61,7 @@ func main() {
 		opts fastsched.FASTOptions
 	}
 	for _, v := range []variant{
-		{"no search", fastsched.FASTOptions{NoSearch: true}},
+		{"no search", fastsched.FASTOptions{MaxSteps: -1}},
 		{"greedy (paper)", fastsched.FASTOptions{Seed: 1, MaxSteps: 256}},
 		{"steepest", fastsched.FASTOptions{Seed: 1, MaxSteps: 8, Strategy: fastsched.SteepestSearch}},
 		{"annealing", fastsched.FASTOptions{Seed: 1, MaxSteps: 2048, Strategy: fastsched.AnnealingSearch}},

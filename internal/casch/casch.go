@@ -118,7 +118,7 @@ func NewScheduler(name string, seed int64) (sched.Scheduler, error) {
 	case "fast":
 		return fast.New(fast.Options{Seed: seed}), nil
 	case "fast-initial":
-		return fast.New(fast.Options{NoSearch: true}), nil
+		return fast.New(fast.Options{MaxSteps: -1}), nil
 	case "pfast":
 		return fast.New(fast.Options{Seed: seed, Parallelism: 4}), nil
 	case "fast-hier":

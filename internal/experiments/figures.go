@@ -59,7 +59,7 @@ func Figures2to4() (string, error) {
 		}
 		entries = append(entries, entry{s, procs})
 	}
-	entries = append(entries, entry{fast.New(fast.Options{NoSearch: true}), 4})
+	entries = append(entries, entry{fast.New(fast.Options{MaxSteps: -1}), 4})
 
 	var b strings.Builder
 	b.WriteString("Figures 2-4: schedules of the example DAG\n\n")

@@ -34,7 +34,7 @@ func TestWarmSchedulingAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	run := func() {
 		st := acquireState(cg.CPNDominate, cg.CSR, procs, telemetry{})
-		st.initialReadyTime(0)
+		st.initialReadyTime(0, nil)
 		st.evaluate()
 		if err := st.search(ctx, cg.Blocking, 32, 0, rng); err != nil {
 			t.Fatal(err)

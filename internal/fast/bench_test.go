@@ -26,7 +26,7 @@ func benchSearchState(b *testing.B) (*state, []dag.NodeID) {
 		b.Fatal(err)
 	}
 	st := newState(g, cg.CPNDominate, 128)
-	st.initialReadyTime(0)
+	st.initialReadyTime(0, nil)
 	st.evaluate()
 	return st, cg.Blocking
 }

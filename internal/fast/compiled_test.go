@@ -71,19 +71,35 @@ func TestScheduleCompiledEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestInsertionNeedsGraph covers the insertion ablation's guard: its
-// slot search runs on a *dag.Graph, so a plan compiled from a CSR alone
-// is rejected rather than scheduled.
-func TestInsertionNeedsGraph(t *testing.T) {
-	cg, err := plan.CompileCompact(dag.BuildCSR(example.Graph()), nil)
+// TestInsertionOnCompactPlan: the insertion ablation reads only the
+// plan's CSR, so a plan compiled from a CSR alone schedules exactly as
+// one compiled from the graph. With the search on, insertion is
+// rejected: the search's replay would re-time its placement without
+// gaps.
+func TestInsertionOnCompactPlan(t *testing.T) {
+	g := example.Graph()
+	cg, err := plan.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{Insertion: true}).ScheduleCompiled(cg, 2); err == nil {
-		t.Fatal("insertion ran on a plan without a graph")
-	}
-	if _, err := New(Options{}).ScheduleCompiled(cg, 2); err != nil {
+	cc, err := plan.CompileCompact(dag.BuildCSR(g), nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	ins := New(Options{Insertion: true, MaxSteps: -1})
+	want, err := ins.ScheduleCompiled(cg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ins.ScheduleCompiled(cc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSchedule(t, g.NumNodes(), want, got)
+	for _, steps := range []int{0, 8} {
+		if _, err := New(Options{Insertion: true, MaxSteps: steps}).ScheduleCompiled(cc, 2); err == nil {
+			t.Fatalf("insertion with MaxSteps %d accepted, want error", steps)
+		}
 	}
 }
 
@@ -124,7 +140,7 @@ func TestBudgetedParallelSearchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial, err := New(Options{Seed: 1, NoSearch: true}).Schedule(g, 4)
+	initial, err := New(Options{Seed: 1, MaxSteps: -1}).Schedule(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ func TestConformance(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{Seed: 1}},
-		{"initial", Options{NoSearch: true}},
-		{"insertion", Options{Seed: 1, Insertion: true}},
+		{"initial", Options{MaxSteps: -1}},
+		{"insertion", Options{Insertion: true, MaxSteps: -1}},
 		{"blevel", Options{Seed: 1, Order: BLevelOrder}},
 		{"static-level", Options{Seed: 1, Order: StaticLevelOrder}},
 		{"steepest", Options{Seed: 1, Strategy: SteepestDescent, MaxSteps: 8}},

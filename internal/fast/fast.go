@@ -14,8 +14,10 @@
 //     keeps the move only when the schedule length strictly improves.
 //
 // The package also provides the ablation switches called out in
-// DESIGN.md (alternative list orders, insertion-based phase 1, search
-// on/off) and PFAST, a parallel multi-start variant of phase 2.
+// DESIGN.md (alternative list orders; insertion-based phase 1, which
+// prices the same candidates at their earliest idle slot; search off
+// with MaxSteps < 0) and PFAST, a parallel variant of phase 2 whose
+// starts may also diversify phase 1's list order (multi-start).
 package fast
 
 import (
@@ -23,13 +25,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/listsched"
 	"fastsched/internal/obs"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
@@ -103,19 +103,21 @@ func (s Strategy) String() string {
 // Options configures a FAST scheduler.
 type Options struct {
 	// MaxSteps is the number of local-search iterations (MAXSTEP).
-	// Zero means DefaultMaxSteps; negative disables the search.
+	// Zero means DefaultMaxSteps; negative skips phase 2 entirely,
+	// returning the initial schedule (the paper's InitialSchedule(),
+	// named FAST/initial).
 	MaxSteps int
 	// Seed seeds the search's random number generator. The same seed
 	// always yields the same schedule.
 	Seed int64
-	// NoSearch skips phase 2 entirely, returning the initial schedule
-	// (the paper's InitialSchedule(); also the MaxSteps<0 behaviour).
-	NoSearch bool
 	// Order selects the phase-1 priority list (default CPNDominate).
 	Order ListOrder
-	// Insertion makes phase 1 search idle slots between already-placed
-	// tasks instead of scheduling at processor ready times. The paper
-	// deliberately avoids this to stay O(e); it is here as an ablation.
+	// Insertion makes phase 1 price each of its candidate processors at
+	// the earliest idle slot between already-placed tasks that fits the
+	// node, instead of at the processor's ready time. The paper
+	// deliberately avoids this to stay O(e); it is here as a phase-1
+	// ablation and needs MaxSteps < 0, since the search's replay would
+	// re-time the placement without gaps.
 	Insertion bool
 	// Parallelism > 1 enables PFAST: that many independent search
 	// goroutines run from the same initial schedule with distinct
@@ -126,9 +128,9 @@ type Options struct {
 	// paper's greedy random walk).
 	Strategy Strategy
 	// MultiStart (with Parallelism > 1) additionally diversifies phase
-	// 1: workers cycle through the available list orders and search
-	// their own initial schedules — the structure of the authors'
-	// follow-up FASTEST algorithm.
+	// 1: start w uses list order w%3 (CPN-Dominate, b-level, static
+	// level) and searches its own initial schedule — the structure of
+	// the authors' follow-up FASTEST algorithm.
 	MultiStart bool
 	// Budget, when positive, makes the greedy search anytime: it keeps
 	// searching (ignoring MaxSteps) until the wall-clock budget is
@@ -200,7 +202,7 @@ func Default() *Scheduler { return New(Options{Seed: 1}) }
 // Name implements sched.Scheduler.
 func (f *Scheduler) Name() string {
 	switch {
-	case f.opts.NoSearch || f.opts.MaxSteps < 0:
+	case f.opts.MaxSteps < 0:
 		return "FAST/initial"
 	case f.opts.Parallelism > 1:
 		return "PFAST"
@@ -255,8 +257,8 @@ func (f *Scheduler) schedule(ctx context.Context, g *dag.Graph, procs int) (*sch
 // the serving path: the batch engine compiles (or fetches from the plan
 // cache) once per unique graph, then every request for that graph skips
 // the level/classification/list analysis entirely. The result is
-// bit-identical to Schedule(cg.Graph, procs) (pinned by the
-// differential tests in internal/batch).
+// bit-identical to Schedule on the graph the plan was compiled from
+// (pinned by the differential tests in internal/batch).
 func (f *Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
 	ctx := f.opts.Context
 	if ctx == nil {
@@ -285,8 +287,8 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 	if f.opts.Budget > 0 && f.opts.Strategy != Greedy {
 		return nil, fmt.Errorf("fast: Budget is only supported with the Greedy strategy, got %v", f.opts.Strategy)
 	}
-	if f.opts.Insertion && cg.Graph == nil {
-		return nil, errors.New("fast: Insertion needs a plan compiled from a graph")
+	if f.opts.Insertion && f.opts.MaxSteps >= 0 {
+		return nil, errors.New("fast: Insertion is a phase-1 ablation and needs MaxSteps < 0")
 	}
 
 	maxSteps := f.opts.MaxSteps
@@ -294,37 +296,22 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 		maxSteps = DefaultMaxSteps
 	}
 
-	tele := newTelemetry(f.opts.Metrics, f.opts.Trajectory)
-
-	if f.opts.MultiStart && f.opts.Parallelism > 1 && !f.opts.NoSearch && maxSteps > 0 {
-		t0 := time.Now()
-		s, searchErr := f.multiStart(ctx, cg, procs, maxSteps, tele)
-		if s == nil {
-			return nil, searchErr
-		}
-		f.timer("fast.search_ns").ObserveSince(t0)
-		s.Algorithm = f.Name()
-		f.gauge("fast.final_makespan").Set(s.Length())
-		return s, searchErr
-	}
-
-	list := f.priorityList(cg)
-	st := acquireState(list, cg.CSR, procs, tele)
+	st := acquireState(priorityList(cg, f.opts.Order), cg.CSR, procs, newTelemetry(f.opts.Metrics, f.opts.Trajectory))
 	defer st.release()
-	var searchErr error
-	t0 := time.Now()
+	var slots []listsched.Timeline
 	if f.opts.Insertion {
-		st.initialInsertion(cg.Graph)
-	} else {
-		st.initialReadyTime(0)
+		slots = make([]listsched.Timeline, procs)
 	}
+	t0 := time.Now()
+	st.initialReadyTime(0, slots)
 	f.timer("fast.phase1_ns").ObserveSince(t0)
 	f.gauge("fast.initial_makespan").Set(st.length)
 
-	if !f.opts.NoSearch && maxSteps > 0 {
+	var searchErr error
+	if maxSteps > 0 {
 		t1 := time.Now()
 		if f.opts.Parallelism > 1 {
-			searchErr = st.searchParallel(ctx, cg.Blocking, maxSteps, f.opts.Seed, f.opts.Parallelism, f.opts.Strategy, f.opts.Budget)
+			searchErr = st.searchParallel(ctx, f.startLists(cg), cg.Blocking, maxSteps, f.opts.Seed, f.opts.Parallelism, f.opts.Strategy, f.opts.Budget)
 		} else {
 			searchErr = runSearch(ctx, st, cg.Blocking, maxSteps, f.opts.Strategy, f.opts.Budget, rand.New(rand.NewSource(f.opts.Seed)))
 		}
@@ -348,7 +335,7 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 // at finish[n]; its weight in c is unread. A frozen node on processor
 // q must finish by ready[q]. Phase 1 runs with every processor in use,
 // and the paper's greedy search moves only the nodes in moves. Of the
-// scheduler's options, NoSearch, MaxSteps, Seed and Context apply.
+// scheduler's options, MaxSteps, Seed and Context apply.
 //
 // The schedule places the moves on processors 0..len(ready)-1 and
 // leaves the frozen nodes unassigned. On context expiry it holds the
@@ -389,13 +376,13 @@ func (f *Scheduler) ScheduleFrozen(c *dag.CSR, moves []dag.NodeID, ready []float
 		}
 		st.assign[n], st.finish[n] = proc[n], finish[n]
 	}
-	st.initialReadyTime(P)
+	st.initialReadyTime(P, nil)
 	maxSteps := f.opts.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
 	var err error
-	if !f.opts.NoSearch && maxSteps > 0 {
+	if maxSteps > 0 {
 		ctx := f.opts.Context
 		if ctx == nil {
 			ctx = context.Background()
@@ -427,133 +414,35 @@ func (f *Scheduler) gauge(name string) *obs.Gauge {
 	return f.opts.Metrics.Gauge(name)
 }
 
-// multiStart runs Parallelism start points, each building its own
-// initial schedule (cycling through the list orders) and searching it
-// with a distinct seed; the shortest result wins deterministically
-// (ties broken by lowest start index). Like searchParallel, the start
-// points are drained by up to GOMAXPROCS goroutines through an atomic
-// cursor, each goroutine reusing one pooled scratch state across the
-// starts it steals; a start's result depends only on its index, so the
-// stealing never changes the reported schedule. Starts are wrapped in
-// recover; a panic surfaces as a nil schedule plus an error. On
-// context expiry the best partial result is returned with ctx's error.
-func (f *Scheduler) multiStart(ctx context.Context, cg *plan.CompiledGraph, procs, maxSteps int, tele telemetry) (*sched.Schedule, error) {
-	orders := []ListOrder{CPNDominate, BLevelOrder, StaticLevelOrder}
-	workers := f.opts.Parallelism
-	// Start w uses the list for orders[w%3]; build each used order's
-	// list once and share it read-only across starts.
-	lists := make([][]dag.NodeID, len(orders))
-	for i := range lists {
-		if i < workers {
-			variant := *f
-			variant.opts.Order = orders[i]
-			lists[i] = variant.priorityList(cg)
+// startLists gives each multi-start start its list: start w uses list
+// order w%3, nil where that is the configured order, whose phase 1 the
+// base state already holds. PFAST's starts all share the base, so it
+// gets none.
+func (f *Scheduler) startLists(cg *plan.CompiledGraph) [][]dag.NodeID {
+	if !f.opts.MultiStart {
+		return nil
+	}
+	var byOrder [3][]dag.NodeID
+	lists := make([][]dag.NodeID, f.opts.Parallelism)
+	for w := range lists {
+		o := ListOrder(w % 3)
+		if o == f.opts.Order {
+			continue
 		}
-	}
-	type msResult struct {
-		list   []dag.NodeID
-		assign []int
-		start  []float64
-		finish []float64
-		length float64
-		ok     bool
-	}
-	results := make([]msResult, workers)
-	errs := make([]error, workers)
-	var incumbent *sharedBound
-	if f.opts.Budget > 0 {
-		incumbent = newSharedBound()
-	}
-	runStart := func(w int, local *state) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[w] = fmt.Errorf("fast: multi-start worker %d panicked: %v", w, r)
-				results[w] = msResult{}
-			}
-		}()
-		if w == debugPanicWorker {
-			panic("injected test panic")
+		if byOrder[o] == nil {
+			byOrder[o] = priorityList(cg, o)
 		}
-		list := lists[w%len(orders)]
-		local.init(list, cg.CSR, procs, checkpointInterval(procs))
-		local.tele = tele
-		local.tele.worker = w
-		local.cutoff = true
-		local.incumbent = incumbent
-		if f.opts.Insertion {
-			local.initialInsertion(cg.Graph)
-		} else {
-			local.initialReadyTime(0)
-		}
-		rng := rand.New(rand.NewSource(f.opts.Seed + int64(w)))
-		errs[w] = runSearch(ctx, local, cg.Blocking, maxSteps, f.opts.Strategy, f.opts.Budget, rng)
-		r := &results[w]
-		r.list = list
-		r.assign = append(r.assign[:0], local.assign...)
-		r.start = append(r.start[:0], local.start...)
-		r.finish = append(r.finish[:0], local.finish...)
-		r.length = local.length
-		r.ok = true
+		lists[w] = byOrder[o]
 	}
-	var cursor atomic.Int64
-	goroutines := runtime.GOMAXPROCS(0)
-	if goroutines > workers {
-		goroutines = workers
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := statePool.Get().(*state)
-			if local.assign == nil {
-				tele.poolNews.Inc()
-			} else {
-				tele.poolGets.Inc()
-			}
-			defer local.release()
-			for {
-				w := int(cursor.Add(1)) - 1
-				if w >= workers {
-					return
-				}
-				runStart(w, local)
-			}
-		}()
-	}
-	wg.Wait()
-	var ctxErr error
-	for w := 0; w < workers; w++ {
-		if err := errs[w]; err != nil {
-			if !results[w].ok || !isCancellation(err) {
-				return nil, err
-			}
-			ctxErr = err
-		}
-	}
-	best := 0
-	for w := 1; w < workers; w++ {
-		if results[w].length < results[best].length-1e-12 {
-			best = w
-		}
-	}
-	tele.workers.Add(int64(workers))
-	for w := 0; w < workers; w++ {
-		if results[w].ok {
-			tele.workerLn.Observe(results[w].length)
-		}
-	}
-	r := results[best]
-	return buildScheduleFrom(procs, r.list, r.assign, r.start, r.finish), ctxErr
+	return lists
 }
 
-// priorityList builds the phase-1 list for the configured order from
-// the compiled artifacts. The default order is the compiled
-// CPN-Dominate list itself, shared read-only — phase 1 never mutates
-// its list.
-func (f *Scheduler) priorityList(cg *plan.CompiledGraph) []dag.NodeID {
+// priorityList builds the phase-1 list for order from the compiled
+// artifacts. The default order is the compiled CPN-Dominate list
+// itself, shared read-only — phase 1 never mutates its list.
+func priorityList(cg *plan.CompiledGraph, order ListOrder) []dag.NodeID {
 	l := cg.Levels
-	switch f.opts.Order {
+	switch order {
 	case BLevelOrder:
 		return levelSortedList(l, func(n dag.NodeID) float64 { return l.BLevel[n] })
 	case StaticLevelOrder:

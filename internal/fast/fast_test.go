@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"fastsched/internal/example"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
+	"fastsched/internal/schedtest"
 )
 
 func exampleList(t *testing.T) (*dag.Graph, []dag.NodeID) {
@@ -83,7 +85,7 @@ func TestBlockingListMatchesPaper(t *testing.T) {
 
 func TestInitialScheduleValidAndBounded(t *testing.T) {
 	g := example.Graph()
-	s, err := New(Options{NoSearch: true}).Schedule(g, 4)
+	s, err := New(Options{MaxSteps: -1}).Schedule(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestInitialScheduleValidAndBounded(t *testing.T) {
 
 func TestSearchNeverWorsensInitial(t *testing.T) {
 	g := example.Graph()
-	init, err := New(Options{NoSearch: true}).Schedule(g, 4)
+	init, err := New(Options{MaxSteps: -1}).Schedule(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestFASTImprovesExampleSchedule(t *testing.T) {
 	// optimum; assert it reaches <= the initial length and >= max node
 	// path with zero comm (lower bound 7).
 	g := example.Graph()
-	init, _ := New(Options{NoSearch: true}).Schedule(g, 4)
+	init, _ := New(Options{MaxSteps: -1}).Schedule(g, 4)
 	best := init.Length()
 	s, err := New(Options{Seed: 3, MaxSteps: 512}).Schedule(g, 4)
 	if err != nil {
@@ -200,7 +202,7 @@ func TestSchedulerNames(t *testing.T) {
 	if Default().Name() != "FAST" {
 		t.Fatal("default name")
 	}
-	if New(Options{NoSearch: true}).Name() != "FAST/initial" {
+	if New(Options{MaxSteps: -1}).Name() != "FAST/initial" {
 		t.Fatal("no-search name")
 	}
 	if New(Options{Parallelism: 4}).Name() != "PFAST" {
@@ -234,19 +236,38 @@ func TestAblationOrdersProduceValidSchedules(t *testing.T) {
 	}
 }
 
+// TestInsertionPhase1Valid: the insertion ablation's phase 1 prices
+// ready-time placement's candidates with the gaps between placed tasks
+// open too, and it is no longer than ready-time placement on the
+// example graph, nor in geometric mean over the oracle corpus at each
+// instance's processor count.
 func TestInsertionPhase1Valid(t *testing.T) {
 	g := example.Graph()
-	s, err := New(Options{Insertion: true, NoSearch: true}).Schedule(g, 4)
+	s, err := New(Options{Insertion: true, MaxSteps: -1}).Schedule(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Validate(g, s); err != nil {
 		t.Fatal(err)
 	}
-	// Insertion can only help phase 1: it considers strictly more slots.
-	plain, _ := New(Options{NoSearch: true}).Schedule(g, 4)
+	plain, _ := New(Options{MaxSteps: -1}).Schedule(g, 4)
 	if s.Length() > plain.Length()+1e-9 {
 		t.Fatalf("insertion (%v) worse than ready-time (%v)", s.Length(), plain.Length())
+	}
+	logSum, corpus := 0.0, schedtest.OracleCorpus()
+	for _, inst := range corpus {
+		ins, err := New(Options{Insertion: true, MaxSteps: -1}).Schedule(inst.Graph, inst.Procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := New(Options{MaxSteps: -1}).Schedule(inst.Graph, inst.Procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logSum += math.Log(ins.Length() / plain.Length())
+	}
+	if gm := math.Exp(logSum / float64(len(corpus))); gm > 1 {
+		t.Fatalf("insertion phase 1 is %.3fx ready-time placement over the corpus (geometric mean)", gm)
 	}
 }
 
@@ -286,7 +307,7 @@ func TestFASTPropertiesOnRandomGraphs(t *testing.T) {
 		assertTopological(t, g, list)
 
 		procs := 1 + rng.Intn(6)
-		init, err := New(Options{NoSearch: true}).Schedule(g, procs)
+		init, err := New(Options{MaxSteps: -1}).Schedule(g, procs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

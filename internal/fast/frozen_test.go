@@ -30,7 +30,7 @@ func frozenMachine(t *testing.T) (c *dag.CSR, moves []dag.NodeID, ready []float6
 // wins the tie; d then joins c there.
 func TestScheduleFrozenPlacesAroundFrozenNodes(t *testing.T) {
 	c, moves, ready, proc, finish := frozenMachine(t)
-	for _, opts := range []Options{{NoSearch: true}, {Seed: 3}} {
+	for _, opts := range []Options{{MaxSteps: -1}, {Seed: 3}} {
 		s, err := New(opts).ScheduleFrozen(c, moves, ready, proc, finish)
 		if err != nil {
 			t.Fatal(err)

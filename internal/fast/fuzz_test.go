@@ -1,11 +1,14 @@
 package fast
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
+	"fastsched/internal/schedtest"
 )
 
 // hierEdgeListSeeds are FuzzHierEdgeList's seed corpus, which
@@ -67,5 +70,58 @@ func FuzzHierEdgeList(f *testing.F) {
 		}
 		assertSameSchedule(t, c.NumNodes(), want, got)
 		checkPlacement(t, c, procs, want)
+	})
+}
+
+// FuzzFASTOptions runs FAST across its option space on small random
+// graphs: the schedule must pass sched.Validate and come out identical
+// on a rerun, PFAST and multi-start must place every node as the best
+// of their serial runs (checkBestSerialRun), and insertion with the
+// search on must be rejected. Budget stays out: its runs depend on the
+// wall clock.
+func FuzzFASTOptions(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(0), uint8(0), false, false, int8(0))
+	f.Add(int64(2), uint8(40), uint8(0), uint8(3), uint8(0), uint8(1), false, false, int8(16))
+	f.Add(int64(3), uint8(30), uint8(3), uint8(2), uint8(1), uint8(2), true, false, int8(3))
+	f.Add(int64(4), uint8(25), uint8(2), uint8(4), uint8(2), uint8(0), true, false, int8(0))
+	f.Add(int64(5), uint8(59), uint8(8), uint8(0), uint8(0), uint8(2), false, true, int8(-1))
+	f.Add(int64(6), uint8(10), uint8(2), uint8(1), uint8(0), uint8(0), true, true, int8(5))
+	f.Fuzz(func(t *testing.T, seed int64, size, procs, workers, strategy, order uint8, multi, insertion bool, steps int8) {
+		g := schedtest.RandomLayered(rand.New(rand.NewSource(seed)), 1+int(size)%60)
+		cg, err := plan.Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := int(procs % 9)
+		opts := Options{
+			MaxSteps:    int(steps) % 40,
+			Seed:        seed,
+			Order:       ListOrder(order % 3),
+			Insertion:   insertion,
+			Parallelism: 1 + int(workers%6),
+			Strategy:    Strategy(strategy % 3),
+			MultiStart:  multi,
+		}
+		s, err := New(opts).ScheduleCompiled(cg, p)
+		if insertion && opts.MaxSteps >= 0 {
+			if err == nil {
+				t.Fatalf("%+v: insertion with the search on accepted", opts)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if err := sched.Validate(g, s); err != nil {
+			t.Fatalf("procs %d, %+v: %v", p, opts, err)
+		}
+		again, err := New(opts).ScheduleCompiled(cg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameSchedule(t, g.NumNodes(), s, again)
+		if opts.Parallelism > 1 && opts.MaxSteps >= 0 {
+			checkBestSerialRun(t, cg, p, opts, s)
+		}
 	})
 }

@@ -81,40 +81,6 @@ func assertTablesMatchReference(t *testing.T, g *dag.Graph, st *state, ctx strin
 	}
 }
 
-// TestEvaluateFromMatchesReference drives a long random sequence of
-// transfers — accepted (tables kept) and reverted (markDirty) — through
-// the incremental kernel and checks every evaluation against the
-// independent slice-based full replay, exactly (==, not within an
-// epsilon), across degenerate and normal checkpoint spacings.
-func TestEvaluateFromMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 25; trial++ {
-		g := randomLayeredGraph(rng, 2+rng.Intn(90))
-		list := stateList(t, g)
-		procs := 1 + rng.Intn(6)
-		for _, k := range []int{1, 3, 16, 1 << 20} {
-			st := newStateK(g, list, procs, k)
-			st.initialReadyTime(0)
-			st.evaluate()
-			assertTablesMatchReference(t, g, st, "after initial evaluate")
-			for step := 0; step < 120; step++ {
-				n := dag.NodeID(rng.Intn(g.NumNodes()))
-				p := rng.Intn(procs)
-				old := st.assign[n]
-				st.assign[n] = p
-				st.evaluateFrom(st.pos[n])
-				assertTablesMatchReference(t, g, st, "after transfer")
-				if rng.Intn(2) == 0 { // revert, as a rejected search move does
-					st.assign[n] = old
-					st.markDirty(st.pos[n])
-				}
-			}
-			st.flush()
-			assertTablesMatchReference(t, g, st, "after flush")
-		}
-	}
-}
-
 // TestTryTransferRevertMatchesReference exercises the journaled kernel
 // the search strategies actually use: tryTransfer must leave the tables
 // consistent with the candidate assignment, and revertTransfer must
@@ -129,7 +95,7 @@ func TestTryTransferRevertMatchesReference(t *testing.T) {
 		procs := 1 + rng.Intn(6)
 		for _, k := range []int{1, 5, 16, 1 << 20} {
 			st := newStateK(g, list, procs, k)
-			st.initialReadyTime(0)
+			st.initialReadyTime(0, nil)
 			st.evaluate()
 			for step := 0; step < 120; step++ {
 				n := dag.NodeID(rng.Intn(g.NumNodes()))

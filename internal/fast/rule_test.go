@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/listsched"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
@@ -110,7 +111,11 @@ func TestRuleMatchesLiteralWithEmptyProcessor(t *testing.T) {
 			}
 			for _, procs := range []int{0, g.NumNodes(), g.NumNodes() + 3} {
 				for _, search := range []bool{false, true} {
-					got, err := New(Options{Seed: 1, NoSearch: !search}).ScheduleCompiled(cg, procs)
+					opts := Options{Seed: 1}
+					if !search {
+						opts.MaxSteps = -1
+					}
+					got, err := New(opts).ScheduleCompiled(cg, procs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,7 +140,7 @@ func TestPhase1StartsEarliest(t *testing.T) {
 			}
 			v := g.NumNodes()
 			for _, procs := range []int{1, 2, 3, 4, 16, v} {
-				s, err := New(Options{NoSearch: true}).ScheduleCompiled(cg, procs)
+				s, err := New(Options{MaxSteps: -1}).ScheduleCompiled(cg, procs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,5 +183,62 @@ func TestForkJoinWidth100(t *testing.T) {
 		if s.Length() != want || h.Length() != want {
 			t.Errorf("p=%d: FAST %v, fast-hier %v, pinned %v", procs, s.Length(), h.Length(), want)
 		}
+	}
+}
+
+// TestInsertionUsesPhase1Candidates replays the insertion ablation's
+// schedule in list order on fresh timelines and checks that every node
+// sits on phase 1's first candidate with the earliest insertion start:
+// the candidates are its parents' processors in predecessor order, then
+// the lowest-numbered empty processor while one remains, or every
+// processor once none does.
+func TestInsertionUsesPhase1Candidates(t *testing.T) {
+	for name, g := range ruleGraphs(t, false) {
+		t.Run(name, func(t *testing.T) {
+			cg, err := plan.Compile(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := g.NumNodes()
+			for _, procs := range []int{1, 2, 3, 4, 16, v} {
+				s, err := New(Options{Insertion: true, MaxSteps: -1}).ScheduleCompiled(cg, procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sched.Validate(g, s); err != nil {
+					t.Fatalf("procs %d: %v", procs, err)
+				}
+				P := min(procs, v)
+				slots := make([]listsched.Timeline, P)
+				used := 0
+				for _, n := range cg.CPNDominate {
+					w := g.Weight(n)
+					best, bestStart := -1, 0.0
+					consider := func(q int) {
+						if st := slots[q].EarliestStart(listsched.DAT(g, s, n, q), w); best < 0 || st < bestStart {
+							best, bestStart = q, st
+						}
+					}
+					for _, e := range g.Pred(n) {
+						consider(s.Of(e.From).Proc)
+					}
+					if used < P {
+						consider(used)
+					} else {
+						for q := range P {
+							consider(q)
+						}
+					}
+					if got := s.Of(n); got.Proc != best || got.Start != bestStart {
+						t.Fatalf("procs %d, node %d: on processor %d at %v, phase 1's candidates give %d at %v",
+							procs, n, got.Proc, got.Start, best, bestStart)
+					}
+					slots[best].Insert(n, bestStart, w)
+					if best == used {
+						used++
+					}
+				}
+			}
+		})
 	}
 }

@@ -79,8 +79,8 @@ func (t *telemetry) record(step int, n dag.NodeID, from, to int, cand, best floa
 // set outside tests.
 var debugPanicWorker = -1
 
-// debugFullReplay forces every evaluateFrom call to replay the whole
-// list, disabling the checkpoint shortcut while keeping the CSR kernel.
+// debugFullReplay forces every transfer to replay the whole list,
+// disabling the checkpoint shortcut while keeping the CSR kernel.
 // Differential tests flip it to prove the incremental path is
 // bit-equivalent to full replay; it must never be set outside tests.
 var debugFullReplay bool
@@ -102,14 +102,14 @@ func checkpointInterval(procs int) int {
 // local search: a processor assignment per node plus scratch tables for
 // the schedule evaluation. Evaluation is incremental: transferring the
 // node at list position q only invalidates the suffix from q onward, so
-// evaluateFrom restores the per-processor ready times from the nearest
+// tryTransfer restores the per-processor ready times from the nearest
 // checkpoint at or before q in O(p) and replays only the tail.
 type state struct {
 	list  []dag.NodeID // topological priority order (phase-1 list)
 	procs int
 
-	csr *dag.CSR // flat adjacency layout; immutable, shared by clones
-	pos []int    // node -> list position; shared read-only by clones
+	csr *dag.CSR // flat adjacency layout; immutable, shared by every start
+	pos []int    // node -> list position
 
 	assign []int // processor of each node
 	start  []float64
@@ -120,14 +120,10 @@ type state struct {
 	// Checkpoints: before processing list position i*ckK the replay loop
 	// snapshots the p ready times into ckReady[i*procs:] and the running
 	// max finish into ckLen[i]. A checkpoint at position c stays valid as
-	// long as no assignment at a position < c changed, which dirty
-	// tracks: it is the smallest list position whose assignment may
-	// differ from the one the tables were computed under (len(list) when
-	// the tables are fully consistent).
+	// long as no assignment at a position < c changed.
 	ckK     int
 	ckReady []float64
 	ckLen   []float64
-	dirty   int
 
 	// Undo journal for tryTransfer/revertTransfer: the suffix of the
 	// start/finish tables (indexed by list position) and the checkpoint
@@ -207,7 +203,6 @@ func (st *state) init(list []dag.NodeID, csr *dag.CSR, procs, ckK int) {
 	if numCk > 0 {
 		st.ckLen[0] = 0
 	}
-	st.dirty = 0
 	st.undoStart = resizeF64(st.undoStart, v)
 	st.undoFinish = resizeF64(st.undoFinish, v)
 	st.undoCk = resizeF64(st.undoCk, numCk*procs)
@@ -296,21 +291,32 @@ func (b *sharedBound) update(x float64) {
 
 // initialReadyTime runs the paper's InitialSchedule(): walk the list,
 // placing each node on the candidate processor that starts it
-// earliest, where a processor's availability is its ready time (no gap
-// search). The candidates are the node's parents' processors, in
+// earliest. The candidates are the node's parents' processors, in
 // predecessor order, then the lowest-numbered empty processor while one
 // remains (the paper's fresh processor), or every processor in index
 // order once none does; the first strictly earliest start wins.
 // Processors 0..used-1 hold work on entry, and the ready times start
-// from checkpoint 0. It costs O(deg) per node while an empty processor
-// remains and O(deg + P) after.
-func (st *state) initialReadyTime(used int) {
+// from checkpoint 0. A candidate is priced at its ready time, with no
+// gap search, in O(1) from the node's arrivals, so the walk costs
+// O(deg) per node while an empty processor remains and O(deg + P)
+// after.
+//
+// slots, when non-nil, holds one timeline per processor and switches
+// the pricing to the insertion ablation: a candidate offers the
+// earliest idle slot that fits the node, and the winner's timeline
+// takes the node.
+func (st *state) initialReadyTime(used int, slots []listsched.Timeline) {
 	copy(st.ready, st.ckReady[:st.procs])
 	for _, n := range st.list {
 		a := arrivalsOf(st.csr, n, st.assign, st.finish)
+		w := st.csr.NodeW[n]
 		best, bestStart := -1, 0.0
 		consider := func(q int) {
-			if s := a.startOn(q, st.ready[q]); best < 0 || s < bestStart {
+			s := a.startOn(q, st.ready[q])
+			if slots != nil {
+				s = slots[q].EarliestStart(st.datOn(n, q), w)
+			}
+			if best < 0 || s < bestStart {
 				best, bestStart = q, s
 			}
 		}
@@ -327,6 +333,9 @@ func (st *state) initialReadyTime(used int) {
 			}
 		}
 		st.place(n, best, bestStart)
+		if slots != nil {
+			slots[best].Insert(n, bestStart, w)
+		}
 		if best == used {
 			used++
 		}
@@ -377,39 +386,6 @@ func (a arrivals) startOn(q int, ready float64) float64 {
 	return max(ready, a.m1)
 }
 
-// initialInsertion is the ablation variant of phase 1: like
-// initialReadyTime but each candidate processor is searched for the
-// earliest idle slot that fits the node (insertion scheduling). g is
-// the graph the state's CSR was built from; listsched's slot search
-// runs on it.
-func (st *state) initialInsertion(g *dag.Graph) {
-	m := listsched.NewMachine(st.procs)
-	sc := sched.New(g.NumNodes())
-	var scratch listsched.CandidateScratch
-	for _, n := range st.list {
-		w := g.Weight(n)
-		bestProc := -1
-		bestStart := 0.0
-		consider := func(p int) {
-			dat := listsched.DAT(g, sc, n, p)
-			s := m.Proc(p).EarliestStart(dat, w)
-			if bestProc == -1 || s < bestStart {
-				bestProc, bestStart = p, s
-			}
-		}
-		cands := scratch.CandidateProcs(g, sc, m, n)
-		for _, p := range cands {
-			consider(p)
-		}
-		m.Proc(bestProc).Insert(n, bestStart, w)
-		sc.Place(n, bestProc, bestStart, bestStart+w)
-		st.assign[n] = bestProc
-		st.start[n] = bestStart
-		st.finish[n] = bestStart + w
-	}
-	st.length = st.maxFinish()
-}
-
 func (st *state) place(n dag.NodeID, p int, s float64) {
 	st.assign[n] = p
 	st.start[n] = s
@@ -448,48 +424,14 @@ func (st *state) maxFinish() float64 {
 // evaluate recomputes every start/finish from the current assignment by
 // replaying the whole list in order with ready-time semantics, returning
 // the schedule length. This is the O(e) "re-visit all the edges once"
-// step of the paper's search loop; the search strategies use
-// evaluateFrom to replay only the invalidated suffix instead.
+// step of the paper's search loop; the search strategies replay only
+// the suffix a transfer invalidates (tryTransfer).
 func (st *state) evaluate() float64 {
-	st.dirty = 0
-	return st.evaluateFrom(0)
-}
-
-// markDirty records that the assignment at list position q changed
-// without the tables being recomputed (a reverted move): the next
-// evaluateFrom must replay from no later than q.
-func (st *state) markDirty(q int) {
-	if q < st.dirty {
-		st.dirty = q
-	}
-}
-
-// flush makes the tables consistent with the current assignment after a
-// search loop whose last move may have been reverted. It is a no-op
-// when the last evaluation already matches the assignment.
-func (st *state) flush() {
-	if st.dirty < len(st.list) {
-		st.evaluateFrom(st.dirty)
-	}
-}
-
-// evaluateFrom replays the list suffix starting at the nearest
-// checkpoint at or before min(from, dirty). Cost: O(e_suffix + p +
-// (v_suffix/K)·p) against O(e) for a full replay.
-func (st *state) evaluateFrom(from int) float64 {
-	v := len(st.list)
-	if v == 0 {
+	if len(st.list) == 0 {
 		st.length = 0
-		st.dirty = 0
 		return 0
 	}
-	if st.dirty < from {
-		from = st.dirty
-	}
-	if st.fullReplay {
-		from = 0
-	}
-	length, _ := st.replayFromBound(from/st.ckK*st.ckK, math.Inf(1))
+	length, _ := st.replayFromBound(0, math.Inf(1))
 	return length
 }
 
@@ -508,8 +450,7 @@ func (st *state) evaluateFrom(from int) float64 {
 // aborting cannot change an accept/reject decision made against a
 // threshold <= bound. An aborted replay leaves the tables mid-rewrite:
 // the caller MUST revertTransfer (the undo journal covers everything
-// the partial replay touched). st.length and st.dirty are only updated
-// on completion.
+// the partial replay touched). st.length is only updated on completion.
 func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 	v := len(st.list)
 	ck := base / st.ckK
@@ -538,7 +479,6 @@ func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 		}
 	}
 	st.length = length
-	st.dirty = v
 	return length, true
 }
 
@@ -547,7 +487,7 @@ func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 // the replay will overwrite. The caller either keeps the move (no
 // further action: the tables are consistent with the new assignment) or
 // calls revertTransfer to restore the journaled state exactly. The
-// tables must be consistent (dirty == len(list)) on entry; every search
+// tables must be consistent with the assignment on entry; every search
 // strategy maintains that invariant by reverting rejected moves.
 func (st *state) tryTransfer(n dag.NodeID, p int) float64 {
 	length, _ := st.replayFromBound(st.journalTransfer(n, p), math.Inf(1))
@@ -802,40 +742,49 @@ func (st *state) searchAnnealing(ctx context.Context, blocking []dag.NodeID, max
 	return nil
 }
 
-// searchParallel is PFAST: `workers` independent searchers start from the
-// same phase-1 assignment with seeds seed, seed+1, ...; the shortest
-// final schedule wins (ties broken by lowest worker index so the result
-// is deterministic). Each worker runs the configured search strategy, or
-// the anytime budget search when budget is positive.
+// searchParallel is PFAST and multi-start: `workers` independent
+// searchers with seeds seed, seed+1, ...; the shortest final schedule
+// wins, ties going to the lowest start index so the result is
+// deterministic. Each start runs the configured search strategy, or the
+// anytime budget search when budget is positive. Start w searches from
+// st's phase-1 schedule, or, when lists[w] is non-nil (a multi-start
+// start on another list order), from its own phase 1 over lists[w].
 //
-// The start points form a pool drained by up to GOMAXPROCS goroutines
-// through an atomic cursor (work stealing), instead of one goroutine
-// per start: a start's outcome depends only on its seed and the shared
-// phase-1 state — never on which goroutine ran it or in what order —
-// so the deterministic reduction over worker-indexed bests is
-// unaffected by the stealing. Each goroutine checks out one pooled
-// scratch state and resets it between starts. In budget mode the
-// searchers additionally share an atomic incumbent bound that cuts
-// non-improving suffix replays early across workers (deterministic
-// modes restrict the cutoff to the private local best; see tryCandidate).
+// The starts form a pool drained by up to GOMAXPROCS goroutines through
+// an atomic cursor (work stealing), instead of one goroutine per start:
+// a start's outcome depends only on its index, never on which goroutine
+// ran it or in what order, so the reduction is unaffected by the
+// stealing. Each start searches on a state drawn from the package pool.
+// In budget mode the searchers additionally share an atomic incumbent
+// bound that cuts non-improving suffix replays early across workers
+// (deterministic modes restrict the cutoff to the private local best;
+// see tryCandidate).
 //
+// The winner's assignment is replayed into st over the winner's list.
 // Every start is wrapped in recover, so a panicking search surfaces as
 // an error from Schedule instead of killing the process. A cancelled
 // context is not fatal: each start stops at its best-so-far schedule,
 // the best of those is committed, and ctx.Err() is returned alongside
 // it.
-func (st *state) searchParallel(ctx context.Context, blocking []dag.NodeID, maxSteps int, seed int64, workers int, strategy Strategy, budget time.Duration) error {
+func (st *state) searchParallel(ctx context.Context, lists [][]dag.NodeID, blocking []dag.NodeID, maxSteps int, seed int64, workers int, strategy Strategy, budget time.Duration) error {
 	type result struct {
 		assign []int
 		length float64
 	}
 	results := make([]result, workers)
 	errs := make([]error, workers)
+	own := func(w int) bool { return w < len(lists) && lists[w] != nil }
 	var incumbent *sharedBound
 	if budget > 0 {
 		incumbent = newSharedBound()
 	}
-	runStart := func(w int, local *state) {
+	runStart := func(w int) {
+		list := st.list
+		if own(w) {
+			list = lists[w]
+		}
+		local := acquireState(list, st.csr, st.procs, st.tele)
+		defer local.release()
 		defer func() {
 			if r := recover(); r != nil {
 				errs[w] = fmt.Errorf("fast: search worker %d panicked: %v", w, r)
@@ -845,7 +794,12 @@ func (st *state) searchParallel(ctx context.Context, blocking []dag.NodeID, maxS
 		if w == debugPanicWorker {
 			panic("injected test panic")
 		}
-		local.resetToBase(st)
+		// Every strategy replays the assignment before it reads a table.
+		if own(w) {
+			local.initialReadyTime(0, nil)
+		} else {
+			copy(local.assign, st.assign)
+		}
 		local.tele.worker = w
 		local.cutoff = true
 		local.incumbent = incumbent
@@ -854,23 +808,13 @@ func (st *state) searchParallel(ctx context.Context, blocking []dag.NodeID, maxS
 		results[w] = result{assign: append([]int(nil), local.assign...), length: local.length}
 	}
 	var cursor atomic.Int64
-	goroutines := runtime.GOMAXPROCS(0)
-	if goroutines > workers {
-		goroutines = workers
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
+	for range min(runtime.GOMAXPROCS(0), workers) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := st.cloneFromPool()
-			defer local.release()
-			for {
-				w := int(cursor.Add(1)) - 1
-				if w >= workers {
-					return
-				}
-				runStart(w, local)
+			for w := int(cursor.Add(1)) - 1; w < workers; w = int(cursor.Add(1)) - 1 {
+				runStart(w)
 			}
 		}()
 	}
@@ -895,6 +839,11 @@ func (st *state) searchParallel(ctx context.Context, blocking []dag.NodeID, maxS
 		if results[w].assign != nil {
 			st.tele.workerLn.Observe(results[w].length)
 		}
+	}
+	if own(best) {
+		tele := st.tele
+		st.init(lists[best], st.csr, st.procs, st.ckK)
+		st.tele = tele
 	}
 	copy(st.assign, results[best].assign)
 	st.evaluate()
@@ -938,86 +887,23 @@ func runSearch(ctx context.Context, st *state, blocking []dag.NodeID, maxSteps i
 	}
 }
 
-// cloneFromPool checks a scratch state out of the package pool and
-// shapes it like st for an independent searcher. The list, CSR layout
-// and telemetry handles are shared read-only; the position
-// index is copied, not aliased — a pooled state must own every slice
-// it may later resize in place, or a reuse for a different run would
-// scribble over the base state's tables. The mutable tables are sized
-// but not filled; resetToBase snaps them to the base schedule before
-// each start.
-func (st *state) cloneFromPool() *state {
-	c := statePool.Get().(*state)
-	if c.assign == nil {
-		st.tele.poolNews.Inc()
-	} else {
-		st.tele.poolGets.Inc()
-	}
-	v := len(st.assign)
-	c.list, c.procs, c.csr = st.list, st.procs, st.csr
-	c.pos = resizeInt(c.pos, v)
-	copy(c.pos, st.pos)
-	c.assign = resizeInt(c.assign, v)
-	c.start = resizeF64(c.start, v)
-	c.finish = resizeF64(c.finish, v)
-	c.ready = resizeF64(c.ready, st.procs)
-	c.ckK = st.ckK
-	c.ckReady = resizeF64(c.ckReady, len(st.ckReady))
-	c.ckLen = resizeF64(c.ckLen, len(st.ckLen))
-	c.undoStart = resizeF64(c.undoStart, v)
-	c.undoFinish = resizeF64(c.undoFinish, v)
-	c.undoCk = resizeF64(c.undoCk, len(st.undoCk))
-	c.undoCkLen = resizeF64(c.undoCkLen, len(st.undoCkLen))
-	c.tele = st.tele // shared counters: workers aggregate atomically
-	c.lastReplay = 0
-	c.cutoff = false
-	c.incumbent = nil
-	c.fullReplay = st.fullReplay
-	return c
-}
-
-// resetToBase snaps the mutable tables back to base's schedule so the
-// next start searches from the same phase-1 state. Only checkpoint 0
-// needs copying: the clone starts fully dirty, so its first evaluation
-// replays from position 0 — restoring from checkpoint 0 before
-// rewriting every later checkpoint row it passes.
-func (st *state) resetToBase(base *state) {
-	copy(st.assign, base.assign)
-	copy(st.start, base.start)
-	copy(st.finish, base.finish)
-	st.length = base.length
-	copy(st.ckReady[:st.procs], base.ckReady)
-	if len(st.ckLen) > 0 {
-		st.ckLen[0] = 0
-	}
-	st.dirty = 0
-	st.lastReplay = 0
-}
-
 // buildSchedule converts the state tables into a sched.Schedule with
 // compact processor numbering (processors renumbered 0..k-1 in order of
-// first use, so reports show contiguous PE indices).
+// first use along the list, so reports show contiguous PE indices).
 func (st *state) buildSchedule() *sched.Schedule {
-	return buildScheduleFrom(st.procs, st.list, st.assign, st.start, st.finish)
-}
-
-// buildScheduleFrom is buildSchedule over bare tables, so multi-start
-// can materialize the winning start's copied-out result after its
-// pooled state has been recycled.
-func buildScheduleFrom(procs int, list []dag.NodeID, assign []int, start, finish []float64) *sched.Schedule {
-	s := sched.New(len(assign))
-	renumber := make([]int, procs)
+	s := sched.New(len(st.assign))
+	renumber := make([]int, st.procs)
 	for i := range renumber {
 		renumber[i] = -1
 	}
 	used := 0
-	for _, n := range list {
-		p := assign[n]
+	for _, n := range st.list {
+		p := st.assign[n]
 		if renumber[p] < 0 {
 			renumber[p] = used
 			used++
 		}
-		s.Place(n, renumber[p], start[n], finish[n])
+		s.Place(n, renumber[p], st.start[n], st.finish[n])
 	}
 	return s
 }

@@ -21,7 +21,7 @@ func TestStrategyStrings(t *testing.T) {
 
 func TestSteepestDescentNeverWorseThanInitial(t *testing.T) {
 	g := example.Graph()
-	init, err := New(Options{NoSearch: true}).Schedule(g, 4)
+	init, err := New(Options{MaxSteps: -1}).Schedule(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAnnealingNeverWorseThanInitial(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g := randomLayeredGraph(rng, 2+rng.Intn(50))
 		procs := 2 + rng.Intn(4)
-		init, err := New(Options{NoSearch: true}).Schedule(g, procs)
+		init, err := New(Options{MaxSteps: -1}).Schedule(g, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestMultiStartOnRandomGraphs(t *testing.T) {
 
 func TestBudgetSearchAnytime(t *testing.T) {
 	g := example.Graph()
-	init, err := New(Options{NoSearch: true}).Schedule(g, 4)
+	init, err := New(Options{MaxSteps: -1}).Schedule(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

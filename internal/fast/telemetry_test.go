@@ -23,7 +23,7 @@ func teleSearchState(t *testing.T, v, procs int) (*state, []dag.NodeID) {
 		t.Fatal(err)
 	}
 	st := newState(g, cg.CPNDominate, procs)
-	st.initialReadyTime(0)
+	st.initialReadyTime(0, nil)
 	st.evaluate()
 	return st, cg.Blocking
 }

@@ -1,8 +1,8 @@
 // Package listsched provides the machinery shared by the list-scheduling
 // algorithms in this repository: per-processor timelines supporting both
-// append-only "ready time" placement (FAST's phase 1) and
-// insertion-based earliest-slot placement (MD, and the insertion
-// variants of ETF/DLS), plus data-arrival-time computation.
+// append-only "ready time" placement and insertion-based earliest-slot
+// placement (MD, the insertion variants of ETF/DLS, and FAST's
+// insertion ablation), plus data-arrival-time computation.
 package listsched
 
 import (
@@ -39,8 +39,7 @@ type Timeline struct {
 }
 
 // ReadyTime returns the finish time of the last task on the processor
-// (0 for an idle processor). FAST's phase 1 schedules against this value
-// only, never searching for interior gaps.
+// (0 for an idle processor).
 func (t *Timeline) ReadyTime() float64 {
 	if len(t.slots) == 0 {
 		return 0
@@ -230,71 +229,4 @@ func DAT(g *dag.Graph, s *sched.Schedule, n dag.NodeID, proc int) float64 {
 		}
 	}
 	return dat
-}
-
-// CandidateProcs returns the deduplicated processor set the FAST paper
-// examines when placing n: the processors accommodating n's parents plus
-// one fresh processor (if any is available). The result is in parent
-// order with the fresh processor last when it is not already present.
-// Loops placing many nodes should use CandidateScratch.CandidateProcs
-// instead, which reuses its buffers across calls.
-func CandidateProcs(g *dag.Graph, s *sched.Schedule, m *Machine, n dag.NodeID) []int {
-	var sc CandidateScratch
-	return sc.CandidateProcs(g, s, m, n)
-}
-
-// CandidateScratch holds the reusable buffers of CandidateProcs: a
-// []bool dedupe table indexed by processor and the output slice. The
-// insertion-based phase-1 loops (FAST's ablation, MD, and the ETF/DLS
-// variants) query candidates once per node, so reusing one scratch per
-// walk removes a map allocation per node. The zero value is ready to
-// use; a scratch must not be shared between concurrent walkers.
-type CandidateScratch struct {
-	seen []bool
-	out  []int
-}
-
-// CandidateProcs is the allocation-reusing variant of the package-level
-// function. The returned slice is owned by the scratch and only valid
-// until the next call.
-func (sc *CandidateScratch) CandidateProcs(g *dag.Graph, s *sched.Schedule, m *Machine, n dag.NodeID) []int {
-	out := sc.out[:0]
-	for _, e := range g.Pred(n) {
-		p := s.Of(e.From).Proc
-		sc.grow(p)
-		if !sc.seen[p] {
-			sc.seen[p] = true
-			out = append(out, p)
-		}
-	}
-	// FreshProc may mint a new processor on an unbounded machine, so the
-	// dedupe table can need to grow beyond NumProcs() as seen so far.
-	if f := m.FreshProc(); f >= 0 {
-		sc.grow(f)
-		if !sc.seen[f] {
-			out = append(out, f)
-		}
-	}
-	if len(out) == 0 {
-		// entry node on a fully-busy bounded machine: consider everything
-		for p := 0; p < m.NumProcs(); p++ {
-			out = append(out, p)
-		}
-	}
-	// Clear only the bits this call set, leaving the table all-false for
-	// the next node: O(candidates), not O(procs).
-	for _, p := range out {
-		if p < len(sc.seen) {
-			sc.seen[p] = false
-		}
-	}
-	sc.out = out
-	return out
-}
-
-// grow ensures the dedupe table covers processor index p.
-func (sc *CandidateScratch) grow(p int) {
-	for len(sc.seen) <= p {
-		sc.seen = append(sc.seen, false)
-	}
 }

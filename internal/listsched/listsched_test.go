@@ -140,6 +140,8 @@ func TestMachineUnbounded(t *testing.T) {
 	}
 }
 
+// TestDATAndCandidates prices a join on each processor a list
+// scheduler would consider for it: either parent's, and a third.
 func TestDATAndCandidates(t *testing.T) {
 	g := dag.New(3)
 	a := g.AddNode("a", 2)
@@ -161,33 +163,6 @@ func TestDATAndCandidates(t *testing.T) {
 	// on PE 2: both remote -> 7
 	if got := DAT(g, s, c, 2); got != 7 {
 		t.Fatalf("DAT on 2 = %v", got)
-	}
-
-	m := NewMachine(4)
-	m.Proc(0).Insert(a, 0, 2)
-	m.Proc(1).Insert(b, 0, 2)
-	cands := CandidateProcs(g, s, m, c)
-	want := []int{0, 1, 2} // parents' procs + fresh
-	if len(cands) != len(want) {
-		t.Fatalf("candidates = %v", cands)
-	}
-	for i := range want {
-		if cands[i] != want[i] {
-			t.Fatalf("candidates = %v, want %v", cands, want)
-		}
-	}
-}
-
-func TestCandidateProcsEntryNodeFullMachine(t *testing.T) {
-	g := dag.New(1)
-	a := g.AddNode("a", 1)
-	s := sched.New(1)
-	m := NewMachine(2)
-	m.Proc(0).Insert(7, 0, 1)
-	m.Proc(1).Insert(8, 0, 1)
-	cands := CandidateProcs(g, s, m, a)
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %v, want both processors", cands)
 	}
 }
 
@@ -214,84 +189,6 @@ func TestEarliestStartInsertProperty(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCandidateScratchMatchesFreshCalls checks the reusable-buffer
-// variant against the allocating package-level function across many
-// consecutive queries on the same scratch, on bounded and unbounded
-// machines (FreshProc growing the machine mid-walk included), and that
-// the dedupe table really is left all-false between calls.
-func TestCandidateScratchMatchesFreshCalls(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, bounded := range []int{0, 3, 6} {
-		var scratch CandidateScratch
-		for trial := 0; trial < 50; trial++ {
-			k := 1 + rng.Intn(6)
-			g := dag.New(k + 1)
-			s := sched.New(k + 1)
-			m := NewMachine(bounded)
-			child := dag.NodeID(k)
-			for i := 0; i < k; i++ {
-				id := g.AddNode("", 1)
-				p := rng.Intn(m.NumProcs())
-				start := m.Proc(p).ReadyTime()
-				m.Proc(p).Insert(id, start, 1)
-				s.Place(id, p, start, start+1)
-			}
-			g.AddNode("child", 1)
-			for i := 0; i < k; i++ {
-				g.MustAddEdge(dag.NodeID(i), child, 1)
-			}
-			// The fresh variant first: FreshProc may grow an unbounded
-			// machine, and both calls must then see the same machine.
-			want := CandidateProcs(g, s, m, child)
-			got := scratch.CandidateProcs(g, s, m, child)
-			if len(got) != len(want) {
-				t.Fatalf("bounded=%d trial %d: scratch %v, fresh %v", bounded, trial, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bounded=%d trial %d: scratch %v, fresh %v", bounded, trial, got, want)
-				}
-			}
-			for p, set := range scratch.seen {
-				if set {
-					t.Fatalf("bounded=%d trial %d: scratch bit %d left set", bounded, trial, p)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkCandidateProcs(b *testing.B) {
-	const k = 12
-	g := dag.New(k + 1)
-	s := sched.New(k + 1)
-	m := NewMachine(8)
-	child := dag.NodeID(k)
-	for i := 0; i < k; i++ {
-		id := g.AddNode("", 1)
-		p := i % 8
-		start := m.Proc(p).ReadyTime()
-		m.Proc(p).Insert(id, start, 1)
-		s.Place(id, p, start, start+1)
-	}
-	g.AddNode("child", 1)
-	for i := 0; i < k; i++ {
-		g.MustAddEdge(dag.NodeID(i), child, 1)
-	}
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			CandidateProcs(g, s, m, child)
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		var sc CandidateScratch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sc.CandidateProcs(g, s, m, child)
-		}
-	})
 }
 
 func TestTryInsertReturnsTypedError(t *testing.T) {

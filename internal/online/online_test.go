@@ -304,6 +304,9 @@ func TestCrashRepair(t *testing.T) {
 	if got := reg.Counter("online.replans").Value(); got != int64(rep.Replans) {
 		t.Fatalf("online.replans metric = %d, report says %d", got, rep.Replans)
 	}
+	if got := reg.Counter("resched.repairs").Value(); got != int64(rep.Replans) {
+		t.Fatalf("resched.repairs metric = %d, report says %d replans", got, rep.Replans)
+	}
 }
 
 // TestCrashNoops: crashes on processors outside the machine are

@@ -42,8 +42,10 @@ type Options struct {
 	// first cancelled step and Repair returns the best plan found so far
 	// together with ctx.Err().
 	Context context.Context
-	// Metrics, when non-nil, receives repair telemetry: repairs run,
-	// suffix sizes, surviving-processor counts, and repaired makespans.
+	// Metrics, when non-nil, receives repair telemetry: PlanSuffix
+	// counts each plan it returns (resched.repairs) with its suffix size
+	// and surviving-processor count, and Repair adds the crashes it
+	// observed and the repaired makespan.
 	Metrics obs.Sink
 }
 
@@ -191,6 +193,11 @@ func PlanSuffix(g *dag.Graph, pre Prefix, survivors []int, floor map[int]float64
 		pl := s.Of(dag.NodeID(j))
 		sp.Proc[j], sp.Start[j], sp.Finish[j] = survivors[pl.Proc], pl.Start, pl.Finish
 	}
+	if m := opts.Metrics; m != nil {
+		m.Counter("resched.repairs").Inc()
+		m.Histogram("resched.suffix_len", obs.ExpBuckets(1, 2, 16)).Observe(float64(k))
+		m.Histogram("resched.survivors", obs.LinearBuckets(1, 1, 32)).Observe(float64(len(survivors)))
+	}
 	return sp, err
 }
 
@@ -225,10 +232,7 @@ func Repair(g *dag.Graph, s *sched.Schedule, crash *sim.CrashError, opts Options
 	}
 	res.Survivors = survivors
 	if m := opts.Metrics; m != nil {
-		m.Counter("resched.repairs").Inc()
 		m.Counter("resched.crashes_observed").Add(int64(len(crash.Crashes)))
-		m.Histogram("resched.suffix_len", obs.ExpBuckets(1, 2, 16)).Observe(float64(len(res.Suffix)))
-		m.Histogram("resched.survivors", obs.LinearBuckets(1, 1, 32)).Observe(float64(len(survivors)))
 		m.Gauge("resched.repaired_makespan").Set(res.Makespan)
 	}
 	return res, ctxErr
