@@ -140,9 +140,9 @@ func NewScheduler(name string, seed int64) (sched.Scheduler, error) {
 	case "ez":
 		return ez.New(), nil
 	case "dsc-map":
-		return &mapping.Bounded{Inner: dsc.New(), Strategy: mapping.LPT}, nil
+		return &mapping.Bounded{Inner: dsc.New()}, nil
 	case "lc-map":
-		return &mapping.Bounded{Inner: lc.New(), Strategy: mapping.LPT}, nil
+		return &mapping.Bounded{Inner: lc.New()}, nil
 	case "ish":
 		return ish.New(), nil
 	case "dcp":

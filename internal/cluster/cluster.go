@@ -11,46 +11,26 @@
 package cluster
 
 import (
-	"sort"
-
 	"fastsched/internal/dag"
 	"fastsched/internal/sched"
 )
 
-// Evaluate turns a cluster assignment into a schedule. assign[n] may be
-// any int; distinct values are distinct processors. The returned
-// schedule uses compact processor IDs in order of first use.
-func Evaluate(g *dag.Graph, l *dag.Levels, assign []int) *sched.Schedule {
-	order := PriorityOrder(g, l)
-	s := sched.New(g.NumNodes())
-
+// Evaluate turns a cluster assignment into a schedule, replaying the
+// nodes in order (the b-level priority order of Levels.PriorityOrder)
+// through Makespan. assign[n] may be any int; distinct values are
+// distinct processors. The returned schedule uses compact processor IDs
+// in order of first use.
+func Evaluate(g *dag.Graph, order []dag.NodeID, assign []int) *sched.Schedule {
 	start := make([]float64, g.NumNodes())
 	finish := make([]float64, g.NumNodes())
-	ready := make(map[int]float64)
+	Makespan(g, order, assign, start, finish, map[int]float64{})
+	s := sched.New(g.NumNodes())
 	renumber := make(map[int]int)
 	for _, n := range order {
-		c := assign[n]
-		dat := 0.0
-		for _, e := range g.Pred(n) {
-			arr := finish[e.From]
-			if assign[e.From] != c {
-				arr += e.Weight
-			}
-			if arr > dat {
-				dat = arr
-			}
-		}
-		st := dat
-		if r := ready[c]; r > st {
-			st = r
-		}
-		start[n] = st
-		finish[n] = st + g.Weight(n)
-		ready[c] = finish[n]
-		id, ok := renumber[c]
+		id, ok := renumber[assign[n]]
 		if !ok {
 			id = len(renumber)
-			renumber[c] = id
+			renumber[assign[n]] = id
 		}
 		s.Place(n, id, start[n], finish[n])
 	}
@@ -90,24 +70,6 @@ func Makespan(g *dag.Graph, order []dag.NodeID, assign []int, start, finish []fl
 		}
 	}
 	return makespan
-}
-
-// PriorityOrder returns the nodes in descending b-level order with ties
-// broken by topological position — a topological order (a parent's
-// b-level is never below its child's) that runs critical work first.
-func PriorityOrder(g *dag.Graph, l *dag.Levels) []dag.NodeID {
-	pos := make([]int, g.NumNodes())
-	for i, n := range l.Order {
-		pos[n] = i
-	}
-	order := append([]dag.NodeID(nil), l.Order...)
-	sort.SliceStable(order, func(i, j int) bool {
-		if l.BLevel[order[i]] != l.BLevel[order[j]] {
-			return l.BLevel[order[i]] > l.BLevel[order[j]]
-		}
-		return pos[order[i]] < pos[order[j]]
-	})
-	return order
 }
 
 // UnionFind is a standard disjoint-set structure over node IDs, used by

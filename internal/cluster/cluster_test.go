@@ -16,7 +16,7 @@ func TestEvaluateSingleCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := make([]int, 5) // everything in cluster 0
-	s := Evaluate(g, l, assign)
+	s := Evaluate(g, l.PriorityOrder(l.BLevel), assign)
 	if err := sched.Validate(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestEvaluateSingleCluster(t *testing.T) {
 func TestEvaluateSeparateClusters(t *testing.T) {
 	g := schedtest.Chain(3, 4)
 	l, _ := dag.ComputeLevels(g)
-	s := Evaluate(g, l, []int{0, 1, 2})
+	s := Evaluate(g, l.PriorityOrder(l.BLevel), []int{0, 1, 2})
 	if err := sched.Validate(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestMakespanMatchesEvaluate(t *testing.T) {
 		for i := range assign {
 			assign[i] = rng.Intn(5)
 		}
-		order := PriorityOrder(g, l)
+		order := l.PriorityOrder(l.BLevel)
 		start := make([]float64, g.NumNodes())
 		finish := make([]float64, g.NumNodes())
 		m := Makespan(g, order, assign, start, finish, map[int]float64{})
-		s := Evaluate(g, l, assign)
+		s := Evaluate(g, order, assign)
 		if err := sched.Validate(g, s); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -72,7 +72,7 @@ func TestPriorityOrderTopological(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := schedtest.RandomLayered(rng, 2+rng.Intn(60))
 		l, _ := dag.ComputeLevels(g)
-		order := PriorityOrder(g, l)
+		order := l.PriorityOrder(l.BLevel)
 		pos := make([]int, g.NumNodes())
 		for i, n := range order {
 			pos[n] = i

@@ -4,9 +4,9 @@
 // DLS defines the dynamic level of a (node, processor) pair as the
 // node's static b-level minus its earliest start time on that processor
 // and, at every step, schedules the ready pair with the largest dynamic
-// level. Time complexity is O(p·e·v) in general (O(p·v^2) with the flat
-// earliest-start model used here, since DAT computation is amortized
-// over edges).
+// level. Time complexity is O(p·e·v) in general, and O(p·v² + e) with
+// the append-only start used here: each node's data arrival is swept
+// once, when it becomes ready, and then prices every processor in O(1).
 package dls
 
 import (
@@ -43,86 +43,29 @@ func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	return s.ScheduleCompiled(cg, procs)
 }
 
-// ScheduleCompiled schedules against a plan compiled from a graph,
-// reading its level tables and its Graph.
+// ScheduleCompiled schedules against a plan, reading only its CSR and
+// static levels, so a plan compiled from a CSR alone serves too.
 func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	g, l := cg.Graph, cg.Levels
-	if g.NumNodes() == 0 {
+	if cg.CSR.NumNodes() == 0 {
 		return nil, errEmpty
 	}
-	if procs <= 0 {
-		procs = g.NumNodes()
-	}
-	v := g.NumNodes()
-	m := listsched.NewMachine(procs)
-	s := sched.New(v)
-	s.Algorithm = "DLS"
-
-	unschedParents := make([]int, v)
-	dat := make([]*listsched.DATCache, v) // built when a node becomes ready
-	ready := make([]bool, v)
-	readyCount := 0
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
-		if unschedParents[i] == 0 {
-			ready[i] = true
-			dat[i] = listsched.NewDATCache(g, s, dag.NodeID(i))
-			readyCount++
-		}
-	}
-
-	for scheduled := 0; scheduled < v; scheduled++ {
-		if readyCount == 0 {
-			return nil, errors.New("dls: no ready node (cyclic graph?)")
-		}
-		listsched.ObserveReadyList(readyCount)
-		bestNode := dag.None
-		bestProc := -1
-		bestStart, bestDL := 0.0, 0.0
-		for i := 0; i < v; i++ {
-			if !ready[i] {
-				continue
-			}
-			n := dag.NodeID(i)
-			for p := 0; p < procs; p++ {
-				st := m.Proc(p).EarliestStartAppend(dat[n].DAT(p))
-				dl := l.Static[n] - st
-				if betterDL(bestNode, bestDL, n, dl) {
-					bestNode, bestProc, bestStart, bestDL = n, p, st, dl
-				}
-			}
-		}
-		w := g.Weight(bestNode)
-		m.Proc(bestProc).Insert(bestNode, bestStart, w)
-		s.Place(bestNode, bestProc, bestStart, bestStart+w)
-		ready[bestNode] = false
-		readyCount--
-		for _, e := range g.Succ(bestNode) {
-			unschedParents[e.To]--
-			if unschedParents[e.To] == 0 {
-				ready[e.To] = true
-				dat[e.To] = listsched.NewDATCache(g, s, e.To)
-				readyCount++
-			}
-		}
-	}
-	return s, nil
+	return listsched.SchedulePairs("DLS", cg.CSR, procs, betterDL(cg.Static()))
 }
 
-// betterDL reports whether a candidate dynamic level beats the
-// incumbent: larger DL wins, ties go to the smaller node ID (and the
+// betterDL prefers the candidate pair with the larger dynamic level,
+// static level minus start; ties go to the smaller node ID (and the
 // lowest processor index via scan order) for determinism.
-func betterDL(curNode dag.NodeID, curDL float64, n dag.NodeID, dl float64) bool {
-	if curNode == dag.None {
-		return true
-	}
-	const eps = 1e-12
-	switch {
-	case dl > curDL+eps:
-		return true
-	case dl < curDL-eps:
-		return false
-	default:
-		return n < curNode
+func betterDL(static []float64) func(best, cand listsched.Pair) bool {
+	return func(best, cand listsched.Pair) bool {
+		const eps = 1e-12
+		bestDL, dl := static[best.Node]-best.Start, static[cand.Node]-cand.Start
+		switch {
+		case dl > bestDL+eps:
+			return true
+		case dl < bestDL-eps:
+			return false
+		default:
+			return cand.Node < best.Node
+		}
 	}
 }

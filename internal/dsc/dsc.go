@@ -17,11 +17,11 @@
 package dsc
 
 import (
-	"container/heap"
 	"errors"
 
 	"fastsched/internal/dag"
 	"fastsched/internal/plan"
+	"fastsched/internal/pq"
 	"fastsched/internal/sched"
 )
 
@@ -73,12 +73,20 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 	s := sched.New(v)
 	s.Algorithm = "DSC"
 
-	// Free list: nodes whose parents are all examined, max-priority first.
-	fl := &freeList{priority: func(n dag.NodeID) float64 { return tlevel[n] + l.BLevel[n] }}
+	// Free list: nodes whose parents are all examined, max-priority
+	// first, smaller IDs first among ties. A node's priority is fixed
+	// when it becomes free: its t-level is final then.
+	fl := pq.Heap[freeNode]{Less: func(a, b freeNode) bool {
+		if a.prio != b.prio {
+			return a.prio > b.prio
+		}
+		return a.n < b.n
+	}}
+	free := func(n dag.NodeID) { fl.Push(freeNode{n, tlevel[n] + l.BLevel[n]}) }
 	for i := 0; i < v; i++ {
 		unexaminedParents[i] = g.InDegree(dag.NodeID(i))
 		if unexaminedParents[i] == 0 {
-			heap.Push(fl, dag.NodeID(i))
+			free(dag.NodeID(i))
 		}
 	}
 
@@ -86,7 +94,7 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 		if fl.Len() == 0 {
 			return nil, errors.New("dsc: no free node (cyclic graph?)")
 		}
-		n := heap.Pop(fl).(dag.NodeID)
+		n := fl.Pop().n
 
 		// Staying alone costs the full-communication arrival time, which
 		// is exactly the current t-level.
@@ -134,46 +142,15 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 			}
 			unexaminedParents[e.To]--
 			if unexaminedParents[e.To] == 0 {
-				heap.Push(fl, e.To)
+				free(e.To)
 			}
 		}
 	}
 	return s, nil
 }
 
-// freeList is a max-heap of node IDs ordered by the priority function,
-// with smaller IDs first among ties for determinism. Priorities are
-// fixed at push time (a node's t-level is final once it becomes free).
-type freeList struct {
-	nodes    []dag.NodeID
-	prio     []float64
-	priority func(dag.NodeID) float64
-}
-
-func (f *freeList) Len() int { return len(f.nodes) }
-
-func (f *freeList) Less(i, j int) bool {
-	if f.prio[i] != f.prio[j] {
-		return f.prio[i] > f.prio[j]
-	}
-	return f.nodes[i] < f.nodes[j]
-}
-
-func (f *freeList) Swap(i, j int) {
-	f.nodes[i], f.nodes[j] = f.nodes[j], f.nodes[i]
-	f.prio[i], f.prio[j] = f.prio[j], f.prio[i]
-}
-
-func (f *freeList) Push(x any) {
-	n := x.(dag.NodeID)
-	f.nodes = append(f.nodes, n)
-	f.prio = append(f.prio, f.priority(n))
-}
-
-func (f *freeList) Pop() any {
-	last := len(f.nodes) - 1
-	n := f.nodes[last]
-	f.nodes = f.nodes[:last]
-	f.prio = f.prio[:last]
-	return n
+// freeNode is a free-list entry: a node and its priority.
+type freeNode struct {
+	n    dag.NodeID
+	prio float64
 }

@@ -33,11 +33,6 @@ type RandomStudy struct {
 	Repeats int
 }
 
-// Figure8 returns the study with the paper's configuration.
-func Figure8() *RandomStudy {
-	return &RandomStudy{Sizes: []int{2000, 3000, 4000, 5000}, Procs: 256, Seed: 7}
-}
-
 // RandomRow is one algorithm's measurements across the study's sizes.
 // With Repeats > 1, SL/Procs/Times hold per-size means and SLStd the
 // per-size standard deviation of the schedule length.

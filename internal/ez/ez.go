@@ -39,7 +39,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := cluster.PriorityOrder(g, l)
+	order := l.PriorityOrder(l.BLevel)
 
 	edges := g.Edges()
 	sort.SliceStable(edges, func(i, j int) bool {
@@ -78,7 +78,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 		}
 	}
 
-	s := cluster.Evaluate(g, l, uf.Assignment())
+	s := cluster.Evaluate(g, order, uf.Assignment())
 	s.Algorithm = "EZ"
 	return s, nil
 }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"fastsched/internal/dag"
@@ -444,29 +443,10 @@ func priorityList(cg *plan.CompiledGraph, order ListOrder) []dag.NodeID {
 	l := cg.Levels
 	switch order {
 	case BLevelOrder:
-		return levelSortedList(l, func(n dag.NodeID) float64 { return l.BLevel[n] })
+		return l.PriorityOrder(l.BLevel)
 	case StaticLevelOrder:
-		return levelSortedList(l, func(n dag.NodeID) float64 { return l.Static[n] })
+		return l.PriorityOrder(l.Static)
 	default:
 		return cg.CPNDominate
 	}
-}
-
-// levelSortedList returns the nodes sorted by decreasing key, with ties
-// broken by topological position so the list stays a valid topological
-// order even with zero-weight nodes.
-func levelSortedList(l *dag.Levels, key func(dag.NodeID) float64) []dag.NodeID {
-	pos := make([]int, len(l.Order))
-	for i, n := range l.Order {
-		pos[n] = i
-	}
-	list := append([]dag.NodeID(nil), l.Order...)
-	sort.SliceStable(list, func(i, j int) bool {
-		ki, kj := key(list[i]), key(list[j])
-		if ki != kj {
-			return ki > kj
-		}
-		return pos[list[i]] < pos[list[j]]
-	})
-	return list
 }

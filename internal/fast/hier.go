@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/listsched"
 	"fastsched/internal/obs"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
@@ -116,7 +117,7 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 	// b-level(parent) ≥ b-level(child) for non-negative weights, so with
 	// the topological tie-break the priority order is itself a
 	// topological order: every parent is placed before its children.
-	prio := buildPriorityOrder(levels, v, a)
+	prio := dag.PriorityOrder(levels.BLevel, levels.Order, a)
 
 	// No schedule uses more processors than it has nodes.
 	P := procs
@@ -128,16 +129,16 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 	used := int32(0)
 	for _, n := range prio {
 		// The three-term decomposition prices each candidate in O(1).
-		arr := arrivalsOf(c, n, proc, finish)
+		arr := listsched.ArrivalsOf(c, n, proc, finish)
 		var best int32
 		var bestStart float64
 		if int(used) < P {
 			// The parents' processors all lie below the empty one, so
 			// the lowest index wins a tie by the second comparison.
-			best, bestStart = used, arr.startOn(int(used), ready[used])
+			best, bestStart = used, arr.StartOn(int(used), ready[used])
 			for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
 				q := proc[c.PredFrom[s]]
-				if t := arr.startOn(int(q), ready[q]); t < bestStart || t == bestStart && q < best {
+				if t := arr.StartOn(int(q), ready[q]); t < bestStart || t == bestStart && q < best {
 					best, bestStart = q, t
 				}
 			}
@@ -145,9 +146,9 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 				used++
 			}
 		} else {
-			best, bestStart = 0, arr.startOn(0, ready[0])
+			best, bestStart = 0, arr.StartOn(0, ready[0])
 			for q := int32(1); q < int32(P); q++ {
-				if t := arr.startOn(int(q), ready[q]); t < bestStart {
+				if t := arr.StartOn(int(q), ready[q]); t < bestStart {
 					best, bestStart = q, t
 				}
 			}
@@ -165,56 +166,4 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 		procs = int(used)
 	}
 	return sched.FromArrays(h.Name(), procs, proc, start, finish), nil
-}
-
-// buildPriorityOrder returns the nodes sorted by decreasing b-level,
-// ties broken by topological position (then ID, though topological
-// positions are already unique). Counting-free: we sort indices with a
-// bottom-up merge over int32 to avoid sort.Slice's interface overhead
-// on 10⁶ elements — and to keep the comparison total and deterministic.
-func buildPriorityOrder(l *dag.CompactLevels, v int, a *dag.ScaleArena) []int32 {
-	pos := a.I32(v)
-	for i, n := range l.Order {
-		pos[n] = int32(i)
-	}
-	prio := a.I32(v)
-	copy(prio, l.Order)
-	less := func(x, y int32) bool {
-		if l.BLevel[x] != l.BLevel[y] {
-			return l.BLevel[x] > l.BLevel[y]
-		}
-		return pos[x] < pos[y]
-	}
-	// Bottom-up merge sort, stable. Starting from l.Order (a valid
-	// topological order) makes equal-b-level runs already pos-ordered,
-	// but stability guarantees the tie-break regardless.
-	buf := a.I32(v)
-	for width := 1; width < v; width *= 2 {
-		for lo := 0; lo < v; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > v {
-				mid = v
-			}
-			if hi > v {
-				hi = v
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if less(prio[j], prio[i]) {
-					buf[k] = prio[j]
-					j++
-				} else {
-					buf[k] = prio[i]
-					i++
-				}
-				k++
-			}
-			copy(buf[k:hi], prio[i:mid])
-			copy(buf[k+mid-i:hi], prio[j:hi])
-		}
-		prio, buf = buf, prio
-	}
-	a.ReleaseI32(pos)
-	a.ReleaseI32(buf)
-	return prio
 }

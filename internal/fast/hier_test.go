@@ -133,7 +133,7 @@ func referencePlacement(t *testing.T, c *dag.CSR, procs int) (proc []int32, star
 	if err != nil {
 		t.Fatal(err)
 	}
-	prio := buildPriorityOrder(l, v, nil)
+	prio := dag.PriorityOrder(l.BLevel, l.Order, nil)
 	P := procs
 	if P <= 0 || P > v {
 		P = v
@@ -214,7 +214,7 @@ func checkPlacement(t *testing.T, c *dag.CSR, procs int, s *sched.Schedule) {
 	clear(proc)
 	clear(finish)
 	opened := 0 // processors 0..opened-1 have run something
-	for _, n := range buildPriorityOrder(l, v, nil) {
+	for _, n := range dag.PriorityOrder(l.BLevel, l.Order, nil) {
 		got := s.Of(dag.NodeID(n))
 		earliest := math.Inf(1)
 		for q := 0; q <= opened && q < P; q++ {

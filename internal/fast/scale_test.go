@@ -180,7 +180,7 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 		}
 		static := c.StaticLevels(l, a)
 		cls := c.ClassifyCompactArena(l, a)
-		prio := buildPriorityOrder(l, c.NumNodes(), a)
+		prio := dag.PriorityOrder(l.BLevel, l.Order, a)
 		if len(static) == 0 || len(cls) == 0 || len(prio) == 0 {
 			runErr = fmt.Errorf("degenerate pipeline output")
 		}

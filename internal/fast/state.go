@@ -308,11 +308,11 @@ func (b *sharedBound) update(x float64) {
 func (st *state) initialReadyTime(used int, slots []listsched.Timeline) {
 	copy(st.ready, st.ckReady[:st.procs])
 	for _, n := range st.list {
-		a := arrivalsOf(st.csr, n, st.assign, st.finish)
+		a := listsched.ArrivalsOf(st.csr, n, st.assign, st.finish)
 		w := st.csr.NodeW[n]
 		best, bestStart := -1, 0.0
 		consider := func(q int) {
-			s := a.startOn(q, st.ready[q])
+			s := a.StartOn(q, st.ready[q])
 			if slots != nil {
 				s = slots[q].EarliestStart(st.datOn(n, q), w)
 			}
@@ -341,49 +341,6 @@ func (st *state) initialReadyTime(used int, slots []listsched.Timeline) {
 		}
 	}
 	st.length = st.maxFinish()
-}
-
-// arrivals is a node's data arrival in three terms, which price every
-// candidate processor in O(1) during an append-only placement pass: m1
-// is the latest parent arrival with every message paid, m1p the
-// processor of the first parent reaching it, and m2 the latest paid
-// arrival over parents on processors other than m1p.
-type arrivals struct {
-	m1, m2 float64
-	m1p    int
-}
-
-// arrivalsOf sweeps n's predecessors once. proc and finish hold each
-// placed node's processor (-1 for one that is never a candidate) and
-// finish time.
-func arrivalsOf[N, P ~int | ~int32](c *dag.CSR, n N, proc []P, finish []float64) arrivals {
-	a := arrivals{m1p: -1}
-	lo := c.PredOff[n]
-	for s := lo; s < c.PredOff[n+1]; s++ {
-		fp := int(proc[c.PredFrom[s]])
-		arr := finish[c.PredFrom[s]] + c.PredW[s]
-		if s == lo || arr > a.m1 {
-			if s > lo && fp != a.m1p && a.m1 > a.m2 {
-				a.m2 = a.m1
-			}
-			a.m1, a.m1p = arr, fp
-		} else if fp != a.m1p && arr > a.m2 {
-			a.m2 = arr
-		}
-	}
-	return a
-}
-
-// startOn is the node's start on processor q, free from ready. The
-// pass only appends, so a parent on q finished by ready and its message
-// costs nothing there:
-//
-//	max(ready, q == m1p ? m2 : m1)
-func (a arrivals) startOn(q int, ready float64) float64 {
-	if q == a.m1p {
-		return max(ready, a.m2)
-	}
-	return max(ready, a.m1)
 }
 
 func (st *state) place(n dag.NodeID, p int, s float64) {

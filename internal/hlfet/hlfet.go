@@ -6,12 +6,11 @@
 // HLFET orders nodes by descending static level (computation-only
 // b-level) and, at each step, places the ready node with the highest
 // static level on the processor that allows the earliest start time
-// (no insertion). Time complexity is O(p·v^2).
+// (no insertion). Time complexity is O(v² + p·v + e).
 package hlfet
 
 import (
 	"errors"
-	"math"
 
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
@@ -67,8 +66,8 @@ func (h *Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 
 // schedule is HLFET's one loop. Each step scans the ready nodes for the
 // highest static level (ties to the smaller ID), then the processors
-// for the earliest start (ties to the lower index), folding each
-// processor's data arrival over the predecessor slots in stored order.
+// for the earliest start (ties to the lower index), each priced in O(1)
+// from the node's arrivals, swept once over its predecessor slots.
 func schedule(c *dag.CSR, static []float64, procs int) (*sched.Schedule, error) {
 	v := c.NumNodes()
 	if v == 0 {
@@ -102,20 +101,10 @@ func schedule(c *dag.CSR, static []float64, procs int) (*sched.Schedule, error) 
 				best = n
 			}
 		}
+		arr := listsched.ArrivalsOf(c, best, assign, finish)
 		proc, st := -1, 0.0
 		for p := 0; p < procs; p++ {
-			dat := 0.0
-			for s := c.PredOff[best]; s < c.PredOff[best+1]; s++ {
-				from := c.PredFrom[s]
-				arr := finish[from]
-				if assign[from] != int32(p) {
-					arr += c.PredW[s]
-				}
-				if arr > dat {
-					dat = arr
-				}
-			}
-			if t := math.Max(procReady[p], dat); proc == -1 || t < st {
+			if t := arr.StartOn(p, procReady[p]); proc == -1 || t < st {
 				proc, st = p, t
 			}
 		}

@@ -102,7 +102,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 		}
 	}
 
-	s := cluster.Evaluate(g, l, assign)
+	s := cluster.Evaluate(g, l.PriorityOrder(l.BLevel), assign)
 	s.Algorithm = "LC"
 	return s, nil
 }

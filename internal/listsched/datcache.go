@@ -11,9 +11,10 @@ import (
 // parent processor plus a default for every other processor. Building
 // the cache costs O(deg · distinct parent procs); queries are O(1).
 //
-// ETF and DLS evaluate DAT(n, p) for every ready node against every
-// processor on every step — with this cache the per-step cost drops
-// from O(|ready| · p · deg) to O(|ready| · p).
+// MCP and ISH evaluate DAT(n, p) for one node against every processor;
+// with this cache that costs O(p) after the build instead of
+// O(p · deg). Unlike Arrivals it keeps a local parent's finish, which
+// insertion into an earlier idle slot needs.
 type DATCache struct {
 	// all is DAT on a processor hosting none of the parents.
 	all float64

@@ -1,8 +1,11 @@
 // Package listsched provides the machinery shared by the list-scheduling
-// algorithms in this repository: per-processor timelines supporting both
-// append-only "ready time" placement and insertion-based earliest-slot
-// placement (MD, the insertion variants of ETF/DLS, and FAST's
-// insertion ablation), plus data-arrival-time computation.
+// algorithms in this repository: the one pricing kernel of append-only
+// placement (Arrivals, which prices FAST's phase 1, fast-hier, HLFET,
+// ETF, DLS and the online dispatcher), the pair-selection loop ETF and
+// DLS share (SchedulePairs), per-processor timelines for
+// insertion-based earliest-slot placement (MD, MCP, ISH, DCP and FAST's
+// insertion ablation), and the data-arrival time those need (DAT and
+// DATCache).
 package listsched
 
 import (

@@ -8,7 +8,6 @@ package mapping
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"fastsched/internal/cluster"
@@ -16,34 +15,12 @@ import (
 	"fastsched/internal/sched"
 )
 
-// Strategy selects how clusters are packed onto processors.
-type Strategy int
-
-const (
-	// LPT packs clusters in decreasing total-work order onto the
-	// least-loaded processor (longest-processing-time bin packing), the
-	// usual load-balancing choice.
-	LPT Strategy = iota
-	// Wrap assigns cluster i to processor i mod p — the cheap
-	// wrap-mapping baseline.
-	Wrap
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case LPT:
-		return "lpt"
-	case Wrap:
-		return "wrap"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Map folds the clustering implied by schedule s (its processor groups)
 // onto at most procs physical processors and re-evaluates the schedule.
-// A schedule already within the budget is returned unchanged.
-func Map(g *dag.Graph, s *sched.Schedule, procs int, strategy Strategy) (*sched.Schedule, error) {
+// Clusters are packed in decreasing total-work order onto the
+// least-loaded processor (longest-processing-time bin packing). A
+// schedule already within the budget is returned unchanged.
+func Map(g *dag.Graph, s *sched.Schedule, procs int) (*sched.Schedule, error) {
 	if procs < 1 {
 		return nil, errors.New("mapping: need at least one processor")
 	}
@@ -56,42 +33,35 @@ func Map(g *dag.Graph, s *sched.Schedule, procs int, strategy Strategy) (*sched.
 	}
 
 	clusters := s.Procs()
+	type loadedCluster struct {
+		id   int
+		work float64
+	}
+	lcs := make([]loadedCluster, 0, len(clusters))
+	for _, c := range clusters {
+		var work float64
+		for _, n := range s.OnProc(c) {
+			work += g.Weight(n)
+		}
+		lcs = append(lcs, loadedCluster{c, work})
+	}
+	sort.SliceStable(lcs, func(i, j int) bool {
+		if lcs[i].work != lcs[j].work {
+			return lcs[i].work > lcs[j].work
+		}
+		return lcs[i].id < lcs[j].id
+	})
 	target := make(map[int]int, len(clusters)) // cluster -> processor
-	switch strategy {
-	case Wrap:
-		for i, c := range clusters {
-			target[c] = i % procs
-		}
-	default: // LPT
-		type loadedCluster struct {
-			id   int
-			work float64
-		}
-		lcs := make([]loadedCluster, 0, len(clusters))
-		for _, c := range clusters {
-			var work float64
-			for _, n := range s.OnProc(c) {
-				work += g.Weight(n)
+	load := make([]float64, procs)
+	for _, c := range lcs {
+		least := 0
+		for p := 1; p < procs; p++ {
+			if load[p] < load[least] {
+				least = p
 			}
-			lcs = append(lcs, loadedCluster{c, work})
 		}
-		sort.SliceStable(lcs, func(i, j int) bool {
-			if lcs[i].work != lcs[j].work {
-				return lcs[i].work > lcs[j].work
-			}
-			return lcs[i].id < lcs[j].id
-		})
-		load := make([]float64, procs)
-		for _, c := range lcs {
-			least := 0
-			for p := 1; p < procs; p++ {
-				if load[p] < load[least] {
-					least = p
-				}
-			}
-			target[c.id] = least
-			load[least] += c.work
-		}
+		target[c.id] = least
+		load[least] += c.work
 	}
 
 	assign := make([]int, g.NumNodes())
@@ -100,7 +70,7 @@ func Map(g *dag.Graph, s *sched.Schedule, procs int, strategy Strategy) (*sched.
 			assign[n] = target[c]
 		}
 	}
-	out := cluster.Evaluate(g, l, assign)
+	out := cluster.Evaluate(g, l.PriorityOrder(l.BLevel), assign)
 	out.Algorithm = s.Algorithm + "+map"
 	return out, nil
 }
@@ -108,8 +78,7 @@ func Map(g *dag.Graph, s *sched.Schedule, procs int, strategy Strategy) (*sched.
 // Bounded wraps an unbounded clustering scheduler with the mapping
 // post-pass, yielding a scheduler that honours the procs argument.
 type Bounded struct {
-	Inner    sched.Scheduler
-	Strategy Strategy
+	Inner sched.Scheduler
 }
 
 // Name implements sched.Scheduler.
@@ -126,7 +95,7 @@ func (b *Bounded) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	if procs <= 0 {
 		return s, nil
 	}
-	out, err := Map(g, s, procs, b.Strategy)
+	out, err := Map(g, s, procs)
 	if err != nil {
 		return nil, err
 	}

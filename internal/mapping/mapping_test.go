@@ -4,18 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"fastsched/internal/cluster"
 	"fastsched/internal/dag"
 	"fastsched/internal/dsc"
 	"fastsched/internal/lc"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
 )
-
-func TestStrategyStrings(t *testing.T) {
-	if LPT.String() != "lpt" || Wrap.String() != "wrap" || Strategy(7).String() == "" {
-		t.Fatal("strategy strings")
-	}
-}
 
 func TestMapBoundsProcessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -27,17 +22,15 @@ func TestMapBoundsProcessors(t *testing.T) {
 	if s.ProcsUsed() <= 4 {
 		t.Skip("DSC used few clusters on this draw; nothing to map")
 	}
-	for _, strat := range []Strategy{LPT, Wrap} {
-		m, err := Map(g, s, 4, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sched.Validate(g, m); err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if m.ProcsUsed() > 4 {
-			t.Fatalf("%v: %d procs after mapping to 4", strat, m.ProcsUsed())
-		}
+	m, err := Map(g, s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Validate(g, m); err != nil {
+		t.Fatal(err)
+	}
+	if m.ProcsUsed() > 4 {
+		t.Fatalf("%d procs after mapping to 4", m.ProcsUsed())
 	}
 }
 
@@ -47,19 +40,20 @@ func TestMapPassthroughWhenWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Map(g, s, 4, LPT)
+	m, err := Map(g, s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != s {
 		t.Fatal("within-budget schedule should pass through unchanged")
 	}
-	if _, err := Map(g, s, 0, LPT); err == nil {
+	if _, err := Map(g, s, 0); err == nil {
 		t.Fatal("procs=0 accepted")
 	}
 }
 
-// LPT balances skewed cluster loads better than wrap mapping: with two
+// LPT balances skewed cluster loads better than wrap mapping (cluster
+// i on processor i mod p, built here as the baseline): with two
 // processors and clusters of very different sizes, LPT's worst-case
 // processor load is no higher than wrap's.
 func TestLPTBalancesBetterThanWrap(t *testing.T) {
@@ -76,14 +70,19 @@ func TestLPTBalancesBetterThanWrap(t *testing.T) {
 		g.AddNode("", w)
 	}
 	l := mustSchedule(t, g) // one cluster per task (independent tasks)
-	lptS, err := Map(g, l, 2, LPT)
+	lptS, err := Map(g, l, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapS, err := Map(g, l, 2, Wrap)
+	lv, err := dag.ComputeLevels(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wrap := make([]int, g.NumNodes())
+	for i := range wrap {
+		wrap[i] = i % 2
+	}
+	wrapS := cluster.Evaluate(g, lv.PriorityOrder(lv.BLevel), wrap)
 	if err := sched.Validate(g, lptS); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func mustSchedule(t *testing.T, g *dag.Graph) *sched.Schedule {
 }
 
 func TestBoundedWrapperConformance(t *testing.T) {
-	b := &Bounded{Inner: dsc.New(), Strategy: LPT}
+	b := &Bounded{Inner: dsc.New()}
 	if b.Name() != "DSC+map" {
 		t.Fatalf("name = %q", b.Name())
 	}
@@ -123,7 +122,7 @@ func TestBoundedWrapperConformance(t *testing.T) {
 func TestBoundedUnboundedPassthrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := schedtest.RandomLayered(rng, 50)
-	b := &Bounded{Inner: dsc.New(), Strategy: LPT}
+	b := &Bounded{Inner: dsc.New()}
 	s, err := b.Schedule(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +147,7 @@ func TestMappingMonotoneProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 2, 4, 8} {
-			m, err := Map(g, s, p, LPT)
+			m, err := Map(g, s, p)
 			if err != nil {
 				t.Fatal(err)
 			}

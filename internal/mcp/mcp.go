@@ -16,6 +16,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
+	"fastsched/internal/pq"
 	"fastsched/internal/sched"
 )
 
@@ -88,20 +89,20 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	for i := 0; i < v; i++ {
 		unschedParents[i] = g.InDegree(dag.NodeID(i))
 	}
-	readyByPos := &posHeap{pos: pos}
+	readyByPos := posHeap(pos)
 	for i := 0; i < v; i++ {
 		if unschedParents[i] == 0 {
-			readyByPos.push(dag.NodeID(i))
+			readyByPos.Push(dag.NodeID(i))
 		}
 	}
 	sequence := make([]dag.NodeID, 0, v)
-	for readyByPos.len() > 0 {
-		n := readyByPos.pop()
+	for readyByPos.Len() > 0 {
+		n := readyByPos.Pop()
 		sequence = append(sequence, n)
 		for _, e := range g.Succ(n) {
 			unschedParents[e.To]--
 			if unschedParents[e.To] == 0 {
-				readyByPos.push(e.To)
+				readyByPos.Push(e.To)
 			}
 		}
 	}
@@ -129,50 +130,8 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 }
 
 // posHeap is a min-heap of node IDs keyed by their MCP list position.
-type posHeap struct {
-	pos []int
-	a   []dag.NodeID
-}
-
-func (h *posHeap) len() int { return len(h.a) }
-
-func (h *posHeap) less(i, j int) bool { return h.pos[h.a[i]] < h.pos[h.a[j]] }
-
-func (h *posHeap) push(x dag.NodeID) {
-	h.a = append(h.a, x)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *posHeap) pop() dag.NodeID {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.a) && h.less(l, small) {
-			small = l
-		}
-		if r < len(h.a) && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
-	return top
+func posHeap(pos []int) *pq.Heap[dag.NodeID] {
+	return &pq.Heap[dag.NodeID]{Less: func(a, b dag.NodeID) bool { return pos[a] < pos[b] }}
 }
 
 // compareLex compares two ascending float lists lexicographically, with

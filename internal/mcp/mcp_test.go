@@ -92,13 +92,13 @@ func TestCompareLex(t *testing.T) {
 
 func TestPosHeapOrdering(t *testing.T) {
 	pos := []int{3, 0, 2, 1}
-	h := &posHeap{pos: pos}
+	h := posHeap(pos)
 	for i := 0; i < 4; i++ {
-		h.push(dag.NodeID(i))
+		h.Push(dag.NodeID(i))
 	}
 	want := []dag.NodeID{1, 3, 2, 0}
 	for _, w := range want {
-		if got := h.pop(); got != w {
+		if got := h.Pop(); got != w {
 			t.Fatalf("pop = %d, want %d", got, w)
 		}
 	}

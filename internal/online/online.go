@@ -45,8 +45,10 @@ import (
 
 	"fastsched/internal/casch"
 	"fastsched/internal/dag"
+	"fastsched/internal/listsched"
 	"fastsched/internal/obs"
 	"fastsched/internal/plan"
+	"fastsched/internal/pq"
 	"fastsched/internal/resched"
 	"fastsched/internal/sched"
 	"fastsched/internal/sim"
@@ -240,8 +242,8 @@ type engine struct {
 	frontier []float64
 	onProc   [][]commitRef
 
-	ready  minHeap[taskRef] // in policy order (less)
-	events minHeap[event]   // in eventLess order
+	ready  pq.Heap[taskRef] // in policy order (less)
+	events pq.Heap[event]   // in eventLess order
 	// toArrive lists the jobs still to arrive, by arrival time then
 	// submission order. Only the next one waits in events: every later
 	// arrival orders after it, so the pop sequence is the same as with
@@ -319,9 +321,9 @@ func newEngine(jobs []Job, opts Options) (*engine, error) {
 		dead:     make([]bool, opts.Procs),
 		frontier: make([]float64, opts.Procs),
 		onProc:   make([][]commitRef, opts.Procs),
-		events:   minHeap[event]{less: eventLess},
+		events:   pq.Heap[event]{Less: eventLess},
 	}
-	e.ready.less = e.less
+	e.ready.Less = e.less
 	if s := opts.Metrics; s != nil {
 		e.mArrived = s.Counter("online.jobs_arrived")
 		e.mCompleted = s.Counter("online.jobs_completed")
@@ -356,7 +358,7 @@ func newEngine(jobs []Job, opts Options) (*engine, error) {
 		crashes := append([]sim.Crash(nil), fp.Crashes...)
 		sort.SliceStable(crashes, func(a, b int) bool { return crashes[a].Time < crashes[b].Time })
 		for i, c := range crashes {
-			e.events.push(event{time: c.Time, kind: evCrash, job: -1, node: c.Proc, idx: i})
+			e.events.Push(event{time: c.Time, kind: evCrash, job: -1, node: c.Proc, idx: i})
 		}
 	}
 	return e, nil
@@ -424,14 +426,14 @@ func (e *engine) queueNextArrival() {
 	}
 	j := e.toArrive[0]
 	e.toArrive = e.toArrive[1:]
-	e.events.push(event{time: e.jobs[j].job.Arrival, kind: evArrival, job: j, node: -1})
+	e.events.Push(event{time: e.jobs[j].job.Arrival, kind: evArrival, job: j, node: -1})
 }
 
 func (e *engine) loop() {
-	for e.events.len() > 0 {
-		t := e.events.peek().time
-		for e.events.len() > 0 && e.events.peek().time == t {
-			ev := e.events.pop()
+	for e.events.Len() > 0 {
+		t := e.events.Peek().time
+		for e.events.Len() > 0 && e.events.Peek().time == t {
+			ev := e.events.Pop()
 			switch ev.kind {
 			case evFinish:
 				e.onFinish(ev)
@@ -458,7 +460,7 @@ func (e *engine) commit(js *jobState, node, p int, start, finish float64) {
 	if finish > e.frontier[p] {
 		e.frontier[p] = finish
 	}
-	e.events.push(event{time: finish, kind: evFinish, job: js.seq, node: node, cseq: js.cseq[node]})
+	e.events.Push(event{time: finish, kind: evFinish, job: js.seq, node: node, cseq: js.cseq[node]})
 	e.mDispatched.Inc()
 }
 
@@ -476,7 +478,7 @@ func (e *engine) onFinish(ev event) {
 		child := int(edge.To)
 		js.pending[child]--
 		if js.pending[child] == 0 && js.status[child] == taskUnscheduled {
-			e.ready.push(taskRef{job: js.seq, node: child})
+			e.ready.Push(taskRef{job: js.seq, node: child})
 		}
 	}
 	if js.unfinished == 0 {
@@ -501,7 +503,7 @@ func (e *engine) onArrival(j int, t float64) {
 	}
 	for i := 0; i < len(js.pending); i++ {
 		if js.pending[i] == 0 {
-			e.ready.push(taskRef{job: j, node: i})
+			e.ready.Push(taskRef{job: j, node: i})
 		}
 	}
 }
@@ -566,30 +568,27 @@ func (e *engine) trySolo(js *jobState, t float64) bool {
 // dispatch places ready tasks onto currently free processors in policy
 // order: each task takes the free processor finishing it earliest,
 // accounting for cross-processor message arrivals from its parents.
-// Whether any processor is free at t does not depend on the task, so
-// the first task that finds none ends the instant: everything behind
-// it in policy order waits too.
+// Every parent of a ready task finished by t, so the task's arrivals,
+// swept once at its first free processor, price each free processor at
+// t in O(1). Whether any processor is free at t does not depend on the
+// task, so the first task that finds none ends the instant: everything
+// behind it in policy order waits too.
 func (e *engine) dispatch(t float64) {
-	for e.ready.len() > 0 {
-		ref := e.ready.peek()
+	for e.ready.Len() > 0 {
+		ref := e.ready.Peek()
 		js := e.jobs[ref.job]
 		bestP := -1
 		var bestStart, bestFinish float64
-		w := js.job.Graph.Weight(dag.NodeID(ref.node))
+		var arr listsched.Arrivals
+		w := js.cg.CSR.NodeW[ref.node]
 		for p := 0; p < e.opts.Procs; p++ {
 			if e.dead[p] || e.frontier[p] > t {
 				continue
 			}
-			st := t
-			for _, edge := range js.job.Graph.Pred(dag.NodeID(ref.node)) {
-				a := js.finish[edge.From]
-				if int(js.proc[edge.From]) != p {
-					a += edge.Weight
-				}
-				if a > st {
-					st = a
-				}
+			if bestP < 0 {
+				arr = listsched.ArrivalsOf(js.cg.CSR, ref.node, js.proc, js.finish)
 			}
+			st := arr.StartOn(p, t)
 			if fin := st + w; bestP < 0 || fin < bestFinish {
 				bestP, bestStart, bestFinish = p, st, fin
 			}
@@ -597,7 +596,7 @@ func (e *engine) dispatch(t float64) {
 		if bestP < 0 {
 			return
 		}
-		e.ready.pop()
+		e.ready.Pop()
 		e.commit(js, ref.node, bestP, bestStart, bestFinish)
 	}
 }
@@ -691,7 +690,7 @@ func (e *engine) onCrash(p int, t float64) {
 	}
 	e.compactProcs()
 	// The affected jobs' ready entries are superseded by their repairs.
-	e.ready.filter(func(r taskRef) bool { return !affected[r.job] })
+	e.ready.Filter(func(r taskRef) bool { return !affected[r.job] })
 
 	if len(survivors) == 0 {
 		return // quiescence: unfinished jobs surface as ErrAllProcessorsDead
@@ -738,7 +737,7 @@ func (e *engine) replanJob(js *jobState, survivors []int, t float64) {
 		// re-enter dynamic dispatch so nothing is silently dropped.
 		for i := 0; i < v; i++ {
 			if js.status[i] == taskUnscheduled && js.pending[i] == 0 {
-				e.ready.push(taskRef{job: js.seq, node: i})
+				e.ready.Push(taskRef{job: js.seq, node: i})
 			}
 		}
 		return

@@ -44,14 +44,6 @@ func TestOptionsPresets(t *testing.T) {
 	}
 }
 
-func TestProgressHelper(t *testing.T) {
-	var buf bytes.Buffer
-	Progress(&buf, "at %d%%", 50)
-	if buf.String() != "at 50%" {
-		t.Fatalf("progress = %q", buf.String())
-	}
-}
-
 func TestWriteReportWithExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extended report is slow")

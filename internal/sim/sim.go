@@ -27,6 +27,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/obs"
+	"fastsched/internal/pq"
 	"fastsched/internal/sched"
 )
 
@@ -149,16 +150,16 @@ func run(g *dag.Graph, s *sched.Schedule, cfg Config, tr *Tracer) (*Report, erro
 		budget += 4 * (len(cfg.Faults.Crashes) + 1)
 	}
 
-	events := &eventQueue{}
+	events := &pq.Heap[event]{Less: eventLess}
 	// A task with no remote parents can start as soon as the processor
 	// reaches it; seed the simulation by trying to start the head task of
 	// every processor.
 	for _, p := range procs {
-		events.push(event{time: 0, kind: evTryStart, proc: p})
+		events.Push(event{time: 0, kind: evTryStart, proc: p})
 	}
 	if faults {
 		for _, c := range cfg.Faults.Crashes {
-			events.push(event{time: c.Time, kind: evCrash, proc: c.Proc})
+			events.Push(event{time: c.Time, kind: evCrash, proc: c.Proc})
 		}
 	}
 
@@ -186,7 +187,7 @@ func run(g *dag.Graph, s *sched.Schedule, cfg Config, tr *Tracer) (*Report, erro
 		if guard > budget {
 			return nil, errors.New("sim: event budget exceeded (schedule deadlocked?)")
 		}
-		ev := events.pop()
+		ev := events.Pop()
 		evCount[ev.kind]++
 		switch ev.kind {
 		case evCrash:
@@ -214,7 +215,7 @@ func run(g *dag.Graph, s *sched.Schedule, cfg Config, tr *Tracer) (*Report, erro
 				lastArrival[n] = ev.time
 			}
 			tr.add(TraceEvent{Time: ev.time, Kind: "arrive", Node: n, Proc: s.Proc(n), From: ev.from})
-			events.push(event{time: ev.time, kind: evTryStart, proc: s.Proc(n)})
+			events.Push(event{time: ev.time, kind: evTryStart, proc: s.Proc(n)})
 
 		case evTryStart:
 			p := ev.proc
@@ -243,7 +244,7 @@ func run(g *dag.Graph, s *sched.Schedule, cfg Config, tr *Tracer) (*Report, erro
 			procFree[p] = f
 			busy[p] += duration[n]
 			running[p] = n
-			events.push(event{time: f, kind: evFinish, node: n, proc: p})
+			events.Push(event{time: f, kind: evFinish, node: n, proc: p})
 
 		case evFinish:
 			n, p := ev.node, ev.proc
@@ -287,9 +288,9 @@ func run(g *dag.Graph, s *sched.Schedule, cfg Config, tr *Tracer) (*Report, erro
 				messages++
 				tr.add(TraceEvent{Time: depart, Kind: "send", Node: e.To, Proc: p, From: n})
 				arrive := depart + e.Weight + cfg.Topology.Delay(p, dst) + extra
-				events.push(event{time: arrive, kind: evArrive, node: e.To, from: n})
+				events.Push(event{time: arrive, kind: evArrive, node: e.To, from: n})
 			}
-			events.push(event{time: ev.time, kind: evTryStart, proc: p})
+			events.Push(event{time: ev.time, kind: evTryStart, proc: p})
 		}
 	}
 
@@ -430,16 +431,11 @@ type event struct {
 	from dag.NodeID // producing task, for arrival events
 }
 
-// eventQueue is a time-ordered min-heap of events with typed push/pop
-// (container/heap would box every event into an interface — one heap
-// allocation per event, the dominant cost on large simulations). Ties
-// resolve by kind, then node/proc, keeping runs deterministic.
-type eventQueue struct{ ev []event }
-
-func (q *eventQueue) Len() int { return len(q.ev) }
-
-func (q *eventQueue) less(i, j int) bool {
-	a, b := q.ev[i], q.ev[j]
+// eventLess orders the event queue by time, then kind, then node and
+// proc. It is not a strict order: two message arrivals at one node, at
+// one instant, from different parents tie, and pq.Heap's fixed sift
+// order decides between them.
+func eventLess(a, b event) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -450,41 +446,4 @@ func (q *eventQueue) less(i, j int) bool {
 		return a.node < b.node
 	}
 	return a.proc < b.proc
-}
-
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	i := len(q.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.ev[parent], q.ev[i] = q.ev[i], q.ev[parent]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	top := q.ev[0]
-	last := len(q.ev) - 1
-	q.ev[0] = q.ev[last]
-	q.ev = q.ev[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.ev) && q.less(l, small) {
-			small = l
-		}
-		if r < len(q.ev) && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.ev[i], q.ev[small] = q.ev[small], q.ev[i]
-		i = small
-	}
-	return top
 }
