@@ -320,8 +320,8 @@ func GraphKey(g *Graph) GraphContentKey { return plan.GraphKey(g) }
 func NewPlanCache(max int, sink MetricsSink) *PlanCache { return plan.NewCache(max, sink) }
 
 // ScheduleCompiled schedules a pre-compiled graph with s: through s's
-// plan entry when it has one (the FAST family, FAST-H, ETF, DLS, DSC
-// and HLFET), else through s.Schedule(cg.Graph, ...). Either way the
+// plan entry when it has one (every registry algorithm but the exact
+// solver), else through s.Schedule(cg.Graph, ...). Either way the
 // result is bit-identical to s.Schedule on the original graph. FAST's
 // Options.Context, when set, still bounds the run. A plan carries no
 // content key; GraphKey computes one.

@@ -165,16 +165,17 @@ func TestPublicAPISolveOptimal(t *testing.T) {
 	}
 }
 
-// TestPublicAPIScheduleCompiled covers the compiled-plan facade: a plan
-// scheduler and a graph-only one both match their graph entry, and an
-// already-cancelled FASTOptions.Context still governs the run.
+// TestPublicAPIScheduleCompiled covers the compiled-plan facade: plan
+// schedulers and the exact solver, the one scheduler with a graph entry
+// only, match their graph entry, and an already-cancelled
+// FASTOptions.Context still governs the run.
 func TestPublicAPIScheduleCompiled(t *testing.T) {
 	g := fastsched.PaperExampleGraph()
 	cg, err := fastsched.CompileGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []fastsched.Scheduler{fastsched.ETF(), fastsched.MD()} {
+	for _, s := range []fastsched.Scheduler{fastsched.ETF(), fastsched.MD(), fastsched.Optimal()} {
 		want, err := s.Schedule(g, 3)
 		if err != nil {
 			t.Fatal(err)

@@ -91,8 +91,8 @@ type planScheduler interface {
 // cancelled request runs nothing, and s runs its ScheduleCompiled when
 // it has one, else s.Schedule(cg.Graph, procs). A nil ctx leaves the
 // scheduler's own configuration, such as FAST's Options.Context, in
-// charge. Schedulers without a plan entry need a plan compiled from a
-// graph.
+// charge. Every registry algorithm but the exact solver has a plan
+// entry; the solver needs a plan compiled from a graph.
 func ScheduleCompiled(ctx context.Context, s sched.Scheduler, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
 	if f, ok := s.(planFinder); ok && ctx != nil {
 		return f.FindCompiled(ctx, cg, procs)

@@ -3,6 +3,7 @@ package casch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -165,5 +166,91 @@ func TestScheduleCompiledContext(t *testing.T) {
 	s := fast.New(fast.Options{Seed: 1, Context: ctx})
 	if _, err := ScheduleCompiled(nil, s, cg, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("nil ctx with a cancelled Options.Context: err = %v, want %v", err, context.Canceled)
+	}
+}
+
+// TestPlanEntriesNeedOnlyTheCSR runs every registry algorithm but the
+// exact solver on a plan compiled from a CSR alone, whose Graph is nil,
+// and requires the schedules of a plan compiled from the graph: each
+// has a plan entry that reads nothing but the CSR and the levels.
+func TestPlanEntriesNeedOnlyTheCSR(t *testing.T) {
+	graphs := map[string]*dag.Graph{"example": example.Graph()}
+	db := timing.ParagonLike()
+	var err error
+	if graphs["gauss/8"], err = workload.GaussElim(8, db); err != nil {
+		t.Fatal(err)
+	}
+	if graphs["fft/16"], err = workload.FFT(16, db); err != nil {
+		t.Fatal(err)
+	}
+	for _, ccr := range []float64{0.1, 10} {
+		g, err := workload.Random(workload.RandomOpts{V: 60, Seed: 3, MeanInDegree: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("random/v60/ccr%g", ccr)] = timing.ScaleCCR(g, ccr)
+	}
+	for gname, g := range graphs {
+		full, err := plan.Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := plan.CompileCompact(dag.BuildCSR(g), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.Graph != nil {
+			t.Fatal("a plan compiled from a CSR carries a graph")
+		}
+		for _, name := range AlgorithmNames() {
+			if name == "opt" {
+				continue // the exact solver works on the graph
+			}
+			for _, procs := range []int{0, 1, 3, 16} {
+				s, err := NewScheduler(name, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := s.(planScheduler); !ok {
+					t.Fatalf("%s has no plan entry", name)
+				}
+				got, err := ScheduleCompiled(nil, s, bare, procs)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, gname, err)
+				}
+				want, err := ScheduleCompiled(nil, s, full, procs)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, gname, err)
+				}
+				if got.Algorithm != want.Algorithm || got.Balance() != want.Balance() {
+					t.Fatalf("%s on %s procs %d: %q balance %v, want %q %v", name, gname, procs,
+						got.Algorithm, got.Balance(), want.Algorithm, want.Balance())
+				}
+				for n := range g.NumNodes() {
+					if gp, wp := got.Of(dag.NodeID(n)), want.Of(dag.NodeID(n)); gp != wp {
+						t.Fatalf("%s on %s procs %d: node %d placed %+v, want %+v", name, gname, procs, n, gp, wp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanEntriesRejectEmptyPlan hands every plan entry a plan with no
+// nodes, which no plan constructor builds: each must return an error.
+func TestPlanEntriesRejectEmptyPlan(t *testing.T) {
+	empty := &plan.CompiledGraph{CSR: dag.BuildCSR(dag.New(0)), Levels: &dag.Levels{}}
+	for _, name := range AlgorithmNames() {
+		s, err := NewScheduler(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, ok := s.(planScheduler)
+		if !ok {
+			continue // the exact solver has a graph entry only
+		}
+		if out, err := ps.ScheduleCompiled(empty, 2); err == nil {
+			t.Errorf("%s scheduled an empty plan: %v", name, out)
+		}
 	}
 }

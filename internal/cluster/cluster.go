@@ -1,13 +1,13 @@
 // Package cluster provides the machinery shared by the clustering
-// family of schedulers (DSC's relatives LC and EZ): evaluating a
-// cluster assignment into a concrete schedule, and a union-find over
-// clusters for edge-zeroing algorithms.
+// family of schedulers (DSC's relatives LC and EZ, and the mapping
+// post-pass): evaluating a cluster assignment into a concrete schedule,
+// and a union-find over clusters for edge-zeroing algorithms.
 //
-// A clustering maps every node to a cluster; co-located communication
-// is free. Evaluate realizes the clustering as a schedule by replaying
-// the nodes in descending b-level order (topologically safe and the
-// standard cluster-ordering heuristic): each node starts at
-// max(cluster ready time, data arrival time).
+// A clustering maps every node to a cluster, a number in [0, v);
+// co-located communication is free. Evaluate realizes the clustering as
+// a schedule by replaying the nodes in descending b-level order
+// (topologically safe and the standard cluster-ordering heuristic):
+// each node starts at max(cluster ready time, data arrival time).
 package cluster
 
 import (
@@ -17,54 +17,56 @@ import (
 
 // Evaluate turns a cluster assignment into a schedule, replaying the
 // nodes in order (the b-level priority order of Levels.PriorityOrder)
-// through Makespan. assign[n] may be any int; distinct values are
-// distinct processors. The returned schedule uses compact processor IDs
-// in order of first use.
-func Evaluate(g *dag.Graph, order []dag.NodeID, assign []int) *sched.Schedule {
-	start := make([]float64, g.NumNodes())
-	finish := make([]float64, g.NumNodes())
-	Makespan(g, order, assign, start, finish, map[int]float64{})
-	s := sched.New(g.NumNodes())
-	renumber := make(map[int]int)
+// through Makespan. assign[n] lies in [0, v); distinct values are
+// distinct processors. The returned schedule uses compact processor
+// IDs in order of first use and reports no processor count.
+func Evaluate(c *dag.CSR, order []dag.NodeID, assign []int) *sched.Schedule {
+	v := c.NumNodes()
+	start := make([]float64, v)
+	finish := make([]float64, v)
+	Makespan(c, order, assign, start, finish, make([]float64, v))
+	renumber := make([]int32, v) // cluster -> processor + 1, 0 if unseen
+	used := int32(0)
+	proc := make([]int32, v)
 	for _, n := range order {
-		id, ok := renumber[assign[n]]
-		if !ok {
-			id = len(renumber)
-			renumber[assign[n]] = id
+		if renumber[assign[n]] == 0 {
+			used++
+			renumber[assign[n]] = used
 		}
-		s.Place(n, id, start[n], finish[n])
+		proc[n] = renumber[assign[n]] - 1
 	}
-	return s
+	return sched.FromArrays("", 0, proc, start, finish)
 }
 
 // Makespan evaluates the clustering and returns only the schedule
 // length; the cheap inner loop for algorithms that evaluate many
-// candidate clusterings (EZ tries one per edge).
-func Makespan(g *dag.Graph, order []dag.NodeID, assign []int, start, finish []float64, ready map[int]float64) float64 {
-	for k := range ready {
-		delete(ready, k)
-	}
+// candidate clusterings (EZ tries one per edge). ready is the caller's
+// scratch for the clusters' ready times, of length v; Makespan clears
+// it first.
+func Makespan(c *dag.CSR, order []dag.NodeID, assign []int, start, finish, ready []float64) float64 {
+	clear(ready)
 	var makespan float64
 	for _, n := range order {
-		c := assign[n]
+		k := assign[n]
 		dat := 0.0
-		for _, e := range g.Pred(n) {
-			arr := finish[e.From]
-			if assign[e.From] != c {
-				arr += e.Weight
+		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+			from := c.PredFrom[s]
+			arr := finish[from]
+			if assign[from] != k {
+				arr += c.PredW[s]
 			}
 			if arr > dat {
 				dat = arr
 			}
 		}
 		st := dat
-		if r := ready[c]; r > st {
+		if r := ready[k]; r > st {
 			st = r
 		}
 		start[n] = st
-		f := st + g.Weight(n)
+		f := st + c.NodeW[n]
 		finish[n] = f
-		ready[c] = f
+		ready[k] = f
 		if f > makespan {
 			makespan = f
 		}

@@ -16,7 +16,7 @@ func TestEvaluateSingleCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := make([]int, 5) // everything in cluster 0
-	s := Evaluate(g, l.PriorityOrder(l.BLevel), assign)
+	s := Evaluate(dag.BuildCSR(g), l.PriorityOrder(l.BLevel), assign)
 	if err := sched.Validate(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestEvaluateSingleCluster(t *testing.T) {
 func TestEvaluateSeparateClusters(t *testing.T) {
 	g := schedtest.Chain(3, 4)
 	l, _ := dag.ComputeLevels(g)
-	s := Evaluate(g, l.PriorityOrder(l.BLevel), []int{0, 1, 2})
+	s := Evaluate(dag.BuildCSR(g), l.PriorityOrder(l.BLevel), []int{0, 1, 2})
 	if err := sched.Validate(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,14 @@ func TestMakespanMatchesEvaluate(t *testing.T) {
 		}
 		assign := make([]int, g.NumNodes())
 		for i := range assign {
-			assign[i] = rng.Intn(5)
+			assign[i] = rng.Intn(min(5, len(assign))) // cluster IDs lie in [0, v)
 		}
 		order := l.PriorityOrder(l.BLevel)
 		start := make([]float64, g.NumNodes())
 		finish := make([]float64, g.NumNodes())
-		m := Makespan(g, order, assign, start, finish, map[int]float64{})
-		s := Evaluate(g, order, assign)
+		c := dag.BuildCSR(g)
+		m := Makespan(c, order, assign, start, finish, make([]float64, g.NumNodes()))
+		s := Evaluate(c, order, assign)
 		if err := sched.Validate(g, s); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -23,7 +23,7 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return g, Evaluate(g, l.PriorityOrder(l.BLevel), assign(g.NumNodes())), nil
+			return g, Evaluate(dag.BuildCSR(g), l.PriorityOrder(l.BLevel), assign(g.NumNodes())), nil
 		}
 	}
 

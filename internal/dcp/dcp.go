@@ -20,8 +20,11 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
+
+var errEmpty = errors.New("dcp: empty graph")
 
 // Scheduler implements sched.Scheduler with the DCP algorithm.
 type Scheduler struct{}
@@ -32,41 +35,47 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "DCP" }
 
-// Schedule implements sched.Scheduler. DCP is defined for an unbounded
-// processor set; positive procs caps the machine like MD's bounded
-// fallback, procs <= 0 gives the published behaviour.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
-	if v == 0 {
-		return nil, errors.New("dcp: empty graph")
-	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
-	}
-	order := l.Order
-	m := listsched.NewMachine(procs)
-	s := sched.New(v)
-	s.Algorithm = "DCP"
+// Schedule implements sched.Scheduler through the plan entry. DCP is
+// defined for an unbounded processor set; positive procs caps the
+// machine like MD's bounded fallback, procs <= 0 gives the published
+// behaviour.
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
+}
 
-	assigned := make([]bool, v)
-	unschedParents := make([]int, v)
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
+// ScheduleCompiled schedules against a plan, reading only its CSR and
+// topological order.
+func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	c, order := cg.CSR, cg.Levels.Order
+	v := c.NumNodes()
+	if v == 0 {
+		return nil, errEmpty
+	}
+	m := listsched.NewMachine(procs)
+	proc := make([]int32, v) // -1 while unscheduled
+	start := make([]float64, v)
+	finish := make([]float64, v)
+	unschedParents := make([]int32, v)
+	for n := range v {
+		proc[n] = -1
+		unschedParents[n] = c.PredOff[n+1] - c.PredOff[n]
 	}
 	aest := make([]float64, v)
-	alst := make([]float64, v) // stored as b-level first, then CP - b
+	alst := make([]float64, v)
+	var cand []int // cand[q] == step+1: processor q is a candidate now
 
-	for scheduled := 0; scheduled < v; scheduled++ {
-		cp := recompute(g, s, assigned, order, aest, alst)
+	for step := range v {
+		cp := listsched.PartialLevels(c, order, proc, start, aest, alst)
+		for n, b := range alst {
+			alst[n] = cp - b
+		}
 
 		// Ready node with the smallest mobility; ties to smaller ALST
 		// (earlier on the dynamic critical path), then smaller ID.
-		best := dag.None
+		best := -1
 		bestMob, bestALST := math.Inf(1), math.Inf(1)
-		for i := 0; i < v; i++ {
-			n := dag.NodeID(i)
-			if assigned[i] || unschedParents[i] > 0 {
+		for n := range v {
+			if proc[n] >= 0 || unschedParents[n] > 0 {
 				continue
 			}
 			mob := alst[n] - aest[n]
@@ -74,134 +83,90 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 				best, bestMob, bestALST = n, mob, alst[n]
 			}
 		}
-		if best == dag.None {
+		if best < 0 {
 			return nil, errors.New("dcp: no ready node (cyclic graph?)")
 		}
 
 		// Critical child: the unscheduled child with the least mobility
 		// (the one whose start DCP's lookahead protects).
-		cc := dag.None
+		cc := int32(-1)
 		ccMob := math.Inf(1)
-		for _, e := range g.Succ(best) {
-			if assigned[e.To] {
+		for s := c.SuccOff[best]; s < c.SuccOff[best+1]; s++ {
+			to := c.SuccTo[s]
+			if proc[to] >= 0 {
 				continue
 			}
-			if mob := alst[e.To] - aest[e.To]; mob < ccMob-1e-9 {
-				cc, ccMob = e.To, mob
+			if mob := alst[to] - aest[to]; mob < ccMob-1e-9 {
+				cc, ccMob = to, mob
 			}
 		}
 
-		w := g.Weight(best)
+		w := c.NodeW[best]
 		// Candidate processors: those holding parents of best, plus one
-		// empty processor (if available).
-		cands := map[int]bool{}
-		for _, e := range g.Pred(best) {
-			cands[s.Proc(e.From)] = true
+		// empty processor (if available), or every processor when that
+		// leaves none.
+		fresh := m.FreshProc()
+		for len(cand) < m.NumProcs() {
+			cand = append(cand, 0)
 		}
-		if f := m.FreshProc(); f >= 0 {
-			cands[f] = true
+		mark := step + 1
+		for s := c.PredOff[best]; s < c.PredOff[best+1]; s++ {
+			cand[proc[c.PredFrom[s]]] = mark
 		}
-		if len(cands) == 0 {
-			for p := 0; p < m.NumProcs(); p++ {
-				cands[p] = true
-			}
+		if fresh >= 0 {
+			cand[fresh] = mark
 		}
-		proc, start, score := -1, 0.0, math.Inf(1)
-		for p := 0; p < m.NumProcs(); p++ {
-			if !cands[p] {
+		all := fresh < 0 && c.PredOff[best] == c.PredOff[best+1]
+		dat := listsched.DATOf(c, best, proc, finish)
+		p, st, score := -1, 0.0, math.Inf(1)
+		for q := 0; q < m.NumProcs(); q++ {
+			if !all && cand[q] != mark {
 				continue
 			}
-			st := m.Proc(p).EarliestStart(listsched.DAT(g, s, best, p), w)
-			sc := st
-			if cc != dag.None {
-				sc += ccStart(g, s, assigned, aest, cc, p, best, st+w)
+			s := m.Proc(q).EarliestStart(dat.On(q), w)
+			sc := s
+			if cc >= 0 {
+				sc += ccStart(c, proc, finish, aest, cc, q, int32(best), s+w)
 			}
-			if sc < score-1e-9 || (sc < score+1e-9 && (proc == -1 || p < proc)) {
-				proc, start, score = p, st, sc
+			if sc < score-1e-9 || (sc < score+1e-9 && (p == -1 || q < p)) {
+				p, st, score = q, s, sc
 			}
 		}
-		m.Proc(proc).Insert(best, start, w)
-		s.Place(best, proc, start, start+w)
-		assigned[best] = true
-		for _, e := range g.Succ(best) {
-			unschedParents[e.To]--
+		m.Proc(p).Insert(dag.NodeID(best), st, w)
+		proc[best], start[best], finish[best] = int32(p), st, st+w
+		for s := c.SuccOff[best]; s < c.SuccOff[best+1]; s++ {
+			unschedParents[c.SuccTo[s]]--
 		}
-		_ = cp
 	}
-	return s, nil
+	return sched.FromArrays("DCP", 0, proc, start, finish), nil
 }
 
 // ccStart estimates the critical child's start time if it were placed
 // on processor p, given that parent `placed` finishes there at
 // placedFinish: scheduled parents contribute real arrival times,
 // unscheduled ones their AEST-based estimates.
-func ccStart(g *dag.Graph, s *sched.Schedule, assigned []bool, aest []float64,
-	cc dag.NodeID, p int, placed dag.NodeID, placedFinish float64) float64 {
+func ccStart(c *dag.CSR, proc []int32, finish, aest []float64,
+	cc int32, p int, placed int32, placedFinish float64) float64 {
 	est := 0.0
-	for _, e := range g.Pred(cc) {
+	for s := c.PredOff[cc]; s < c.PredOff[cc+1]; s++ {
+		from := c.PredFrom[s]
 		var arr float64
 		switch {
-		case e.From == placed:
+		case from == placed:
 			arr = placedFinish // co-located with the child: comm zeroed
-		case assigned[e.From]:
-			pl := s.Of(e.From)
-			arr = pl.Finish
-			if pl.Proc != p {
-				arr += e.Weight
+		case proc[from] >= 0:
+			arr = finish[from]
+			if int(proc[from]) != p {
+				arr += c.PredW[s]
 			}
 		default:
 			// Unscheduled parent: assume it keeps its estimated start and
 			// pays full communication.
-			arr = aest[e.From] + g.Weight(e.From) + e.Weight
+			arr = aest[from] + c.NodeW[from] + c.PredW[s]
 		}
 		if arr > est {
 			est = arr
 		}
 	}
 	return est
-}
-
-// recompute fills aest/alst on the partially scheduled graph and
-// returns its critical-path length, mirroring MD's level recomputation.
-func recompute(g *dag.Graph, s *sched.Schedule, assigned []bool, order []dag.NodeID, aest, alst []float64) float64 {
-	commCost := func(e dag.Edge) float64 {
-		if assigned[e.From] && assigned[e.To] && s.Proc(e.From) == s.Proc(e.To) {
-			return 0
-		}
-		return e.Weight
-	}
-	for _, n := range order {
-		if assigned[n] {
-			aest[n] = s.Start(n)
-			continue
-		}
-		t := 0.0
-		for _, e := range g.Pred(n) {
-			if cand := aest[e.From] + g.Weight(e.From) + commCost(e); cand > t {
-				t = cand
-			}
-		}
-		aest[n] = t
-	}
-	// alst holds b-levels during the backward pass.
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		b := 0.0
-		for _, e := range g.Succ(n) {
-			if cand := commCost(e) + alst[e.To]; cand > b {
-				b = cand
-			}
-		}
-		alst[n] = g.Weight(n) + b
-	}
-	cp := 0.0
-	for _, n := range order {
-		if sum := aest[n] + alst[n]; sum > cp {
-			cp = sum
-		}
-	}
-	for _, n := range order {
-		alst[n] = cp - alst[n]
-	}
-	return cp
 }

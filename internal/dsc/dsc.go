@@ -20,6 +20,7 @@ import (
 	"errors"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/listsched"
 	"fastsched/internal/plan"
 	"fastsched/internal/pq"
 	"fastsched/internal/sched"
@@ -36,42 +37,32 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "DSC" }
 
-// Schedule implements sched.Scheduler: it compiles g, which validates
-// it, and runs the plan entry. DSC assumes an unbounded number of
-// processors and ignores procs entirely (the paper's experiments do the
-// same: DSC "in general uses O(v) processors").
+// Schedule implements sched.Scheduler through the plan entry. DSC
+// assumes an unbounded number of processors and ignores procs entirely
+// (the paper's experiments do the same: DSC "in general uses O(v)
+// processors").
 func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	if g.NumNodes() == 0 {
-		return nil, errEmpty
-	}
-	cg, err := plan.Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.ScheduleCompiled(cg, procs)
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
 }
 
-// ScheduleCompiled runs the DSC examination loop against a plan
-// compiled from a graph; procs is ignored exactly as in Schedule. It
-// reads l.BLevel and copies l.TLevel (the t-levels are updated
+// ScheduleCompiled runs the DSC examination loop against a plan,
+// reading only its CSR and levels; procs is ignored exactly as in
+// Schedule. It copies l.TLevel (the t-levels are updated
 // incrementally), so a shared CompiledGraph's tables are never mutated.
 func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	g, l := cg.Graph, cg.Levels
-	v := g.NumNodes()
+	c, l := cg.CSR, cg.Levels
+	v := c.NumNodes()
 	if v == 0 {
 		return nil, errEmpty
 	}
 
-	cluster := make([]int, v) // -1 while unexamined
-	for i := range cluster {
-		cluster[i] = -1
-	}
-	var clusterReady []float64 // finish time of the last node per cluster
+	cluster := make([]int32, v) // a node's cluster, once examined
+	var clusterReady []float64  // finish time of the last node per cluster
 	start := make([]float64, v)
+	finish := make([]float64, v)
 	tlevel := append([]float64(nil), l.TLevel...) // incrementally updated
-	unexaminedParents := make([]int, v)
-	s := sched.New(v)
-	s.Algorithm = "DSC"
+	unexaminedParents := make([]int32, v)
+	seen := make([]int, v) // seen[k] == examined+1: cluster k is tried
 
 	// Free list: nodes whose parents are all examined, max-priority
 	// first, smaller IDs first among ties. A node's priority is fixed
@@ -82,15 +73,14 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 		}
 		return a.n < b.n
 	}}
-	free := func(n dag.NodeID) { fl.Push(freeNode{n, tlevel[n] + l.BLevel[n]}) }
-	for i := 0; i < v; i++ {
-		unexaminedParents[i] = g.InDegree(dag.NodeID(i))
-		if unexaminedParents[i] == 0 {
-			free(dag.NodeID(i))
+	free := func(n int32) { fl.Push(freeNode{n, tlevel[n] + l.BLevel[n]}) }
+	for n := range v {
+		if unexaminedParents[n] = c.PredOff[n+1] - c.PredOff[n]; unexaminedParents[n] == 0 {
+			free(int32(n))
 		}
 	}
 
-	for examined := 0; examined < v; examined++ {
+	for examined := range v {
 		if fl.Len() == 0 {
 			return nil, errors.New("dsc: no free node (cyclic graph?)")
 		}
@@ -98,59 +88,47 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 
 		// Staying alone costs the full-communication arrival time, which
 		// is exactly the current t-level.
-		bestCluster, bestEST := -1, tlevel[n]
+		bestCluster, bestEST := int32(-1), tlevel[n]
 		// Merging into a parent's cluster zeroes the edges from every
 		// parent already in that cluster but must wait for the cluster to
 		// drain and for messages from parents outside it.
-		seen := map[int]bool{}
-		for _, e := range g.Pred(n) {
-			c := cluster[e.From]
-			if seen[c] {
+		dat := listsched.DATOf(c, n, cluster, finish)
+		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+			k := cluster[c.PredFrom[s]]
+			if seen[k] == examined+1 {
 				continue
 			}
-			seen[c] = true
-			est := clusterReady[c]
-			for _, pe := range g.Pred(n) {
-				arr := start[pe.From] + g.Weight(pe.From)
-				if cluster[pe.From] != c {
-					arr += pe.Weight
-				}
-				if arr > est {
-					est = arr
-				}
-			}
-			if est < bestEST-1e-12 {
-				bestCluster, bestEST = c, est
+			seen[k] = examined + 1
+			if est := max(clusterReady[k], dat.On(int(k))); est < bestEST-1e-12 {
+				bestCluster, bestEST = k, est
 			}
 		}
 		if bestCluster == -1 {
-			bestCluster = len(clusterReady)
+			bestCluster = int32(len(clusterReady))
 			clusterReady = append(clusterReady, 0)
 		}
 		cluster[n] = bestCluster
-		start[n] = bestEST
-		finish := bestEST + g.Weight(n)
-		clusterReady[bestCluster] = finish
-		s.Place(n, bestCluster, bestEST, finish)
+		start[n], finish[n] = bestEST, bestEST+c.NodeW[n]
+		clusterReady[bestCluster] = finish[n]
 
-		for _, e := range g.Succ(n) {
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
 			// The child's t-level estimate assumes full communication from
 			// every examined parent; merging decisions may lower it later,
 			// which DSC accounts for at the child's own examination.
-			if arr := finish + e.Weight; arr > tlevel[e.To] {
-				tlevel[e.To] = arr
+			to := c.SuccTo[s]
+			if arr := finish[n] + c.SuccW[s]; arr > tlevel[to] {
+				tlevel[to] = arr
 			}
-			unexaminedParents[e.To]--
-			if unexaminedParents[e.To] == 0 {
-				free(e.To)
+			if unexaminedParents[to]--; unexaminedParents[to] == 0 {
+				free(to)
 			}
 		}
 	}
-	return s, nil
+	return sched.FromArrays("DSC", 0, cluster, start, finish), nil
 }
 
 // freeNode is a free-list entry: a node and its priority.
 type freeNode struct {
-	n    dag.NodeID
+	n    int32
 	prio float64
 }

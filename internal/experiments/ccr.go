@@ -56,7 +56,7 @@ func (st *CCRStudy) Run() (*CCRResults, error) {
 		g := timing.ScaleCCR(base.Clone(), ccr)
 		for i, s := range scheds {
 			procs := st.Procs
-			if unboundedByDefinition(s.Name()) {
+			if casch.Unbounded(s.Name()) {
 				procs = 0
 			}
 			schedule, err := s.Schedule(g, procs)

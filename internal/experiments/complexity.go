@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"fastsched/internal/casch"
 	"fastsched/internal/dls"
 	"fastsched/internal/dsc"
 	"fastsched/internal/etf"
@@ -75,7 +76,7 @@ func (st *ComplexityStudy) Run() (*ComplexityResults, error) {
 		res.Edges = append(res.Edges, g.NumEdges())
 		for i, s := range scheds {
 			procs := st.Procs
-			if unboundedByDefinition(s.Name()) {
+			if casch.Unbounded(s.Name()) {
 				procs = 0
 			}
 			samples := make([]float64, 0, reps)

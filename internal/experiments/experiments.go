@@ -52,11 +52,6 @@ type AppResults struct {
 	Rows       [][]*casch.Result
 }
 
-// unboundedByDefinition reports whether the named algorithm assumes an
-// unlimited processor set (MD, DSC and the other clustering
-// algorithms).
-func unboundedByDefinition(name string) bool { return casch.Unbounded(name) }
-
 // Run executes the study: every paper algorithm on every parameter.
 func (e *AppExperiment) Run() (*AppResults, error) {
 	scheds := casch.PaperSchedulers(Seed)
@@ -76,7 +71,7 @@ func (e *AppExperiment) Run() (*AppResults, error) {
 		res.TaskCounts = append(res.TaskCounts, g.NumNodes())
 		for i, s := range scheds {
 			procs := e.Procs(param)
-			if unboundedByDefinition(s.Name()) {
+			if casch.Unbounded(s.Name()) {
 				procs = 0
 			}
 			r, err := casch.Run(g, s, procs, Machine())

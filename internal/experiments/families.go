@@ -85,7 +85,7 @@ func (st *FamilyStudy) Run() (*FamilyResults, error) {
 	for j, g := range graphs {
 		for i, s := range scheds {
 			procs := st.Procs
-			if unboundedByDefinition(s.Name()) {
+			if casch.Unbounded(s.Name()) {
 				procs = 0
 			}
 			schedule, err := s.Schedule(g, procs)

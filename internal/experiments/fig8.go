@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"fastsched/internal/casch"
 	"fastsched/internal/dag"
 	"fastsched/internal/dls"
 	"fastsched/internal/dsc"
@@ -81,7 +82,7 @@ func (st *RandomStudy) Run() (*RandomResults, error) {
 		res.EdgeCounts = append(res.EdgeCounts, graphs[0].NumEdges())
 		for ri, s := range scheds {
 			procs := st.Procs
-			if unboundedByDefinition(s.Name()) {
+			if casch.Unbounded(s.Name()) {
 				procs = 0
 			}
 			var lens, procsUsed []float64

@@ -54,7 +54,7 @@ func Figures2to4() (string, error) {
 	entries := []entry{}
 	for _, s := range casch.PaperSchedulers(Seed) {
 		procs := 4
-		if unboundedByDefinition(s.Name()) {
+		if casch.Unbounded(s.Name()) {
 			procs = 0
 		}
 		entries = append(entries, entry{s, procs})

@@ -11,13 +11,17 @@
 package ez
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 
 	"fastsched/internal/cluster"
 	"fastsched/internal/dag"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
+
+var errEmpty = errors.New("ez: empty graph")
 
 // Scheduler implements sched.Scheduler with the EZ algorithm.
 type Scheduler struct{}
@@ -28,57 +32,67 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "EZ" }
 
-// Schedule implements sched.Scheduler. EZ is defined for an unbounded
-// processor set and ignores procs, like DSC and LC.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
+// Schedule implements sched.Scheduler through the plan entry. EZ is
+// defined for an unbounded processor set and ignores procs, like DSC
+// and LC.
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
+}
+
+// ScheduleCompiled clusters against a plan, reading only its CSR and
+// b-levels.
+func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	c, l := cg.CSR, cg.Levels
+	v := c.NumNodes()
 	if v == 0 {
-		return nil, errors.New("ez: empty graph")
-	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
+		return nil, errEmpty
 	}
 	order := l.PriorityOrder(l.BLevel)
 
-	edges := g.Edges()
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
+	// Every edge, heaviest first; ties by endpoints, which no two edges
+	// share.
+	edges := make([]dag.Edge, 0, c.NumEdges())
+	for n := range v {
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			edges = append(edges, dag.Edge{From: dag.NodeID(n), To: dag.NodeID(c.SuccTo[s]), Weight: c.SuccW[s]})
 		}
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	}
+	slices.SortFunc(edges, func(a, b dag.Edge) int {
+		if a.Weight != b.Weight {
+			return cmp.Compare(b.Weight, a.Weight)
 		}
-		return edges[i].To < edges[j].To
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
+		}
+		return cmp.Compare(a.To, b.To)
 	})
 
 	uf := cluster.NewUnionFind(v)
 	start := make([]float64, v)
 	finish := make([]float64, v)
-	ready := make(map[int]float64)
+	ready := make([]float64, v)
+	trial := uf.Assignment()
 
-	assign := uf.Assignment()
-	best := cluster.Makespan(g, order, assign, start, finish, ready)
+	best := cluster.Makespan(c, order, trial, start, finish, ready)
 	for _, e := range edges {
 		ra, rb := uf.Find(int(e.From)), uf.Find(int(e.To))
 		if ra == rb {
 			continue // already zeroed by an earlier merge
 		}
-		// Tentatively merge by rewriting the assignment; commit to the
+		// Tentatively merge in the trial assignment; commit to the
 		// union-find only if the makespan does not increase.
-		trial := uf.Assignment()
 		for i := range trial {
-			if trial[i] == rb {
+			if trial[i] = uf.Find(i); trial[i] == rb {
 				trial[i] = ra
 			}
 		}
-		if m := cluster.Makespan(g, order, trial, start, finish, ready); m <= best+1e-12 {
+		if m := cluster.Makespan(c, order, trial, start, finish, ready); m <= best+1e-12 {
 			best = m
 			uf.Union(ra, rb)
 		}
 	}
 
-	s := cluster.Evaluate(g, order, uf.Assignment())
+	s := cluster.Evaluate(c, order, uf.Assignment())
 	s.Algorithm = "EZ"
 	return s, nil
 }

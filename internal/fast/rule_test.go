@@ -215,7 +215,16 @@ func TestInsertionUsesPhase1Candidates(t *testing.T) {
 					w := g.Weight(n)
 					best, bestStart := -1, 0.0
 					consider := func(q int) {
-						if st := slots[q].EarliestStart(listsched.DAT(g, s, n, q), w); best < 0 || st < bestStart {
+						dat := 0.0
+						for _, e := range g.Pred(n) {
+							pl := s.Of(e.From)
+							arr := pl.Finish
+							if pl.Proc != q {
+								arr += e.Weight
+							}
+							dat = max(dat, arr)
+						}
+						if st := slots[q].EarliestStart(dat, w); best < 0 || st < bestStart {
 							best, bestStart = q, st
 						}
 					}

@@ -29,18 +29,10 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "HLFET" }
 
-// Schedule implements sched.Scheduler: it compiles g, which validates
-// it, and runs the plan entry. procs <= 0 is treated as one processor
-// per node.
+// Schedule implements sched.Scheduler through the plan entry. procs
+// <= 0 is treated as one processor per node.
 func (h *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	if g.NumNodes() == 0 {
-		return nil, errEmpty
-	}
-	cg, err := plan.Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	return h.ScheduleCompiled(cg, procs)
+	return plan.Schedule(g, procs, errEmpty, h.ScheduleCompiled)
 }
 
 // ScheduleCompiled schedules against a plan, reading only its CSR and

@@ -9,9 +9,9 @@ import (
 )
 
 // scheduleWithLevels is HLFET over a *dag.Graph through listsched's
-// machine and data-arrival cache: the textbook form the CSR loop
-// replaced, kept as the oracle TestScheduleCSRBitIdentical compares
-// every entry point against.
+// machine, pricing data arrival by a direct walk over the predecessors:
+// the textbook form the CSR loop replaced, kept as the oracle
+// TestScheduleCSRBitIdentical compares every entry point against.
 func scheduleWithLevels(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) {
 	v := g.NumNodes()
 	if procs <= 0 {
@@ -48,10 +48,18 @@ func scheduleWithLevels(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule
 			}
 		}
 		// Earliest-start processor for that node, scan order breaks ties.
-		cache := listsched.NewDATCache(g, s, best)
 		proc, start := -1, 0.0
 		for p := 0; p < procs; p++ {
-			st := m.Proc(p).EarliestStartAppend(cache.DAT(p))
+			dat := 0.0
+			for _, e := range g.Pred(best) {
+				pl := s.Of(e.From)
+				arr := pl.Finish
+				if pl.Proc != p {
+					arr += e.Weight
+				}
+				dat = max(dat, arr)
+			}
+			st := max(m.Proc(p).ReadyTime(), dat)
 			if proc == -1 || st < start {
 				proc, start = p, st
 			}

@@ -10,8 +10,11 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
+
+var errEmpty = errors.New("ish: empty graph")
 
 // Scheduler implements sched.Scheduler with the ISH algorithm.
 type Scheduler struct{}
@@ -22,44 +25,53 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "ISH" }
 
-// Schedule implements sched.Scheduler. procs <= 0 is treated as one
-// processor per node.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
+// Schedule implements sched.Scheduler through the plan entry. procs <= 0
+// is treated as one processor per node.
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
+}
+
+// ScheduleCompiled schedules against a plan, reading only its CSR and
+// static levels.
+func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	c, static := cg.CSR, cg.Static()
+	v := c.NumNodes()
 	if v == 0 {
-		return nil, errors.New("ish: empty graph")
+		return nil, errEmpty
 	}
 	if procs <= 0 {
 		procs = v
 	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
-	}
-	m := listsched.NewMachine(procs)
-	s := sched.New(v)
-	s.Algorithm = "ISH"
-
-	unschedParents := make([]int, v)
+	// A processor's ready time is the finish of the last slot on its
+	// timeline. That is its last main node's, except when a zero-length
+	// filler starting within the timeline's 1e-9 tolerance of a
+	// zero-length main node's finish sorts after it.
+	tl := make([]listsched.Timeline, procs)
+	proc := make([]int32, v)
+	start := make([]float64, v)
+	finish := make([]float64, v)
+	unschedParents := make([]int32, v)
+	// A ready node's parents never move, so its data arrival is priced
+	// once, when it becomes ready.
+	dat := make([]listsched.DAT, v)
 	ready := make([]bool, v)
-	readyCount := 0
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
-		if unschedParents[i] == 0 {
-			ready[i] = true
+	readyCount, placed := 0, 0
+	for n := range v {
+		if unschedParents[n] = c.PredOff[n+1] - c.PredOff[n]; unschedParents[n] == 0 {
+			ready[n], dat[n] = true, listsched.DATOf(c, n, proc, finish)
 			readyCount++
 		}
 	}
-	place := func(n dag.NodeID, proc int, start float64) {
-		w := g.Weight(n)
-		m.Proc(proc).Insert(n, start, w)
-		s.Place(n, proc, start, start+w)
+	place := func(n, p int, st float64) {
+		tl[p].Insert(dag.NodeID(n), st, c.NodeW[n])
+		proc[n], start[n], finish[n] = int32(p), st, st+c.NodeW[n]
 		ready[n] = false
 		readyCount--
-		for _, e := range g.Succ(n) {
-			unschedParents[e.To]--
-			if unschedParents[e.To] == 0 {
-				ready[e.To] = true
+		placed++
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			to := c.SuccTo[s]
+			if unschedParents[to]--; unschedParents[to] == 0 {
+				ready[to], dat[to] = true, listsched.DATOf(c, to, proc, finish)
 				readyCount++
 			}
 		}
@@ -67,61 +79,51 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 
 	for readyCount > 0 {
 		// HLFET selection: highest static level among ready nodes.
-		best := dag.None
-		for i := 0; i < v; i++ {
-			if ready[i] && (best == dag.None || l.Static[dag.NodeID(i)] > l.Static[best]) {
-				best = dag.NodeID(i)
+		best := -1
+		for n := range v {
+			if ready[n] && (best < 0 || static[n] > static[best]) {
+				best = n
 			}
 		}
 		// Earliest-start processor without insertion (the gap the node
 		// leaves is what ISH then tries to fill).
-		cache := listsched.NewDATCache(g, s, best)
-		proc, start := -1, 0.0
-		for p := 0; p < procs; p++ {
-			st := m.Proc(p).EarliestStartAppend(cache.DAT(p))
-			if proc == -1 || st < start {
-				proc, start = p, st
+		p, st := -1, 0.0
+		for q := range procs {
+			if s := max(tl[q].ReadyTime(), dat[best].On(q)); p == -1 || s < st {
+				p, st = q, s
 			}
 		}
-		gapStart := m.Proc(proc).ReadyTime()
-		place(best, proc, start)
+		gapStart := tl[p].ReadyTime()
+		place(best, p, st)
 
-		// Hole filling: while an idle gap [gapStart, start) remains, put
-		// the highest-SL ready node that fits entirely inside it (its
-		// DAT allows starting in the gap and it ends before the gap
-		// closes).
-		for gapStart < start {
-			filler := dag.None
-			fillerStart := 0.0
-			for i := 0; i < v; i++ {
-				if !ready[i] {
+		// Hole filling: while an idle gap [gapStart, st) remains, put the
+		// highest-SL ready node that fits entirely inside it (its DAT
+		// allows starting in the gap and it ends before the gap closes).
+		// A child best just made ready may have its parent on p finish
+		// after gapStart, which the DAT's local term keeps it behind.
+		for gapStart < st {
+			filler, fillerStart := -1, 0.0
+			for n := range v {
+				if !ready[n] {
 					continue
 				}
-				n := dag.NodeID(i)
-				st := listsched.DAT(g, s, n, proc)
-				if st < gapStart {
-					st = gapStart
-				}
-				if st+g.Weight(n) <= start+1e-12 {
-					if filler == dag.None || l.Static[n] > l.Static[filler] {
-						filler, fillerStart = n, st
-					}
+				fs := max(dat[n].On(p), gapStart)
+				if fs+c.NodeW[n] <= st+1e-12 && (filler < 0 || static[n] > static[filler]) {
+					filler, fillerStart = n, fs
 				}
 			}
-			if filler == dag.None {
+			if filler < 0 {
 				break
 			}
-			place(filler, proc, fillerStart)
-			gapStart = fillerStart + g.Weight(filler)
+			place(filler, p, fillerStart)
+			gapStart = finish[filler]
 		}
 	}
-	if s.ProcsUsed() == 0 && v > 0 {
+	switch {
+	case placed == 0:
 		return nil, errors.New("ish: no node scheduled (cyclic graph?)")
+	case placed < v:
+		return nil, errors.New("ish: unscheduled node remains (cyclic graph?)")
 	}
-	for i := 0; i < v; i++ {
-		if !s.Assigned(dag.NodeID(i)) {
-			return nil, errors.New("ish: unscheduled node remains (cyclic graph?)")
-		}
-	}
-	return s, nil
+	return sched.FromArrays("ISH", 0, proc, start, finish), nil
 }

@@ -15,8 +15,11 @@ import (
 
 	"fastsched/internal/cluster"
 	"fastsched/internal/dag"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
+
+var errEmpty = errors.New("lc: empty graph")
 
 // Scheduler implements sched.Scheduler with the LC algorithm.
 type Scheduler struct{}
@@ -27,16 +30,19 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "LC" }
 
-// Schedule implements sched.Scheduler. LC is defined for an unbounded
-// processor set and ignores procs, like DSC.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
+// Schedule implements sched.Scheduler through the plan entry. LC is
+// defined for an unbounded processor set and ignores procs, like DSC.
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
+}
+
+// ScheduleCompiled clusters against a plan, reading only its CSR,
+// b-levels and topological order.
+func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	c, l := cg.CSR, cg.Levels
+	v := c.NumNodes()
 	if v == 0 {
-		return nil, errors.New("lc: empty graph")
-	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
+		return nil, errEmpty
 	}
 	order := l.Order
 
@@ -55,15 +61,16 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 			if clustered[n] {
 				continue
 			}
-			bl[n] = g.Weight(n)
+			bl[n] = c.NodeW[n]
 			next[n] = dag.None
-			for _, e := range g.Succ(n) {
-				if clustered[e.To] {
+			for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+				to := c.SuccTo[s]
+				if clustered[to] {
 					continue
 				}
-				if cand := g.Weight(n) + e.Weight + bl[e.To]; cand > bl[n] {
+				if cand := c.NodeW[n] + c.SuccW[s] + bl[to]; cand > bl[n] {
 					bl[n] = cand
-					next[n] = e.To
+					next[n] = dag.NodeID(to)
 				}
 			}
 		}
@@ -72,11 +79,12 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 				continue
 			}
 			tl[n] = 0
-			for _, e := range g.Pred(n) {
-				if clustered[e.From] {
+			for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+				from := c.PredFrom[s]
+				if clustered[from] {
 					continue
 				}
-				if cand := tl[e.From] + g.Weight(e.From) + e.Weight; cand > tl[n] {
+				if cand := tl[from] + c.NodeW[from] + c.PredW[s]; cand > tl[n] {
 					tl[n] = cand
 				}
 			}
@@ -102,7 +110,7 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 		}
 	}
 
-	s := cluster.Evaluate(g, l.PriorityOrder(l.BLevel), assign)
+	s := cluster.Evaluate(c, l.PriorityOrder(l.BLevel), assign)
 	s.Algorithm = "LC"
 	return s, nil
 }

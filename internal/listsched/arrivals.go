@@ -15,8 +15,9 @@ import (
 //
 // It is the one pricing kernel of the append-only list schedules:
 // FAST's phase 1, fast-hier's pass, HLFET, ETF, DLS and the online
-// dispatcher. MCP and ISH use DATCache instead, which keeps a local
-// parent's finish, as insertion into an earlier idle slot needs.
+// dispatcher. DAT extends it to a partial schedule in which a parent
+// may finish after its processor's ready time, as insertion into an
+// earlier idle slot needs.
 type Arrivals struct {
 	M1, M2 float64
 	M1P    int
@@ -53,6 +54,41 @@ func (a Arrivals) StartOn(q int, ready float64) float64 {
 		return max(ready, a.M2)
 	}
 	return max(ready, a.M1)
+}
+
+// DAT is a node's data arrival in any partial schedule: Arrivals plus
+// L, the latest finish of the node's parents on M1P. On a processor
+// q != M1P every parent on q finishes by its paid arrival, which is at
+// most M1, and the parent reaching M1 is remote, so the arrival is M1.
+// On M1P the remote parents give exactly M2 and the local ones L. Max
+// is exact, so On equals the walk over the predecessors bit for bit.
+//
+// MD, MCP, DCP, ISH and DSC's merges price with it.
+type DAT struct {
+	Arrivals
+	L float64
+}
+
+// DATOf sweeps n's predecessors twice, for Arrivals and then for L.
+// Every parent must be placed: proc and finish hold each one's
+// processor and finish time.
+func DATOf[N, P ~int | ~int32](c *dag.CSR, n N, proc []P, finish []float64) DAT {
+	d := DAT{Arrivals: ArrivalsOf(c, n, proc, finish)}
+	for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+		if int(proc[c.PredFrom[s]]) == d.M1P {
+			d.L = max(d.L, finish[c.PredFrom[s]])
+		}
+	}
+	return d
+}
+
+// On is the node's data arrival on processor q: max(M2, L) on M1P, M1
+// elsewhere.
+func (d DAT) On(q int) float64 {
+	if q == d.M1P {
+		return max(d.M2, d.L)
+	}
+	return d.M1
 }
 
 // Pair is one (node, processor) candidate of a pair-selection step: the

@@ -1,11 +1,13 @@
 // Package listsched provides the machinery shared by the list-scheduling
-// algorithms in this repository: the one pricing kernel of append-only
-// placement (Arrivals, which prices FAST's phase 1, fast-hier, HLFET,
-// ETF, DLS and the online dispatcher), the pair-selection loop ETF and
-// DLS share (SchedulePairs), per-processor timelines for
-// insertion-based earliest-slot placement (MD, MCP, ISH, DCP and FAST's
-// insertion ablation), and the data-arrival time those need (DAT and
-// DATCache).
+// algorithms in this repository: the one pricing kernel of data
+// arrival, in its append-only form (Arrivals, which prices FAST's
+// phase 1, fast-hier, HLFET, ETF, DLS and the online dispatcher) and
+// its insertion form (DAT, which prices MD, MCP, DCP, ISH and DSC's
+// merges); the pair-selection loop ETF and DLS share
+// (SchedulePairs); the t- and b-levels of a partial schedule MD and DCP
+// recompute at every step (PartialLevels); and per-processor timelines
+// for insertion-based earliest-slot placement (MD, MCP, DCP and FAST's
+// insertion ablation). Everything reads the plan's CSR.
 package listsched
 
 import (
@@ -16,15 +18,14 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/invariant"
-	"fastsched/internal/sched"
 )
 
 // ErrOverlap is returned by TryInsert when the requested interval
 // collides with an occupied slot.
 var ErrOverlap = errors.New("listsched: insertion overlaps an occupied slot")
 
-// Slot is one occupied interval on a processor timeline.
-type Slot struct {
+// slot is one occupied interval on a processor timeline.
+type slot struct {
 	Node          dag.NodeID
 	Start, Finish float64
 }
@@ -32,10 +33,10 @@ type Slot struct {
 // Timeline is the occupied intervals of a single processor, sorted by
 // start time. The zero value is an empty, usable timeline.
 type Timeline struct {
-	slots []Slot
+	slots []slot
 	// prefMax[i] is the maximum Finish over slots[0..i] — the "previous
 	// end" a gap walk starting after slot i resumes from. Maintained by
-	// TryInsert/Remove (which already pay O(n) for the slice shift) so
+	// TryInsert (which already pays O(n) for the slice shift) so
 	// EarliestStart can skip the prefix of slots that start too early to
 	// ever fit the task.
 	prefMax []float64
@@ -52,10 +53,6 @@ func (t *Timeline) ReadyTime() float64 {
 
 // Len returns the number of tasks on the timeline.
 func (t *Timeline) Len() int { return len(t.slots) }
-
-// Slots returns the occupied intervals in start order. Shared storage;
-// callers must not modify.
-func (t *Timeline) Slots() []Slot { return t.slots }
 
 // EarliestStart returns the earliest time >= dat at which a task of the
 // given duration fits, using insertion: interior idle gaps are
@@ -93,12 +90,6 @@ func (t *Timeline) EarliestStart(dat, duration float64) float64 {
 	return math.Max(prevEnd, dat)
 }
 
-// EarliestStartAppend returns the earliest start without insertion:
-// max(ready time, dat).
-func (t *Timeline) EarliestStartAppend(dat float64) float64 {
-	return math.Max(t.ReadyTime(), dat)
-}
-
 // TryInsert places node n at [start, start+duration) and returns
 // ErrOverlap (wrapped with the colliding interval) when the slot is
 // occupied, leaving the timeline unchanged. Callers feeding externally
@@ -124,9 +115,9 @@ func (t *Timeline) TryInsert(n dag.NodeID, start, duration float64) error {
 		return fmt.Errorf("%w: node %d [%v,%v) ahead of node %d [%v,%v)",
 			ErrOverlap, n, start, finish, nx.Node, nx.Start, nx.Finish)
 	}
-	t.slots = append(t.slots, Slot{})
+	t.slots = append(t.slots, slot{})
 	copy(t.slots[i+1:], t.slots[i:])
-	t.slots[i] = Slot{Node: n, Start: start, Finish: finish}
+	t.slots[i] = slot{Node: n, Start: start, Finish: finish}
 	t.prefMax = append(t.prefMax, 0)
 	t.refreshPrefMax(i)
 	return nil
@@ -151,20 +142,6 @@ func (t *Timeline) refreshPrefMax(i int) {
 func (t *Timeline) Insert(n dag.NodeID, start, duration float64) {
 	err := t.TryInsert(n, start, duration)
 	invariant.Assertf(err == nil, "%v", err)
-}
-
-// Remove deletes node n's slot from the timeline and reports whether it
-// was present.
-func (t *Timeline) Remove(n dag.NodeID) bool {
-	for i, s := range t.slots {
-		if s.Node == n {
-			t.slots = append(t.slots[:i], t.slots[i+1:]...)
-			t.prefMax = t.prefMax[:len(t.slots)]
-			t.refreshPrefMax(i)
-			return true
-		}
-	}
-	return false
 }
 
 // Machine is a growable set of processor timelines. When bounded is
@@ -192,9 +169,6 @@ func NewMachine(procs int) *Machine {
 // NumProcs returns the current number of processors.
 func (m *Machine) NumProcs() int { return len(m.timelines) }
 
-// Bounded reports whether the processor set is fixed.
-func (m *Machine) Bounded() bool { return m.bounded }
-
 // Proc returns processor p's timeline.
 func (m *Machine) Proc(p int) *Timeline { return m.timelines[p] }
 
@@ -212,24 +186,4 @@ func (m *Machine) FreshProc() int {
 	}
 	m.timelines = append(m.timelines, &Timeline{})
 	return len(m.timelines) - 1
-}
-
-// DAT returns the data-arrival time of node n if it were placed on
-// processor proc, given the partial schedule s: the maximum over the
-// scheduled parents of finish time plus communication cost (zero when
-// the parent sits on proc). Unscheduled parents are an algorithmic bug
-// and cause a panic.
-func DAT(g *dag.Graph, s *sched.Schedule, n dag.NodeID, proc int) float64 {
-	var dat float64
-	for _, e := range g.Pred(n) {
-		pl := s.Of(e.From)
-		arr := pl.Finish
-		if pl.Proc != proc {
-			arr += e.Weight
-		}
-		if arr > dat {
-			dat = arr
-		}
-	}
-	return dat
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"fastsched/internal/dag"
-	"fastsched/internal/sched"
 )
 
 func TestTimelineReadyTime(t *testing.T) {
@@ -47,25 +46,13 @@ func TestEarliestStartFindsGap(t *testing.T) {
 	}
 }
 
-func TestEarliestStartAppendIgnoresGaps(t *testing.T) {
-	tl := &Timeline{}
-	tl.Insert(0, 0, 2)
-	tl.Insert(1, 10, 2)
-	if got := tl.EarliestStartAppend(1); got != 12 {
-		t.Fatalf("append start = %v, want 12", got)
-	}
-	if got := tl.EarliestStartAppend(20); got != 20 {
-		t.Fatalf("append start = %v, want 20", got)
-	}
-}
-
 func TestInsertKeepsOrderAndDetectsOverlap(t *testing.T) {
 	tl := &Timeline{}
 	tl.Insert(2, 6, 2)
 	tl.Insert(0, 0, 2)
 	tl.Insert(1, 3, 2)
 	starts := []float64{}
-	for _, s := range tl.Slots() {
+	for _, s := range tl.slots {
 		starts = append(starts, s.Start)
 	}
 	if !sort.Float64sAreSorted(starts) {
@@ -89,24 +76,9 @@ func TestInsertKeepsOrderAndDetectsOverlap(t *testing.T) {
 	}()
 }
 
-func TestRemove(t *testing.T) {
-	tl := &Timeline{}
-	tl.Insert(0, 0, 1)
-	tl.Insert(1, 2, 1)
-	if !tl.Remove(0) {
-		t.Fatal("Remove existing failed")
-	}
-	if tl.Remove(0) {
-		t.Fatal("Remove reported success twice")
-	}
-	if tl.Len() != 1 || tl.Slots()[0].Node != 1 {
-		t.Fatal("wrong slot removed")
-	}
-}
-
 func TestMachineBounded(t *testing.T) {
 	m := NewMachine(2)
-	if !m.Bounded() || m.NumProcs() != 2 {
+	if m.NumProcs() != 2 {
 		t.Fatal("bounded machine misconfigured")
 	}
 	if f := m.FreshProc(); f != 0 {
@@ -127,9 +99,6 @@ func TestMachineBounded(t *testing.T) {
 
 func TestMachineUnbounded(t *testing.T) {
 	m := NewMachine(0)
-	if m.Bounded() {
-		t.Fatal("unbounded machine reports bounded")
-	}
 	m.Proc(m.FreshProc()).Insert(0, 0, 1)
 	f := m.FreshProc()
 	if f != 1 {
@@ -149,19 +118,19 @@ func TestDATAndCandidates(t *testing.T) {
 	c := g.AddNode("c", 1)
 	g.MustAddEdge(a, c, 5)
 	g.MustAddEdge(b, c, 1)
-	s := sched.New(3)
-	s.Place(a, 0, 0, 2)
-	s.Place(b, 1, 0, 2)
+	proc := []int32{0, 1, -1}
+	finish := []float64{2, 2, 0}
+	d := DATOf(dag.BuildCSR(g), c, proc, finish)
 	// on PE 0: a local (2), b remote (2+1=3) -> 3
-	if got := DAT(g, s, c, 0); got != 3 {
+	if got := d.On(0); got != 3 {
 		t.Fatalf("DAT on 0 = %v", got)
 	}
 	// on PE 1: a remote (7), b local (2) -> 7
-	if got := DAT(g, s, c, 1); got != 7 {
+	if got := d.On(1); got != 7 {
 		t.Fatalf("DAT on 1 = %v", got)
 	}
 	// on PE 2: both remote -> 7
-	if got := DAT(g, s, c, 2); got != 7 {
+	if got := d.On(2); got != 7 {
 		t.Fatalf("DAT on 2 = %v", got)
 	}
 }
@@ -182,7 +151,7 @@ func TestEarliestStartInsertProperty(t *testing.T) {
 			tl.Insert(dag.NodeID(i), start, dur) // panics on overlap
 		}
 		// final timeline must be sorted and non-overlapping
-		slots := tl.Slots()
+		slots := tl.slots
 		for i := 1; i < len(slots); i++ {
 			if slots[i].Start < slots[i-1].Finish-1e-9 {
 				t.Fatalf("trial %d: overlap after inserts", trial)
@@ -199,7 +168,7 @@ func TestTryInsertReturnsTypedError(t *testing.T) {
 	if err := tl.TryInsert(1, 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	before := len(tl.Slots())
+	before := len(tl.slots)
 	for _, bad := range []struct{ start, dur float64 }{
 		{1, 1},   // inside slot 0
 		{3, 2},   // straddles slot 1's start
@@ -209,7 +178,7 @@ func TestTryInsertReturnsTypedError(t *testing.T) {
 		if !errors.Is(err, ErrOverlap) {
 			t.Fatalf("insert at [%v,%v): want ErrOverlap, got %v", bad.start, bad.start+bad.dur, err)
 		}
-		if len(tl.Slots()) != before {
+		if len(tl.slots) != before {
 			t.Fatalf("failed insert mutated the timeline")
 		}
 	}

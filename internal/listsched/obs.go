@@ -8,23 +8,19 @@ import (
 
 // Metrics is the telemetry of the list-scheduling machinery: how often
 // insertion-based placement actually exploits an interior idle gap
-// versus appending at the ready time, how often the DAT cache answers
-// from its per-processor override versus the shared default, and the
-// ready-list sizes the priority schedulers (ETF, DLS, HLFET) sweep per
-// step.
+// versus appending at the ready time, and the ready-list sizes the
+// priority schedulers (ETF, DLS, HLFET) sweep per step.
 type Metrics struct {
-	InsertGapHits  *obs.Counter
-	InsertAppends  *obs.Counter
-	DATCacheHits   *obs.Counter
-	DATCacheShared *obs.Counter
-	ReadyList      *obs.Histogram
+	InsertGapHits *obs.Counter
+	InsertAppends *obs.Counter
+	ReadyList     *obs.Histogram
 }
 
 // enabled holds the active metric set. The package hands out Timelines
-// and DATCaches with no configuration hook, so the metrics are a
-// package-level switch: an atomic pointer keeps EnableMetrics safe
-// against concurrent schedulers, and a nil pointer (the default) makes
-// every probe a single load-and-branch with zero allocations.
+// with no configuration hook, so the metrics are a package-level
+// switch: an atomic pointer keeps EnableMetrics safe against concurrent
+// schedulers, and a nil pointer (the default) makes every probe a
+// single load-and-branch with zero allocations.
 var enabled atomic.Pointer[Metrics]
 
 // EnableMetrics routes the package's telemetry into sink; a nil sink
@@ -36,11 +32,9 @@ func EnableMetrics(sink obs.Sink) {
 		return
 	}
 	enabled.Store(&Metrics{
-		InsertGapHits:  sink.Counter("listsched.insert.gap_hits"),
-		InsertAppends:  sink.Counter("listsched.insert.appends"),
-		DATCacheHits:   sink.Counter("listsched.datcache.proc_hits"),
-		DATCacheShared: sink.Counter("listsched.datcache.shared"),
-		ReadyList:      sink.Histogram("listsched.ready_list_len", obs.ExpBuckets(1, 2, 12)),
+		InsertGapHits: sink.Counter("listsched.insert.gap_hits"),
+		InsertAppends: sink.Counter("listsched.insert.appends"),
+		ReadyList:     sink.Histogram("listsched.ready_list_len", obs.ExpBuckets(1, 2, 12)),
 	})
 }
 

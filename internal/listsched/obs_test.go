@@ -3,27 +3,8 @@ package listsched
 import (
 	"testing"
 
-	"fastsched/internal/dag"
 	"fastsched/internal/obs"
-	"fastsched/internal/sched"
 )
-
-// obsGraph builds a three-node fork whose two children have different
-// parents' processors, so DAT answers from both the per-processor map
-// and the shared default.
-func obsGraph(t *testing.T) (*dag.Graph, *sched.Schedule, dag.NodeID) {
-	t.Helper()
-	g := dag.New(3)
-	a := g.AddNode("a", 1)
-	b := g.AddNode("b", 1)
-	c := g.AddNode("c", 1)
-	g.MustAddEdge(a, c, 5)
-	g.MustAddEdge(b, c, 3)
-	s := sched.New(3)
-	s.Place(a, 0, 0, 1)
-	s.Place(b, 1, 0, 1)
-	return g, s, c
-}
 
 // TestMetricsRouting proves EnableMetrics switches the package
 // telemetry on and off: probes count while enabled and freeze once
@@ -43,11 +24,6 @@ func TestMetricsRouting(t *testing.T) {
 		t.Fatalf("append start = %v, want 12", got)
 	}
 
-	g, s, c := obsGraph(t)
-	cache := NewDATCache(g, s, c)
-	cache.DAT(0) // parent a's processor: per-proc override
-	cache.DAT(7) // empty processor: shared default
-
 	ObserveReadyList(4)
 	ObserveReadyList(2)
 
@@ -57,8 +33,6 @@ func TestMetricsRouting(t *testing.T) {
 	}{
 		{"listsched.insert.gap_hits", 1},
 		{"listsched.insert.appends", 1},
-		{"listsched.datcache.proc_hits", 1},
-		{"listsched.datcache.shared", 1},
 	}
 	for _, c := range checks {
 		if got := reg.Counter(c.name).Value(); got != c.want {
@@ -72,7 +46,6 @@ func TestMetricsRouting(t *testing.T) {
 	// After disabling, the probes must stop counting.
 	EnableMetrics(nil)
 	tl.EarliestStart(2, 3)
-	cache.DAT(0)
 	ObserveReadyList(9)
 	if got := reg.Counter("listsched.insert.gap_hits").Value(); got != 1 {
 		t.Errorf("gap_hits moved to %d after disable", got)
@@ -83,27 +56,19 @@ func TestMetricsRouting(t *testing.T) {
 }
 
 // TestDisabledProbesAllocationFree asserts that the disabled metric
-// path of the list-scheduling hot loops — slot search and DAT lookup —
-// is a single atomic load with zero allocations.
+// path of the list-scheduling hot loops — slot search and ready-list
+// sampling — is a single atomic load with zero allocations.
 func TestDisabledProbesAllocationFree(t *testing.T) {
 	EnableMetrics(nil)
 	tl := &Timeline{}
 	tl.Insert(0, 0, 2)
 	tl.Insert(1, 10, 2)
-	g, s, c := obsGraph(t)
-	cache := NewDATCache(g, s, c)
 
 	if avg := testing.AllocsPerRun(100, func() {
 		tl.EarliestStart(2, 3)
 		tl.EarliestStart(0, 50)
 	}); avg != 0 {
 		t.Errorf("EarliestStart with metrics disabled: %v allocs/run, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		cache.DAT(0)
-		cache.DAT(7)
-	}); avg != 0 {
-		t.Errorf("DATCache.DAT with metrics disabled: %v allocs/run, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		ObserveReadyList(5)

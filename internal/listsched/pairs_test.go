@@ -9,17 +9,31 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/dls"
 	"fastsched/internal/etf"
-	"fastsched/internal/hlfet"
 	"fastsched/internal/listsched"
-	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
 	"fastsched/internal/timing"
 	"fastsched/internal/workload"
 )
 
+// directDAT is node n's data arrival on processor p by definition: the
+// latest over its parents, all placed in s, of the finish time plus the
+// message cost, which a parent on p does not pay.
+func directDAT(g *dag.Graph, s *sched.Schedule, n dag.NodeID, p int) float64 {
+	var dat float64
+	for _, e := range g.Pred(n) {
+		pl := s.Of(e.From)
+		arr := pl.Finish
+		if pl.Proc != p {
+			arr += e.Weight
+		}
+		dat = max(dat, arr)
+	}
+	return dat
+}
+
 // oracleETF is ETF as it was before the pair loop: a machine of
-// timelines and a DATCache per ready node, over the *dag.Graph.
+// timelines priced by the direct walk, over the *dag.Graph.
 func oracleETF(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) {
 	better := func(curNode dag.NodeID, curStart float64, n dag.NodeID, start float64) bool {
 		if curNode == dag.None {
@@ -45,14 +59,12 @@ func oracleETF(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) 
 	s := sched.New(v)
 	s.Algorithm = "ETF"
 	unschedParents := make([]int, v)
-	dat := make([]*listsched.DATCache, v)
 	ready := make([]bool, v)
 	var readyCount int
 	for i := 0; i < v; i++ {
 		unschedParents[i] = g.InDegree(dag.NodeID(i))
 		if unschedParents[i] == 0 {
 			ready[i] = true
-			dat[i] = listsched.NewDATCache(g, s, dag.NodeID(i))
 			readyCount++
 		}
 	}
@@ -69,7 +81,7 @@ func oracleETF(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) 
 			}
 			n := dag.NodeID(i)
 			for p := 0; p < procs; p++ {
-				st := m.Proc(p).EarliestStartAppend(dat[n].DAT(p))
+				st := max(m.Proc(p).ReadyTime(), directDAT(g, s, n, p))
 				if better(bestNode, bestStart, n, st) {
 					bestNode, bestProc, bestStart = n, p, st
 				}
@@ -84,7 +96,6 @@ func oracleETF(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) 
 			unschedParents[e.To]--
 			if unschedParents[e.To] == 0 {
 				ready[e.To] = true
-				dat[e.To] = listsched.NewDATCache(g, s, e.To)
 				readyCount++
 			}
 		}
@@ -116,14 +127,12 @@ func oracleDLS(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) 
 	s := sched.New(v)
 	s.Algorithm = "DLS"
 	unschedParents := make([]int, v)
-	dat := make([]*listsched.DATCache, v)
 	ready := make([]bool, v)
 	readyCount := 0
 	for i := 0; i < v; i++ {
 		unschedParents[i] = g.InDegree(dag.NodeID(i))
 		if unschedParents[i] == 0 {
 			ready[i] = true
-			dat[i] = listsched.NewDATCache(g, s, dag.NodeID(i))
 			readyCount++
 		}
 	}
@@ -140,7 +149,7 @@ func oracleDLS(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) 
 			}
 			n := dag.NodeID(i)
 			for p := 0; p < procs; p++ {
-				st := m.Proc(p).EarliestStartAppend(dat[n].DAT(p))
+				st := max(m.Proc(p).ReadyTime(), directDAT(g, s, n, p))
 				dl := l.Static[n] - st
 				if betterDL(bestNode, bestDL, n, dl) {
 					bestNode, bestProc, bestStart, bestDL = n, p, st, dl
@@ -156,7 +165,6 @@ func oracleDLS(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) 
 			unschedParents[e.To]--
 			if unschedParents[e.To] == 0 {
 				ready[e.To] = true
-				dat[e.To] = listsched.NewDATCache(g, s, e.To)
 				readyCount++
 			}
 		}
@@ -225,7 +233,7 @@ func sameSchedule(t *testing.T, name string, a, b *sched.Schedule) {
 }
 
 // TestSchedulePairsMatchesOracles pins ETF and DLS on the shared pair
-// loop against their DATCache forms above: 0 differences over the
+// loop against their direct-walk forms above: 0 differences over the
 // corpus and every processor count.
 func TestSchedulePairsMatchesOracles(t *testing.T) {
 	for name, g := range pairCorpus(t) {
@@ -247,44 +255,6 @@ func TestSchedulePairsMatchesOracles(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameSchedule(t, fmt.Sprintf("%s %s procs=%d", c.s.Name(), name, procs), got, want)
-			}
-		}
-	}
-}
-
-// TestPlanEntriesNeedOnlyTheCSR runs ETF, DLS and HLFET on a plan
-// compiled from a CSR alone, whose Graph is nil, and requires the
-// schedules of a plan compiled from the graph.
-func TestPlanEntriesNeedOnlyTheCSR(t *testing.T) {
-	type planScheduler interface {
-		sched.Scheduler
-		ScheduleCompiled(*plan.CompiledGraph, int) (*sched.Schedule, error)
-	}
-	corpus := pairCorpus(t)
-	for _, name := range []string{"layered/v25/seed1", "forkjoin/w20c5", "random/v60/seed3/ccr10", "gauss/8", "fft/32"} {
-		g := corpus[name]
-		full, err := plan.Compile(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare, err := plan.CompileCompact(dag.BuildCSR(g), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bare.Graph != nil {
-			t.Fatal("a plan compiled from a CSR carries a graph")
-		}
-		for _, s := range []planScheduler{etf.New(), dls.New(), hlfet.New()} {
-			for _, procs := range pairProcs {
-				got, err := s.ScheduleCompiled(bare, procs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := s.ScheduleCompiled(full, procs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSchedule(t, fmt.Sprintf("%s %s procs=%d", s.Name(), name, procs), got, want)
 			}
 		}
 	}

@@ -57,10 +57,25 @@ func TestEarliestStartMatchesLinearScan(t *testing.T) {
 			want := tl.earliestStartLinear(dat, dur)
 			if got != want {
 				t.Fatalf("trial %d: EarliestStart(%v, %v) = %v, linear scan = %v\nslots: %+v",
-					trial, dat, dur, got, want, tl.Slots())
+					trial, dat, dur, got, want, tl.slots)
 			}
 		}
 	}
+}
+
+// remove deletes node n's slot, recomputing prefMax from the edit on:
+// a mid-timeline edit like TryInsert's, here to give the differential
+// check below timelines no sequence of inserts alone produces.
+func (t *Timeline) remove(n dag.NodeID) bool {
+	for i, s := range t.slots {
+		if s.Node == n {
+			t.slots = append(t.slots[:i], t.slots[i+1:]...)
+			t.prefMax = t.prefMax[:len(t.slots)]
+			t.refreshPrefMax(i)
+			return true
+		}
+	}
+	return false
 }
 
 // Removing and re-inserting slots must keep prefMax consistent with
@@ -71,7 +86,7 @@ func TestEarliestStartAfterRemove(t *testing.T) {
 		tl := randomTimeline(rng, 20)
 		for edit := 0; edit < 10; edit++ {
 			victim := dag.NodeID(rng.Intn(20))
-			removed := tl.Remove(victim)
+			removed := tl.remove(victim)
 			for probe := 0; probe < 20; probe++ {
 				dat, dur := float64(rng.Intn(100))/2, float64(rng.Intn(6))
 				if got, want := tl.EarliestStart(dat, dur), tl.earliestStartLinear(dat, dur); got != want {

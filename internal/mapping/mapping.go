@@ -12,90 +12,105 @@ import (
 
 	"fastsched/internal/cluster"
 	"fastsched/internal/dag"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
 
 // Map folds the clustering implied by schedule s (its processor groups)
-// onto at most procs physical processors and re-evaluates the schedule.
-// Clusters are packed in decreasing total-work order onto the
-// least-loaded processor (longest-processing-time bin packing). A
-// schedule already within the budget is returned unchanged.
-func Map(g *dag.Graph, s *sched.Schedule, procs int) (*sched.Schedule, error) {
+// onto at most procs physical processors and re-evaluates the schedule
+// against the plan, reading only its CSR and b-levels. Clusters are
+// packed in decreasing total-work order onto the least-loaded processor
+// (longest-processing-time bin packing). A schedule already within the
+// budget is returned unchanged.
+func Map(cg *plan.CompiledGraph, s *sched.Schedule, procs int) (*sched.Schedule, error) {
 	if procs < 1 {
 		return nil, errors.New("mapping: need at least one processor")
 	}
 	if s.ProcsUsed() <= procs {
 		return s, nil
 	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
-	}
+	c, l := cg.CSR, cg.Levels
 
 	clusters := s.Procs()
 	type loadedCluster struct {
-		id   int
+		i    int // index into clusters
 		work float64
 	}
 	lcs := make([]loadedCluster, 0, len(clusters))
-	for _, c := range clusters {
+	for i, k := range clusters {
 		var work float64
-		for _, n := range s.OnProc(c) {
-			work += g.Weight(n)
+		for _, n := range s.OnProc(k) {
+			work += c.NodeW[n]
 		}
-		lcs = append(lcs, loadedCluster{c, work})
+		lcs = append(lcs, loadedCluster{i, work})
 	}
 	sort.SliceStable(lcs, func(i, j int) bool {
 		if lcs[i].work != lcs[j].work {
 			return lcs[i].work > lcs[j].work
 		}
-		return lcs[i].id < lcs[j].id
+		return lcs[i].i < lcs[j].i
 	})
-	target := make(map[int]int, len(clusters)) // cluster -> processor
+	target := make([]int, len(clusters)) // clusters[i] -> processor
 	load := make([]float64, procs)
-	for _, c := range lcs {
+	for _, lc := range lcs {
 		least := 0
 		for p := 1; p < procs; p++ {
 			if load[p] < load[least] {
 				least = p
 			}
 		}
-		target[c.id] = least
-		load[least] += c.work
+		target[lc.i] = least
+		load[least] += lc.work
 	}
 
-	assign := make([]int, g.NumNodes())
-	for _, c := range clusters {
-		for _, n := range s.OnProc(c) {
-			assign[n] = target[c]
+	assign := make([]int, c.NumNodes())
+	for i, k := range clusters {
+		for _, n := range s.OnProc(k) {
+			assign[n] = target[i]
 		}
 	}
-	out := cluster.Evaluate(g, l.PriorityOrder(l.BLevel), assign)
+	out := cluster.Evaluate(c, l.PriorityOrder(l.BLevel), assign)
 	out.Algorithm = s.Algorithm + "+map"
 	return out, nil
+}
+
+// Clusterer is an unbounded clustering scheduler with a plan entry.
+type Clusterer interface {
+	sched.Scheduler
+	ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
 }
 
 // Bounded wraps an unbounded clustering scheduler with the mapping
 // post-pass, yielding a scheduler that honours the procs argument.
 type Bounded struct {
-	Inner sched.Scheduler
+	Inner Clusterer
 }
 
 // Name implements sched.Scheduler.
 func (b *Bounded) Name() string { return b.Inner.Name() + "+map" }
 
-// Schedule implements sched.Scheduler: cluster with the inner algorithm
-// on an unbounded machine, then map onto procs processors. procs <= 0
-// skips the mapping (unbounded passthrough).
+// Schedule implements sched.Scheduler through the plan entry. An empty
+// g gets the inner scheduler's error.
 func (b *Bounded) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	s, err := b.Inner.Schedule(g, 0)
+	if g.NumNodes() == 0 {
+		return b.Inner.Schedule(g, 0)
+	}
+	cg, err := plan.Compile(g)
 	if err != nil {
 		return nil, err
 	}
-	if procs <= 0 {
-		return s, nil
+	return b.ScheduleCompiled(cg, procs)
+}
+
+// ScheduleCompiled clusters with the inner scheduler's plan entry on an
+// unbounded machine, then maps onto procs processors. procs <= 0 skips
+// the mapping (unbounded passthrough).
+func (b *Bounded) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	s, err := b.Inner.ScheduleCompiled(cg, 0)
+	if err != nil || procs <= 0 {
+		return s, err
 	}
-	out, err := Map(g, s, procs)
+	out, err := Map(cg, s, procs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,9 +8,20 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/dsc"
 	"fastsched/internal/lc"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
 )
+
+// compile is the plan Map re-evaluates against.
+func compile(t *testing.T, g *dag.Graph) *plan.CompiledGraph {
+	t.Helper()
+	cg, err := plan.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cg
+}
 
 func TestMapBoundsProcessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -22,7 +33,7 @@ func TestMapBoundsProcessors(t *testing.T) {
 	if s.ProcsUsed() <= 4 {
 		t.Skip("DSC used few clusters on this draw; nothing to map")
 	}
-	m, err := Map(g, s, 4)
+	m, err := Map(compile(t, g), s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +51,14 @@ func TestMapPassthroughWhenWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Map(g, s, 4)
+	m, err := Map(compile(t, g), s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != s {
 		t.Fatal("within-budget schedule should pass through unchanged")
 	}
-	if _, err := Map(g, s, 0); err == nil {
+	if _, err := Map(compile(t, g), s, 0); err == nil {
 		t.Fatal("procs=0 accepted")
 	}
 }
@@ -70,7 +81,7 @@ func TestLPTBalancesBetterThanWrap(t *testing.T) {
 		g.AddNode("", w)
 	}
 	l := mustSchedule(t, g) // one cluster per task (independent tasks)
-	lptS, err := Map(g, l, 2)
+	lptS, err := Map(compile(t, g), l, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +93,7 @@ func TestLPTBalancesBetterThanWrap(t *testing.T) {
 	for i := range wrap {
 		wrap[i] = i % 2
 	}
-	wrapS := cluster.Evaluate(g, lv.PriorityOrder(lv.BLevel), wrap)
+	wrapS := cluster.Evaluate(dag.BuildCSR(g), lv.PriorityOrder(lv.BLevel), wrap)
 	if err := sched.Validate(g, lptS); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +158,7 @@ func TestMappingMonotoneProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 2, 4, 8} {
-			m, err := Map(g, s, p)
+			m, err := Map(compile(t, g), s, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,9 +16,12 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
+	"fastsched/internal/plan"
 	"fastsched/internal/pq"
 	"fastsched/internal/sched"
 )
+
+var errEmpty = errors.New("mcp: empty graph")
 
 // Scheduler implements sched.Scheduler with the MCP algorithm.
 type Scheduler struct{}
@@ -29,32 +32,34 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "MCP" }
 
-// Schedule implements sched.Scheduler. procs <= 0 is treated as one
-// processor per node.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
+// Schedule implements sched.Scheduler through the plan entry. procs <= 0
+// is treated as one processor per node.
+func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
+}
+
+// ScheduleCompiled schedules against a plan, reading only its CSR, ALAP
+// table and topological order.
+func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	c, l := cg.CSR, cg.Levels
+	v := c.NumNodes()
 	if v == 0 {
-		return nil, errors.New("mcp: empty graph")
+		return nil, errEmpty
 	}
 	if procs <= 0 {
 		procs = v
-	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
 	}
 
 	// Per-node ALAP tie-break keys: the node's children's ALAP times in
 	// ascending order.
 	childALAPs := make([][]float64, v)
-	for i := 0; i < v; i++ {
-		n := dag.NodeID(i)
-		ks := make([]float64, 0, g.OutDegree(n))
-		for _, e := range g.Succ(n) {
-			ks = append(ks, l.ALAP[e.To])
+	for n := range v {
+		ks := make([]float64, 0, c.SuccOff[n+1]-c.SuccOff[n])
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			ks = append(ks, l.ALAP[c.SuccTo[s]])
 		}
 		sort.Float64s(ks)
-		childALAPs[i] = ks
+		childALAPs[n] = ks
 	}
 	// A parent's ALAP never exceeds its child's, so ascending ALAP is a
 	// topological order except for ties; the final tie-break on
@@ -72,8 +77,8 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 		if l.ALAP[na] != l.ALAP[nb] {
 			return l.ALAP[na] < l.ALAP[nb]
 		}
-		if c := compareLex(childALAPs[na], childALAPs[nb]); c != 0 {
-			return c < 0
+		if k := compareLex(childALAPs[na], childALAPs[nb]); k != 0 {
+			return k < 0
 		}
 		return topoPos[na] < topoPos[nb]
 	})
@@ -85,24 +90,21 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	for i, n := range order {
 		pos[n] = i
 	}
-	unschedParents := make([]int, v)
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
-	}
+	unschedParents := make([]int32, v)
 	readyByPos := posHeap(pos)
-	for i := 0; i < v; i++ {
-		if unschedParents[i] == 0 {
-			readyByPos.Push(dag.NodeID(i))
+	for n := range v {
+		if unschedParents[n] = c.PredOff[n+1] - c.PredOff[n]; unschedParents[n] == 0 {
+			readyByPos.Push(dag.NodeID(n))
 		}
 	}
 	sequence := make([]dag.NodeID, 0, v)
 	for readyByPos.Len() > 0 {
 		n := readyByPos.Pop()
 		sequence = append(sequence, n)
-		for _, e := range g.Succ(n) {
-			unschedParents[e.To]--
-			if unschedParents[e.To] == 0 {
-				readyByPos.Push(e.To)
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			to := c.SuccTo[s]
+			if unschedParents[to]--; unschedParents[to] == 0 {
+				readyByPos.Push(dag.NodeID(to))
 			}
 		}
 	}
@@ -111,22 +113,22 @@ func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 	}
 
 	m := listsched.NewMachine(procs)
-	s := sched.New(v)
-	s.Algorithm = "MCP"
+	proc := make([]int32, v)
+	start := make([]float64, v)
+	finish := make([]float64, v)
 	for _, n := range sequence {
-		w := g.Weight(n)
-		cache := listsched.NewDATCache(g, s, n)
-		proc, start := -1, 0.0
-		for p := 0; p < procs; p++ {
-			st := m.Proc(p).EarliestStart(cache.DAT(p), w)
-			if proc == -1 || st < start {
-				proc, start = p, st
+		w := c.NodeW[n]
+		dat := listsched.DATOf(c, n, proc, finish)
+		p, st := -1, 0.0
+		for q := 0; q < procs; q++ {
+			if s := m.Proc(q).EarliestStart(dat.On(q), w); p == -1 || s < st {
+				p, st = q, s
 			}
 		}
-		m.Proc(proc).Insert(n, start, w)
-		s.Place(n, proc, start, start+w)
+		m.Proc(p).Insert(n, st, w)
+		proc[n], start[n], finish[n] = int32(p), st, st+w
 	}
-	return s, nil
+	return sched.FromArrays("MCP", 0, proc, start, finish), nil
 }
 
 // posHeap is a min-heap of node IDs keyed by their MCP list position.

@@ -11,10 +11,12 @@ import (
 	"errors"
 
 	"fastsched/internal/dag"
-	"fastsched/internal/listsched"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/sim"
 )
+
+var errEmpty = errors.New("mh: empty graph")
 
 // Scheduler implements sched.Scheduler with the MH algorithm.
 type Scheduler struct {
@@ -29,43 +31,45 @@ func New(topology sim.Mesh) *Scheduler { return &Scheduler{Topology: topology} }
 // Name implements sched.Scheduler.
 func (*Scheduler) Name() string { return "MH" }
 
-// Schedule implements sched.Scheduler. procs <= 0 is treated as one
-// processor per node.
+// Schedule implements sched.Scheduler through the plan entry. procs <= 0
+// is treated as one processor per node.
 func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
+	return plan.Schedule(g, procs, errEmpty, s.ScheduleCompiled)
+}
+
+// ScheduleCompiled schedules against a plan, reading only its CSR and
+// static levels.
+func (s *Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	c, static := cg.CSR, cg.Static()
+	v := c.NumNodes()
 	if v == 0 {
-		return nil, errors.New("mh: empty graph")
+		return nil, errEmpty
 	}
 	if procs <= 0 {
 		procs = v
 	}
-	_, l, err := g.ValidatedLevels()
-	if err != nil {
-		return nil, err
-	}
-	m := listsched.NewMachine(procs)
-	out := sched.New(v)
-	out.Algorithm = "MH"
-
-	unschedParents := make([]int, v)
+	procReady := make([]float64, procs) // MH only appends
+	proc := make([]int32, v)
+	start := make([]float64, v)
+	finish := make([]float64, v)
+	unschedParents := make([]int32, v)
 	ready := make([]bool, v)
 	readyCount := 0
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
-		if unschedParents[i] == 0 {
-			ready[i] = true
+	for n := range v {
+		if unschedParents[n] = c.PredOff[n+1] - c.PredOff[n]; unschedParents[n] == 0 {
+			ready[n] = true
 			readyCount++
 		}
 	}
 
 	// Topology-aware data arrival time.
-	dat := func(n dag.NodeID, p int) float64 {
+	dat := func(n, p int) float64 {
 		var t float64
-		for _, e := range g.Pred(n) {
-			pl := out.Of(e.From)
-			arr := pl.Finish
-			if pl.Proc != p {
-				arr += e.Weight + s.Topology.Delay(pl.Proc, p)
+		for e := c.PredOff[n]; e < c.PredOff[n+1]; e++ {
+			from := c.PredFrom[e]
+			arr := finish[from]
+			if fp := int(proc[from]); fp != p {
+				arr += c.PredW[e] + s.Topology.Delay(fp, p)
 			}
 			if arr > t {
 				t = arr
@@ -74,25 +78,22 @@ func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 		return t
 	}
 
-	for scheduled := 0; scheduled < v; scheduled++ {
+	for range v {
 		if readyCount == 0 {
 			return nil, errors.New("mh: no ready node (cyclic graph?)")
 		}
-		bestNode := dag.None
-		bestProc := -1
-		bestStart := 0.0
-		for i := 0; i < v; i++ {
-			if !ready[i] {
+		bestNode, bestProc, bestStart := -1, -1, 0.0
+		for n := range v {
+			if !ready[n] {
 				continue
 			}
-			n := dag.NodeID(i)
-			for p := 0; p < procs; p++ {
-				st := m.Proc(p).EarliestStartAppend(dat(n, p))
-				better := bestNode == dag.None || st < bestStart-1e-12
+			for p := range procs {
+				st := max(procReady[p], dat(n, p))
+				better := bestNode < 0 || st < bestStart-1e-12
 				if !better && st < bestStart+1e-12 {
 					// ties: higher static level, then smaller ID
-					if l.Static[n] != l.Static[bestNode] {
-						better = l.Static[n] > l.Static[bestNode]
+					if static[n] != static[bestNode] {
+						better = static[n] > static[bestNode]
 					} else {
 						better = n < bestNode
 					}
@@ -102,18 +103,18 @@ func (s *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 				}
 			}
 		}
-		w := g.Weight(bestNode)
-		m.Proc(bestProc).Insert(bestNode, bestStart, w)
-		out.Place(bestNode, bestProc, bestStart, bestStart+w)
-		ready[bestNode] = false
+		n := bestNode
+		proc[n], start[n], finish[n] = int32(bestProc), bestStart, bestStart+c.NodeW[n]
+		procReady[bestProc] = finish[n]
+		ready[n] = false
 		readyCount--
-		for _, e := range g.Succ(bestNode) {
-			unschedParents[e.To]--
-			if unschedParents[e.To] == 0 {
-				ready[e.To] = true
+		for e := c.SuccOff[n]; e < c.SuccOff[n+1]; e++ {
+			to := c.SuccTo[e]
+			if unschedParents[to]--; unschedParents[to] == 0 {
+				ready[to] = true
 				readyCount++
 			}
 		}
 	}
-	return out, nil
+	return sched.FromArrays("MH", 0, proc, start, finish), nil
 }

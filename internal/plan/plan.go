@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/sched"
 )
 
 // Key is the content address of a graph: a SHA-256 over its node
@@ -76,8 +77,8 @@ func GraphKey(g *dag.Graph) Key {
 // across goroutines and runs.
 type CompiledGraph struct {
 	// Graph is the graph the plan was compiled from, nil for a plan
-	// compiled from a CSR alone (CompileCompact). Only the schedulers
-	// that work on a *dag.Graph read it.
+	// compiled from a CSR alone (CompileCompact). Only Cache.Graphs and
+	// the exact solver, the one scheduler without a plan entry, read it.
 	Graph *dag.Graph
 	CSR   *dag.CSR
 	// Levels holds the t-level, b-level, static level, ALAP table and
@@ -104,6 +105,20 @@ func Compile(g *dag.Graph) (*CompiledGraph, error) {
 		return nil, err
 	}
 	return analyze(g, csr, l), nil
+}
+
+// Schedule is the graph entry of a scheduler whose body is its plan
+// entry: an empty g gets the scheduler's own error, any other g is
+// compiled, which validates it, and handed to entry.
+func Schedule(g *dag.Graph, procs int, empty error, entry func(*CompiledGraph, int) (*sched.Schedule, error)) (*sched.Schedule, error) {
+	if g.NumNodes() == 0 {
+		return nil, empty
+	}
+	cg, err := Compile(g)
+	if err != nil {
+		return nil, err
+	}
+	return entry(cg, procs)
 }
 
 // CompileKeyed compiles g and trusts its caller to have validated it,

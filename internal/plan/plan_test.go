@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
 )
 
@@ -120,6 +122,35 @@ func TestCompileMatchesAdHoc(t *testing.T) {
 func TestCompileEmptyGraphErrors(t *testing.T) {
 	if _, err := Compile(dag.New(0)); err == nil {
 		t.Fatal("compiling an empty graph did not error")
+	}
+}
+
+// TestScheduleAdapter pins the graph adapter: an empty graph gets the
+// scheduler's own error and a cycle the validating compile's, both
+// without running the entry; a valid graph reaches the entry with its
+// plan and the processor count.
+func TestScheduleAdapter(t *testing.T) {
+	errEmpty := errors.New("empty")
+	ran := false
+	entry := func(cg *CompiledGraph, procs int) (*sched.Schedule, error) {
+		ran = true
+		if cg.CSR.NumNodes() != 4 || procs != 3 {
+			t.Fatalf("entry got %d nodes and procs %d", cg.CSR.NumNodes(), procs)
+		}
+		return sched.New(4), nil
+	}
+	if _, err := Schedule(dag.New(0), 3, errEmpty, entry); err != errEmpty || ran {
+		t.Fatalf("empty graph: err %v, entry ran %v", err, ran)
+	}
+	cyclic := dag.New(2)
+	a, b := cyclic.AddNode("a", 1), cyclic.AddNode("b", 1)
+	cyclic.MustAddEdge(a, b, 0)
+	cyclic.MustAddEdge(b, a, 0)
+	if _, err := Schedule(cyclic, 3, errEmpty, entry); !errors.Is(err, dag.ErrCycle) || ran {
+		t.Fatalf("cyclic graph: err %v, entry ran %v", err, ran)
+	}
+	if s, err := Schedule(diamond(), 3, errEmpty, entry); err != nil || s == nil || !ran {
+		t.Fatalf("diamond: err %v, entry ran %v", err, ran)
 	}
 }
 
