@@ -20,6 +20,9 @@ import (
 //
 // Node IDs are stored as int32: a graph would need 2^31 nodes to
 // overflow, far beyond anything the generators produce.
+//
+// A CSR is read-only once built: a decoded graph, every plan compiled
+// from it and every run of those plans share one.
 type CSR struct {
 	PredOff  []int32   // PredOff[n]..PredOff[n+1] indexes n's predecessors; len v+1
 	PredFrom []int32   // predecessor node of each pred slot; len e
@@ -54,10 +57,29 @@ func (c *CSR) TotalComm() float64 {
 	return s
 }
 
-// BuildCSR flattens g's adjacency in stored order.
-func BuildCSR(g *Graph) *CSR {
-	c, _ := flatten(g, false)
-	return c
+// BuildCSR flattens g's adjacency in stored order. A graph DecodeJSON
+// built returns the CSR it was decoded from.
+func BuildCSR(g *Graph) *CSR { return BuildCSRInto(g, &CSR{}) }
+
+// BuildCSRInto is BuildCSR for a caller that reads the CSR and drops
+// it: a graph without a decoded CSR is flattened into scratch, whose
+// arrays are reused where they are large enough, and scratch is
+// returned. It is only as valid as scratch's next use.
+func BuildCSRInto(g *Graph, scratch *CSR) *CSR {
+	if g.csr != nil {
+		return g.csr
+	}
+	flatten(scratch, g, false)
+	return scratch
+}
+
+// reuse returns s cut to length n when its capacity allows, else a
+// fresh slice of length n. The caller overwrites every element.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // flatten is the one loop that turns g's adjacency into a CSR. With
@@ -65,18 +87,17 @@ func BuildCSR(g *Graph) *CSR {
 // returns the first failure in Validate's order: node weights, then
 // successor slots (owner, endpoint, self-loop, weight), then
 // predecessor slots (owner, endpoint). The CSR is complete either way,
-// so a topological pass over it can still report a cycle first.
-func flatten(g *Graph, check bool) (*CSR, error) {
+// so a topological pass over it can still report a cycle first. It
+// writes into c, reusing its arrays where they are large enough.
+func flatten(c *CSR, g *Graph, check bool) error {
 	v, e := g.NumNodes(), g.NumEdges()
-	c := &CSR{
-		PredOff:  make([]int32, v+1),
-		PredFrom: make([]int32, 0, e),
-		PredW:    make([]float64, 0, e),
-		SuccOff:  make([]int32, v+1),
-		SuccTo:   make([]int32, 0, e),
-		SuccW:    make([]float64, 0, e),
-		NodeW:    make([]float64, v),
-	}
+	c.PredOff = reuse(c.PredOff, v+1)
+	c.PredFrom = reuse(c.PredFrom, e)[:0]
+	c.PredW = reuse(c.PredW, e)[:0]
+	c.SuccOff = reuse(c.SuccOff, v+1)
+	c.SuccTo = reuse(c.SuccTo, e)[:0]
+	c.SuccW = reuse(c.SuccW, e)[:0]
+	c.NodeW = reuse(c.NodeW, v)
 	var nodeErr, succErr, predErr error
 	for n := 0; n < v; n++ {
 		id := NodeID(n)
@@ -106,11 +127,11 @@ func flatten(g *Graph, check bool) (*CSR, error) {
 	c.SuccOff[v] = int32(len(c.SuccTo))
 	switch {
 	case nodeErr != nil:
-		return c, nodeErr
+		return nodeErr
 	case succErr != nil:
-		return c, succErr
+		return succErr
 	}
-	return c, predErr
+	return predErr
 }
 
 // succSlotErr checks one successor slot of node n.

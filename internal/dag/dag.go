@@ -67,9 +67,17 @@ type Graph struct {
 	// is O(1) on dense fan-out instead of O(deg) per edge (O(v·e) worst
 	// case across a whole dense graph). Nodes below the threshold keep
 	// the allocation-free linear scan. It is build-only state: Clone
-	// does not copy it, the decoders drop it once every edge is in, and
-	// a later AddEdge rebuilds a node's set from its successor list.
+	// does not copy it, ToGraph drops it once every edge is in, the JSON
+	// decoder never builds one, and a later AddEdge rebuilds a node's
+	// set from its successor list.
 	dupSet map[NodeID]map[NodeID]struct{}
+	// csr is the checked CSR DecodeJSON built the graph from, nil for a
+	// graph built any other way. While it is set, Validate has nothing
+	// left to check, and BuildCSR and ValidatedLevels read it instead of
+	// flattening again. Every mutator clears it, and Clone does not copy
+	// it. It is written only before the graph is shared, and by the
+	// mutators, which already need exclusive access.
+	csr *CSR
 }
 
 // dupScanThreshold is the out-degree above which AddEdge switches from
@@ -90,6 +98,7 @@ func New(n int) *Graph {
 // returns its ID.
 func (g *Graph) AddNode(label string, weight float64) NodeID {
 	id := NodeID(len(g.nodes))
+	g.csr = nil
 	g.nodes = append(g.nodes, Node{ID: id, Label: label, Weight: weight})
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
@@ -132,6 +141,7 @@ func (g *Graph) AddEdge(from, to NodeID, weight float64) error {
 		set[to] = struct{}{}
 	}
 	e := Edge{From: from, To: to, Weight: weight}
+	g.csr = nil
 	g.succ[from] = append(g.succ[from], e)
 	g.pred[to] = append(g.pred[to], e)
 	g.ne++
@@ -168,11 +178,15 @@ func (g *Graph) Weight(id NodeID) float64 { return g.nodes[id].Weight }
 func (g *Graph) Label(id NodeID) string { return g.nodes[id].Label }
 
 // SetWeight replaces the computation cost of node id.
-func (g *Graph) SetWeight(id NodeID, w float64) { g.nodes[id].Weight = w }
+func (g *Graph) SetWeight(id NodeID, w float64) {
+	g.csr = nil
+	g.nodes[id].Weight = w
+}
 
 // SetEdgeWeight replaces the communication cost of edge from->to.
 // It reports whether the edge exists.
 func (g *Graph) SetEdgeWeight(from, to NodeID, w float64) bool {
+	g.csr = nil
 	found := false
 	for i := range g.succ[from] {
 		if g.succ[from][i].To == to {
@@ -283,9 +297,10 @@ func (g *Graph) CCR() float64 {
 	return avgC / avgW
 }
 
-// Clone returns a deep copy of the graph. The lazily built duplicate
-// sets are not copied; a clone that keeps growing rebuilds them on the
-// first AddEdge that needs one.
+// Clone returns a deep copy of the graph. Neither the lazily built
+// duplicate sets nor the decoder's CSR are copied: a clone that keeps
+// growing rebuilds the sets on the first AddEdge that needs one, and a
+// clone validates and flattens like any graph built edge by edge.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		nodes: append([]Node(nil), g.nodes...),
@@ -316,8 +331,13 @@ func (g *Graph) TopologicalOrder() ([]NodeID, error) {
 // nodes and edges) and the absence of self-edges. Generators and
 // loaders call it before handing a graph to a scheduler; failures are
 // typed (ErrCycle, ErrBadWeight, ErrSelfLoop, ErrEdgeEndpoint) so CLI
-// load paths can report them instead of crashing.
+// load paths can report them instead of crashing. A graph DecodeJSON
+// built, and nothing has changed since, passed these checks when it was
+// decoded, so Validate returns nil at once.
 func (g *Graph) Validate() error {
+	if g.csr != nil {
+		return nil
+	}
 	_, err := g.validated(func(c *CSR) error { return c.topoCheck(nil) })
 	return err
 }
@@ -325,7 +345,8 @@ func (g *Graph) Validate() error {
 // ValidatedLevels validates g exactly as Validate does and returns the
 // CSR and levels a compile needs, computed in the same passes: the CSR
 // is the checked flatten's, and the levels kernel's topological pass
-// is the cycle check. Errors are Validate's, in its precedence, plus
+// is the cycle check. A decoded graph's levels run on the CSR it was
+// decoded from. Errors are Validate's, in its precedence, plus
 // ComputeLevelsCSR's for an empty graph.
 func (g *Graph) ValidatedLevels() (*CSR, *Levels, error) {
 	var l *Levels
@@ -345,9 +366,14 @@ func (g *Graph) ValidatedLevels() (*CSR, *Levels, error) {
 // flatten's weight and slot failures, then the mirror. Mirror
 // consistency (every succ entry has exactly one pred twin with the
 // same weight, and no (from, to) pair repeats) is the CSR's O(v + e)
-// counting-sort comparison.
+// counting-sort comparison. A decoded graph's CSR is checked already,
+// so only topo runs.
 func (g *Graph) validated(topo func(*CSR) error) (*CSR, error) {
-	c, slotErr := flatten(g, true)
+	if g.csr != nil {
+		return g.csr, topo(g.csr)
+	}
+	c := &CSR{}
+	slotErr := flatten(c, g, true)
 	if err := topo(c); err != nil {
 		return nil, err
 	}

@@ -230,13 +230,20 @@ func decodeInt(s *jsonscan.Scanner, dst *int, bad *string, field string) {
 	*dst = int(n)
 }
 
-// build turns the decoded file form into a graph: node IDs must be
-// dense and unique, nodes are added in ID order and edges in file
-// order, and the result must Validate.
+// build turns the decoded file form into a graph through its CSR: node
+// IDs must be dense and unique; the CSR's successor and predecessor
+// slots keep file order, which is the order AddEdge would store; and
+// the graph keeps the checked CSR. Errors are the ones adding the nodes
+// in ID order and the edges in file order with AddEdge, then running
+// Validate, would give, in that precedence: the node IDs; the first
+// edge in file order with an endpoint out of range, a self-loop or a
+// pair an earlier edge already joined; a cycle; the first negative node
+// weight by ID; the first negative edge weight in (from, slot) order.
 func (jg *jsonGraph) build() (*Graph, error) {
 	v := len(jg.Nodes)
 	seen := make([]bool, v)
-	nodes := make([]jsonNode, v)
+	nodes := make([]Node, v)
+	nodeW := make([]float64, v)
 	for _, n := range jg.Nodes {
 		if n.ID < 0 || n.ID >= v {
 			return nil, fmt.Errorf("dag: node id %d out of range [0,%d)", n.ID, v)
@@ -245,53 +252,137 @@ func (jg *jsonGraph) build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: duplicate node id %d", n.ID)
 		}
 		seen[n.ID] = true
-		nodes[n.ID] = n
+		nodes[n.ID] = Node{ID: NodeID(n.ID), Label: n.Label, Weight: n.Weight}
+		nodeW[n.ID] = n.Weight
 	}
-	g := New(v)
-	for _, n := range nodes {
-		g.AddNode(n.Label, n.Weight)
-	}
-	g.reserveEdges(jg.Edges)
-	for _, e := range jg.Edges {
-		if e.From < 0 || e.From >= v || e.To < 0 || e.To >= v {
-			return nil, fmt.Errorf("dag: edge endpoint out of range: %d -> %d", e.From, e.To)
-		}
-		if err := g.AddEdge(NodeID(e.From), NodeID(e.To), e.Weight); err != nil {
-			return nil, err
+	edges := jg.Edges
+	for i, e := range edges {
+		if e.From < 0 || e.From >= v || e.To < 0 || e.To >= v || e.From == e.To {
+			edges = edges[:i]
+			break
 		}
 	}
-	g.dupSet = nil
-	if err := g.Validate(); err != nil {
+	c := scatterCSR(nodeW, edges)
+	if err := c.firstDuplicate(edges); err != nil {
 		return nil, err
 	}
-	return g, nil
-}
-
-// reserveEdges gives every node's successor and predecessor lists the
-// exact capacity the in-range edges will fill, each a three-index slice
-// of one backing array per direction: AddEdge then appends without
-// growing, and an append past a list's share reallocates it instead of
-// overwriting its neighbour's.
-func (g *Graph) reserveEdges(edges []jsonEdge) {
-	v := len(g.nodes)
-	deg := make([]int32, 2*v) // out-degrees, then in-degrees
-	total := 0
-	for _, e := range edges {
-		if e.From >= 0 && e.From < v && e.To >= 0 && e.To < v {
-			deg[e.From]++
-			deg[v+e.To]++
-			total++
+	if len(edges) < len(jg.Edges) {
+		e := jg.Edges[len(edges)]
+		if e.From == e.To && e.From >= 0 && e.From < v {
+			return nil, fmt.Errorf("dag: %w on node %d", ErrSelfLoop, e.From)
+		}
+		return nil, fmt.Errorf("dag: %w: %d -> %d", ErrEdgeEndpoint, e.From, e.To)
+	}
+	if err := c.topoCheck(nil); err != nil {
+		return nil, err
+	}
+	for n, w := range c.NodeW {
+		if badWeight(w) {
+			return nil, fmt.Errorf("dag: %w: node %d has weight %v", ErrBadWeight, n, w)
 		}
 	}
-	succ, pred := make([]Edge, total), make([]Edge, total)
-	so, po := 0, 0
-	for i := 0; i < v; i++ {
-		out, in := int(deg[i]), int(deg[v+i])
-		g.succ[i] = succ[so : so : so+out]
-		g.pred[i] = pred[po : po : po+in]
-		so += out
-		po += in
+	for n := 0; n < v; n++ {
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			if w := c.SuccW[s]; badWeight(w) {
+				return nil, fmt.Errorf("dag: %w: edge %d->%d has weight %v", ErrBadWeight, n, c.SuccTo[s], w)
+			}
+		}
 	}
+	return c.graph(nodes), nil
+}
+
+// scatterCSR lays edges out as a CSR with two counting scatters in
+// file order: successor slots by from, predecessor slots by to. The
+// endpoints must be in range. The two sides mirror each other by
+// construction, and each node's slots keep file order.
+func scatterCSR(nodeW []float64, edges []jsonEdge) *CSR {
+	v, e := len(nodeW), len(edges)
+	c := &CSR{
+		PredOff:  make([]int32, v+1),
+		PredFrom: make([]int32, e),
+		PredW:    make([]float64, e),
+		SuccOff:  make([]int32, v+1),
+		SuccTo:   make([]int32, e),
+		SuccW:    make([]float64, e),
+		NodeW:    nodeW,
+	}
+	for _, ed := range edges {
+		c.SuccOff[ed.From+1]++
+		c.PredOff[ed.To+1]++
+	}
+	for n := 0; n < v; n++ {
+		c.SuccOff[n+1] += c.SuccOff[n]
+		c.PredOff[n+1] += c.PredOff[n]
+	}
+	next := make([]int32, 2*v) // the next free successor slot of each node, then predecessor slot
+	copy(next, c.SuccOff[:v])
+	copy(next[v:], c.PredOff[:v])
+	for _, ed := range edges {
+		s := next[ed.From]
+		next[ed.From] = s + 1
+		c.SuccTo[s], c.SuccW[s] = int32(ed.To), ed.Weight
+		p := next[v+ed.To]
+		next[v+ed.To] = p + 1
+		c.PredFrom[p], c.PredW[p] = int32(ed.From), ed.Weight
+	}
+	return c
+}
+
+// firstDuplicate returns the duplicate-edge error for the first edge,
+// in file order, that joins a pair an earlier edge already joined, or
+// nil; c must be edges' scatter. A stamp per node finds each node's
+// first repeated successor slot in O(v + e); only when one exists does
+// a pass over the edges turn its rank among the node's slots into file
+// order.
+func (c *CSR) firstDuplicate(edges []jsonEdge) error {
+	v := c.NumNodes()
+	stamp := make([]int32, v)
+	var dup []int32 // dup[n]: 1 + the rank of n's first repeated slot, or 0
+	for n := int32(0); n < int32(v); n++ {
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			if to := c.SuccTo[s]; stamp[to] != n+1 {
+				stamp[to] = n + 1
+				continue
+			}
+			if dup == nil {
+				dup = make([]int32, v)
+			}
+			dup[n] = s - c.SuccOff[n] + 1
+			break
+		}
+	}
+	if dup == nil {
+		return nil
+	}
+	clear(stamp) // now each node's count of edges so far, in file order
+	for _, e := range edges {
+		if stamp[e.From]++; stamp[e.From] == dup[e.From] {
+			return fmt.Errorf("dag: %w: %d -> %d", ErrDuplicateEdge, e.From, e.To)
+		}
+	}
+	panic("dag: a repeated successor slot has no edge")
+}
+
+// graph builds the *Graph c describes, with nodes as its node table:
+// one pass, each direction's edges in one backing array, each list cut
+// to its exact capacity. The graph keeps c as its checked CSR.
+func (c *CSR) graph(nodes []Node) *Graph {
+	v, e := c.NumNodes(), c.NumEdges()
+	g := &Graph{nodes: nodes, succ: make([][]Edge, v), pred: make([][]Edge, v), ne: e, csr: c}
+	succ, pred := make([]Edge, e), make([]Edge, e)
+	for n := 0; n < v; n++ {
+		lo, hi := c.SuccOff[n], c.SuccOff[n+1]
+		for s := lo; s < hi; s++ {
+			succ[s] = Edge{From: NodeID(n), To: NodeID(c.SuccTo[s]), Weight: c.SuccW[s]}
+		}
+		g.succ[n] = succ[lo:hi:hi]
+		lo, hi = c.PredOff[n], c.PredOff[n+1]
+		for s := lo; s < hi; s++ {
+			pred[s] = Edge{From: NodeID(c.PredFrom[s]), To: NodeID(n), Weight: c.PredW[s]}
+		}
+		g.pred[n] = pred[lo:hi:hi]
+	}
+	return g
 }
 
 // DOT renders the graph in Graphviz dot syntax. Node labels include the

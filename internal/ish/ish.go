@@ -42,10 +42,9 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 	if procs <= 0 {
 		procs = v
 	}
-	// A processor's ready time is the finish of the last slot on its
-	// timeline. That is its last main node's, except when a zero-length
-	// filler starting within the timeline's 1e-9 tolerance of a
-	// zero-length main node's finish sorts after it.
+	// A processor's ready time is the latest finish on its timeline,
+	// which a hole filler may set: the fill test lets a filler end up to
+	// 1e-12 after the main node whose gap it fills.
 	tl := make([]listsched.Timeline, procs)
 	proc := make([]int32, v)
 	start := make([]float64, v)

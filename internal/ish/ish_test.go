@@ -108,3 +108,68 @@ func TestFillsCommunicationGap(t *testing.T) {
 		t.Fatalf("length = %v, want <= 4", s.Length())
 	}
 }
+
+// TestMainNodeStartsAfterLatestFinish pins two zero- and
+// decimal-weight graphs on which a hole filler finishes a rounding
+// error after the zero-length main node whose gap it fills. That filler
+// sorts before the main node on the timeline, so the processor's last
+// slot is not its latest finish. The next main node placed there must
+// start at or after every finish on the processor, not at the last
+// slot's.
+func TestMainNodeStartsAfterLatestFinish(t *testing.T) {
+	type edge struct {
+		from, to int
+		w        float64
+	}
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+		edges   []edge
+		procs   int
+		// node starts after every node of after, all placed on its
+		// processor before it.
+		node  dag.NodeID
+		after []dag.NodeID
+	}{{
+		// Processor 1 runs n0 [0, 0.1), the main node n5 at 0.3, and the
+		// filler n7 [0.1, 0.1+0.2), which ends 4e-17 after 0.3. n6 comes
+		// next.
+		name:    "filler ends after a zero-length main",
+		weights: []float64{0.1, 0, 0, 0, 0.7, 0, 0.2, 0.2},
+		edges: []edge{{0, 1, 0.1}, {0, 7, 0}, {2, 5, 0}, {2, 7, 0.1}, {3, 4, 0.1}, {3, 5, 0.3},
+			{5, 6, 0.1}},
+		procs: 3,
+		node:  6, after: []dag.NodeID{0, 5, 7},
+	}, {
+		// Processor 1 ends with the main node n9 at 2.8999999999999995
+		// and the filler n5 [2.8, 2.9) in its gap; n1 comes next.
+		name:    "filler ends after a zero-length main, later in the run",
+		weights: []float64{0.3, 0, 0.2, 2.3, 1.1, 0.1, 0.2, 2.3, 0.7, 0, 0.3, 0, 1.1},
+		edges: []edge{{0, 3, 0}, {0, 5, 0.2}, {1, 11, 0.3}, {2, 5, 0.2}, {2, 8, 0.3}, {2, 11, 2.3},
+			{2, 12, 0}, {3, 8, 0}, {3, 9, 0.3}, {4, 10, 0.7}, {5, 11, 0}, {7, 9, 2.3}, {7, 10, 0.2},
+			{8, 11, 0}, {8, 12, 0.1}, {9, 12, 0.3}, {10, 12, 2.3}},
+		procs: 3,
+		node:  1, after: []dag.NodeID{5, 7, 9, 10},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := dag.New(len(tc.weights))
+			for _, w := range tc.weights {
+				g.AddNode("", w)
+			}
+			for _, e := range tc.edges {
+				g.MustAddEdge(dag.NodeID(e.from), dag.NodeID(e.to), e.w)
+			}
+			s, err := New().Schedule(g, tc.procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := s.Of(tc.node)
+			for _, n := range tc.after {
+				if o := s.Of(n); o.Proc != pl.Proc || pl.Start < o.Finish {
+					t.Errorf("node %d starts at %v on processor %d, before node %d finishes at %v on processor %d",
+						tc.node, pl.Start, pl.Proc, n, o.Finish, o.Proc)
+				}
+			}
+		})
+	}
+}

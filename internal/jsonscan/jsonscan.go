@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -217,49 +218,54 @@ func (s *Scanner) scalar(want byte, ok *bool) bool {
 }
 
 // Int reads an integer into *dst as encoding/json fills an int64 (or
-// 64-bit int) field.
+// 64-bit int) field. The grammar walk's mantissa is the value: a token
+// with a fraction, an exponent or more than 19 digits is no int64.
 func (s *Scanner) Int(dst *int64) (ok bool) {
 	if !s.scalar('0', &ok) {
 		return ok
 	}
-	n, ok := parseInt(s.number())
-	if ok {
-		*dst = n
+	tok, mant, frac := s.number()
+	switch {
+	case tok == nil || frac != 0:
+		return false
+	case tok[0] == '-' && mant <= 1<<63:
+		*dst = int64(-mant)
+	case tok[0] != '-' && mant <= math.MaxInt64:
+		*dst = int64(mant)
+	default:
+		return false
 	}
-	return ok
+	return true
 }
 
-// parseInt parses a grammar-checked number token as an int64; tokens
-// with a fraction or exponent, or outside int64, fail.
-func parseInt(tok []byte) (int64, bool) {
-	digits := tok
-	if len(tok) > 0 && tok[0] == '-' {
-		digits = tok[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 { // 18 digits cannot overflow
-		n, err := strconv.ParseInt(string(tok), 10, 64)
-		return n, err == nil
-	}
-	var n int64
-	for _, c := range digits {
-		if !isDigit(c) {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if tok[0] == '-' {
-		n = -n
-	}
-	return n, true
-}
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // Float reads a number into *dst as encoding/json fills a float64
-// field.
+// field. A token without an exponent whose digits form a mantissa of
+// at most 2^53, with at most 22 of them after the point, is that
+// mantissa divided by an exact power of ten: one correctly rounded
+// IEEE operation on exact operands, so the result is bit-identical to
+// strconv.ParseFloat (Clinger's fast path). Every other token goes to
+// strconv.
 func (s *Scanner) Float(dst *float64) (ok bool) {
 	if !s.scalar('0', &ok) {
 		return ok
 	}
-	f, err := strconv.ParseFloat(string(s.number()), 64)
+	tok, mant, frac := s.number()
+	if tok == nil {
+		return false
+	}
+	if frac >= 0 && frac < len(pow10) && mant <= 1<<53 {
+		f := float64(mant) / pow10[frac]
+		if tok[0] == '-' {
+			f = -f
+		}
+		*dst = f
+		return true
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
 	if err == nil {
 		*dst = f
 	}
@@ -393,27 +399,33 @@ func (s *Scanner) literal(word string) {
 }
 
 // number consumes a number token, checking it against the JSON
-// grammar, and returns it.
-func (s *Scanner) number() []byte {
+// grammar, and returns it (nil after a syntax error) with the value the
+// walk read from it: when the token has no exponent part and at most 19
+// digits, it is ±mant × 10^-frac; otherwise frac is -1.
+func (s *Scanner) number() (tok []byte, mant uint64, frac int) {
 	start, i := s.pos, s.pos
+	digits := 0
 	if s.at(i) == '-' {
 		i++
 	}
 	switch c := s.at(i); {
 	case c == '0':
 		i++
+		digits = 1
 	case '1' <= c && c <= '9':
-		i = s.digits(i)
+		i, mant, digits = s.mantissa(i, mant, digits)
 	default:
 		s.fail(i, "in numeric literal")
-		return nil
+		return nil, 0, -1
 	}
 	if s.at(i) == '.' {
 		if !isDigit(s.at(i + 1)) {
 			s.fail(i+1, "after decimal point in numeric literal")
-			return nil
+			return nil, 0, -1
 		}
-		i = s.digits(i + 1)
+		j := i + 1
+		i, mant, digits = s.mantissa(j, mant, digits)
+		frac = i - j
 	}
 	if c := s.at(i); c == 'e' || c == 'E' {
 		if c := s.at(i + 1); c == '+' || c == '-' {
@@ -421,12 +433,29 @@ func (s *Scanner) number() []byte {
 		}
 		if !isDigit(s.at(i + 1)) {
 			s.fail(i+1, "in exponent of numeric literal")
-			return nil
+			return nil, 0, -1
 		}
 		i = s.digits(i + 1)
+		frac = -1
+	}
+	if digits > 19 {
+		frac = -1
 	}
 	s.pos = i
-	return s.data[start:i]
+	return s.data[start:i], mant, frac
+}
+
+// mantissa folds the run of digits at i into mant, up to its 19th
+// digit, and returns the index just past the run with the new mantissa
+// and digit count.
+func (s *Scanner) mantissa(i int, mant uint64, digits int) (int, uint64, int) {
+	for ; i < len(s.data) && isDigit(s.data[i]); i++ {
+		if digits < 19 {
+			mant = mant*10 + uint64(s.data[i]-'0')
+		}
+		digits++
+	}
+	return i, mant, digits
 }
 
 // digits returns the index just past the run of digits at i.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -188,4 +189,53 @@ func TestSyntaxErrorIsSticky(t *testing.T) {
 	if s.Err() != first {
 		t.Fatal("first syntax error was replaced")
 	}
+}
+
+// numberSeeds sit on the edges of the readers' exact paths: signed
+// zero, a mantissa at and one past 2^53, the largest exact power of
+// ten and the first inexact one, 18-, 19- and 20-digit mantissas,
+// int64's bounds, the smallest subnormal, and values that underflow or
+// overflow float64.
+var numberSeeds = []string{
+	`-0`, `0`, `-0.0`, `0.1`, `1.5`, `-12.345`, `0.30000000000000004`,
+	`9007199254740992`, `9007199254740993`, `9007199254740992.5`, `0.9007199254740993`,
+	`1e22`, `1e23`, `10000000000000000000000`, `100000000000000000000000`, `0.0000000000000000000001`,
+	`123456789012345678`, `1234567890123456789`, `12345678901234567890`, `1.234567890123456789`,
+	`9223372036854775807`, `-9223372036854775808`, `9223372036854775808`, `-9223372036854775809`,
+	`4.9e-324`, `5e-324`, `2e-324`, `1e-400`, `1e400`, `-1e400`, `1.7976931348623157e308`,
+	`1.0`, `1E2`, `2.5e-1`,
+}
+
+// FuzzNumber holds the readers' number conversions to strconv on every
+// token the grammar accepts: Float equals strconv.ParseFloat bit for
+// bit or both reject, and Int accepts exactly what strconv.ParseInt
+// accepts, with the same value.
+func FuzzNumber(f *testing.F) {
+	for _, in := range numberSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s := New([]byte(in))
+		if c := s.Next(); c != '-' && !isDigit(c) {
+			return
+		}
+		start := s.pos
+		var got float64
+		fok := s.Float(&got)
+		if s.Err() != nil {
+			return // not a number token
+		}
+		tok := in[start:s.pos]
+		want, err := strconv.ParseFloat(tok, 64)
+		if fok != (err == nil) || fok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Float(%q) = %v (%x), %v; strconv %v (%x), %v",
+				tok, got, math.Float64bits(got), fok, want, math.Float64bits(want), err)
+		}
+		var n int64
+		iok := New([]byte(tok)).Int(&n)
+		wantN, err := strconv.ParseInt(tok, 10, 64)
+		if iok != (err == nil) || iok && n != wantN {
+			t.Fatalf("Int(%q) = %d, %v; strconv %d, %v", tok, n, iok, wantN, err)
+		}
+	})
 }

@@ -42,13 +42,15 @@ type Timeline struct {
 	prefMax []float64
 }
 
-// ReadyTime returns the finish time of the last task on the processor
-// (0 for an idle processor).
+// ReadyTime returns the latest finish of any task on the processor (0
+// for an idle processor). That is not always the last slot's finish: a
+// zero-length slot that starts within TryInsert's 1e-9 tolerance before
+// its predecessor's finish sorts after it.
 func (t *Timeline) ReadyTime() float64 {
-	if len(t.slots) == 0 {
+	if len(t.prefMax) == 0 {
 		return 0
 	}
-	return t.slots[len(t.slots)-1].Finish
+	return t.prefMax[len(t.prefMax)-1]
 }
 
 // Len returns the number of tasks on the timeline.

@@ -22,6 +22,12 @@ func TestTimelineReadyTime(t *testing.T) {
 	if tl.Len() != 2 {
 		t.Fatalf("Len = %d", tl.Len())
 	}
+	// A zero-length slot that starts a rounding error before the last
+	// finish sorts after it; the ready time stays the latest finish.
+	tl.Insert(2, 7-1e-15, 0)
+	if tl.ReadyTime() != 7 {
+		t.Fatalf("after a zero-length slot at 7-1e-15, ReadyTime = %v, want 7", tl.ReadyTime())
+	}
 }
 
 func TestEarliestStartFindsGap(t *testing.T) {

@@ -35,38 +35,47 @@ import (
 // order the schedulers' tie-breaks depend on.
 type Key [32]byte
 
-// keyScratch pools the serialization buffers of GraphKey so the warm
-// lookup path allocates nothing.
-var keyScratch = sync.Pool{New: func() any { return new([]byte) }}
+// keyScratch pools GraphKey's serialization buffer and the CSR it
+// flattens a graph built edge by edge into, so the warm lookup path
+// allocates nothing.
+var keyScratch = sync.Pool{New: func() any { return new(keyBuf) }}
 
-// GraphKey hashes g's content: node count and weights, then each
-// node's successor list exactly as stored (deliberately not
-// canonicalized — schedulers' tie-breaks and FAST's random transfer
-// sequence depend on edge insertion order, so structurally equal
-// graphs built in different orders must not collide).
+type keyBuf struct {
+	buf []byte
+	csr dag.CSR
+}
+
+// GraphKey hashes g's content: node count and weights, edge count,
+// then each node's successor count and successor slots (child, weight)
+// exactly as stored (deliberately not canonicalized — schedulers'
+// tie-breaks and FAST's random transfer sequence depend on edge
+// insertion order, so structurally equal graphs built in different
+// orders must not collide). It reads g's CSR: a decoded graph's own, or
+// a flatten into pooled scratch.
 func GraphKey(g *dag.Graph) Key {
-	bp := keyScratch.Get().(*[]byte)
-	buf := (*bp)[:0]
+	kb := keyScratch.Get().(*keyBuf)
+	c := dag.BuildCSRInto(g, &kb.csr)
+	buf := kb.buf[:0]
 	u64 := func(x uint64) {
 		buf = binary.LittleEndian.AppendUint64(buf, x)
 	}
-	v := g.NumNodes()
+	v := c.NumNodes()
 	u64(uint64(v))
-	for i := 0; i < v; i++ {
-		u64(math.Float64bits(g.Weight(dag.NodeID(i))))
+	for _, w := range c.NodeW {
+		u64(math.Float64bits(w))
 	}
-	u64(uint64(g.NumEdges()))
-	for i := 0; i < v; i++ {
-		succ := g.Succ(dag.NodeID(i))
-		u64(uint64(len(succ)))
-		for _, e := range succ { // stored order, deliberately not sorted
-			u64(uint64(e.To))
-			u64(math.Float64bits(e.Weight))
+	u64(uint64(c.NumEdges()))
+	for n := 0; n < v; n++ {
+		lo, hi := c.SuccOff[n], c.SuccOff[n+1]
+		u64(uint64(hi - lo))
+		for s := lo; s < hi; s++ {
+			u64(uint64(c.SuccTo[s]))
+			u64(math.Float64bits(c.SuccW[s]))
 		}
 	}
 	k := Key(sha256.Sum256(buf))
-	*bp = buf
-	keyScratch.Put(bp)
+	kb.buf = buf
+	keyScratch.Put(kb)
 	return k
 }
 
