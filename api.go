@@ -302,8 +302,10 @@ type CompiledGraph = plan.CompiledGraph
 // weights and adjacency in stored order.
 type GraphContentKey = plan.Key
 
-// PlanCache is a content-addressed, lock-striped LRU over compiled
-// graphs with single-flight compilation.
+// PlanCache is a content-addressed LRU over compiled graphs with
+// single-flight compilation, on the same 16-shard LRU as the batch
+// engine's result cache. It counts plan.compile_hits, _misses,
+// _evictions and _shared (calls that waited on another's compile).
 type PlanCache = plan.Cache
 
 // CompileGraph validates g as Graph.Validate does and analyzes it once.

@@ -67,7 +67,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "scheduling workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.queue, "queue", 0, "submission queue depth (0 = engine default)")
 	fs.IntVar(&o.cacheSize, "cache", 0, "result cache and body index entries (0 = engine default, negative disables both)")
-	fs.IntVar(&o.planCacheSize, "plan-cache", 0, "compiled-plan cache entries (0 = engine default)")
+	fs.IntVar(&o.planCacheSize, "plan-cache", 0, "compiled-plan cache entries (0 = engine default, negative disables it)")
 	fs.StringVar(&o.snapshot, "snapshot", "", "warm-restart snapshot path (empty disables persistence)")
 	fs.DurationVar(&o.snapshotEvery, "snapshot-every", 30*time.Second, "periodic snapshot interval (with -snapshot)")
 	fs.Float64Var(&o.quotaRate, "quota-rate", 0, "per-tenant admission rate, requests/s per weight (0 disables quotas)")

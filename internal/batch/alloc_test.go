@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fastsched/internal/example"
+	"fastsched/internal/lru"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
@@ -21,7 +22,7 @@ func TestCacheHitPathAllocFree(t *testing.T) {
 	}
 	g := example.Graph()
 	req := Request{Graph: g, Procs: 2, Algorithm: "fast", Seed: 3}
-	c := NewLRU[*sched.Schedule](64)
+	c := lru.New[*sched.Schedule](64, nil, lru.Names{})
 	c.Put(requestKey(req), sched.New(g.NumNodes()))
 	requestKey(req) // warm the key-buffer pool
 

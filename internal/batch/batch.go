@@ -32,6 +32,7 @@ import (
 	"fastsched/internal/casch"
 	"fastsched/internal/dag"
 	"fastsched/internal/fast"
+	"fastsched/internal/lru"
 	"fastsched/internal/obs"
 	"fastsched/internal/plan"
 	"fastsched/internal/sched"
@@ -152,13 +153,12 @@ type Options struct {
 // Engine is the concurrent batch scheduler. Create with New, feed with
 // Submit/Do, and Close when done.
 type Engine struct {
-	opts   Options
-	queue  chan *job
-	wg     sync.WaitGroup        // workers
-	subWG  sync.WaitGroup        // blocking submitters not yet enqueued
-	cache  *LRU[*sched.Schedule] // result cache; nil when caching is off
-	plans  *plan.Cache           // compiled-graph cache; nil when compilation is off
-	flight *flightGroup
+	opts  Options
+	queue chan *job
+	wg    sync.WaitGroup              // workers
+	subWG sync.WaitGroup              // blocking submitters not yet enqueued
+	cache *lru.Cache[*sched.Schedule] // result cache; nil when caching is off
+	plans *plan.Cache                 // compiled-graph cache; nil when compilation is off
 
 	mu     sync.Mutex
 	closed bool
@@ -171,8 +171,6 @@ type Engine struct {
 	mRejected   *obs.Counter   // batch.rejected
 	mCompleted  *obs.Counter   // batch.completed
 	mFailed     *obs.Counter   // batch.failed
-	mCacheHits  *obs.Counter   // batch.cache_hits
-	mCoalesced  *obs.Counter   // batch.coalesced
 	mLatency    *obs.Histogram // batch.latency_ms
 }
 
@@ -199,12 +197,16 @@ func New(opts Options) *Engine {
 		opts.CacheSize = 1024
 	}
 	e := &Engine{
-		opts:   opts,
-		queue:  make(chan *job, opts.QueueDepth),
-		flight: newFlightGroup(),
+		opts:  opts,
+		queue: make(chan *job, opts.QueueDepth),
 	}
 	if opts.CacheSize > 0 {
-		e.cache = NewLRU[*sched.Schedule](opts.CacheSize)
+		e.cache = lru.New[*sched.Schedule](opts.CacheSize, opts.Metrics, lru.Names{
+			Hits:      "batch.cache_hits",
+			Misses:    "batch.cache_misses",
+			Evictions: "batch.cache_evictions",
+			Shared:    "batch.coalesced",
+		})
 	}
 	if opts.PlanCacheSize >= 0 {
 		e.plans = plan.NewCache(opts.PlanCacheSize, opts.Metrics)
@@ -215,8 +217,6 @@ func New(opts Options) *Engine {
 		e.mRejected = s.Counter("batch.rejected")
 		e.mCompleted = s.Counter("batch.completed")
 		e.mFailed = s.Counter("batch.failed")
-		e.mCacheHits = s.Counter("batch.cache_hits")
-		e.mCoalesced = s.Counter("batch.coalesced")
 		e.mLatency = s.Histogram("batch.latency_ms", obs.ExpBuckets(0.01, 4, 12))
 	}
 	for w := 0; w < opts.Workers; w++ {
@@ -427,8 +427,10 @@ func (e *Engine) worker() {
 	}
 }
 
-// execute runs one admitted job: cache lookup, single-flight coalesce,
-// cold scheduling run, cache fill.
+// execute runs one admitted job: a cold scheduling run, or, when the
+// request is cacheable, the result cache's lookup, single-flight
+// coalesce and fill around it. Every schedule handed out is a clone, so
+// the caller owns it and the cached copy stays untouched.
 func (e *Engine) execute(j *job) Result {
 	req := j.req
 	res := Result{ID: req.ID, Algorithm: req.Algorithm}
@@ -442,70 +444,30 @@ func (e *Engine) execute(j *job) Result {
 	// Hash the graph once: admission already computed the digest when
 	// the engine has a plan cache (it addresses the compilation cache
 	// and memoizes validation); it also seeds the result-cache key.
-	var gk plan.Key
+	gk := j.gk
 	cacheable := !req.NoCache && req.Budget == 0 && e.cache != nil
-	if j.hasGK {
-		gk = j.gk
-	} else if cacheable {
+	if cacheable && !j.hasGK {
 		gk = plan.GraphKey(req.Graph)
 	}
-	var key resultKey
-	if cacheable {
-		key = requestKeyFrom(req, gk)
-		if s, ok := e.cache.Get(key); ok {
-			e.mCacheHits.Inc()
+	if !cacheable {
+		res.Schedule, res.Err = e.run(j.ctx, req, gk)
+	} else {
+		// The first request for a key schedules and fills the cache,
+		// unless its run fails or expires: partial deadline results are
+		// wall-clock dependent. Concurrent duplicates wait for that run,
+		// or give up when their own context ends.
+		s, src, err := e.cache.Do(j.ctx, requestKeyFrom(req, gk), func() (*sched.Schedule, error) {
+			return e.run(j.ctx, req, gk)
+		})
+		if s != nil {
 			res.Schedule = s.Clone()
-			res.Makespan = res.Schedule.Length()
-			res.ProcsUsed = res.Schedule.ProcsUsed()
-			res.CacheHit = true
-			return res
 		}
-		// Single-flight: the first request for a key schedules; every
-		// concurrent duplicate waits for that run and gets a clone.
-		leader, call := e.flight.join(key)
-		if !leader {
-			select {
-			case <-call.ready:
-			case <-j.ctx.Done():
-				res.Err = j.ctx.Err()
-				return res
-			}
-			if call.err == nil && call.sched != nil {
-				e.mCoalesced.Inc()
-				res.Schedule = call.sched.Clone()
-				res.Makespan = res.Schedule.Length()
-				res.ProcsUsed = res.Schedule.ProcsUsed()
-				res.Coalesced = true
-				return res
-			}
-			// The leader failed (or returned a partial result); fall
-			// through and run this request on its own rather than
-			// propagating another caller's context error.
-		} else {
-			defer func() {
-				// Publish only clean results to waiters and the cache:
-				// partial deadline results are wall-clock dependent. One
-				// private clone backs both, so the leader's caller owns
-				// its schedule outright; waiters and future cache hits
-				// clone again from the published copy.
-				if res.Err == nil && res.Schedule != nil {
-					published := res.Schedule.Clone()
-					call.sched = published
-					e.cache.Put(key, published)
-				}
-				call.err = res.Err
-				e.flight.leave(key, call)
-			}()
-		}
+		res.Err, res.CacheHit, res.Coalesced = err, src == lru.Hit, src == lru.Shared
 	}
-
-	schedule, err := e.run(j.ctx, req, gk)
-	if schedule != nil {
-		res.Schedule = schedule
-		res.Makespan = schedule.Length()
-		res.ProcsUsed = schedule.ProcsUsed()
+	if res.Schedule != nil {
+		res.Makespan = res.Schedule.Length()
+		res.ProcsUsed = res.Schedule.ProcsUsed()
 	}
-	res.Err = err
 	return res
 }
 

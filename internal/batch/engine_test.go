@@ -7,11 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastsched/internal/casch"
 	"fastsched/internal/dag"
+	"fastsched/internal/lru"
 	"fastsched/internal/obs"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
@@ -62,6 +65,28 @@ func TestDoMatchesColdRun(t *testing.T) {
 			t.Fatalf("makespan %v != schedule length %v", res.Makespan, res.Schedule.Length())
 		}
 	}
+}
+
+// TestSchedulesAreOwnedByTheCaller: the schedule a cold run hands out
+// and every hit's are the caller's own copies, so changing one changes
+// no later answer.
+func TestSchedulesAreOwnedByTheCaller(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	req := Request{Graph: schedtest.RandomLayered(rand.New(rand.NewSource(3)), 20), Procs: 2}
+	first := e.Do(context.Background(), req)
+	if first.Err != nil || first.CacheHit {
+		t.Fatalf("cold run: err %v, hit %v", first.Err, first.CacheHit)
+	}
+	want := first.Schedule.Clone()
+	first.Schedule.Place(0, 1, 1e9, 2e9)
+	hit := e.Do(context.Background(), req)
+	if !hit.CacheHit {
+		t.Fatal("warm request missed the cache")
+	}
+	sameSchedule(t, want, hit.Schedule)
+	hit.Schedule.Place(0, 1, 1e9, 2e9)
+	sameSchedule(t, want, e.Do(context.Background(), req).Schedule)
 }
 
 func TestCacheHitIsBitIdenticalAndCounted(t *testing.T) {
@@ -355,76 +380,6 @@ func TestRunDirErrors(t *testing.T) {
 	}
 }
 
-// shardKey builds a resultKey whose first byte pins the shard and
-// whose tail disambiguates entries within it.
-func shardKey(shard byte, tag byte) resultKey {
-	var k resultKey
-	k[0] = shard
-	k[1] = tag
-	return k
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	// Capacity 2*cacheShards gives every shard room for two entries;
-	// three keys pinned to one shard exercise that shard's LRU order.
-	c := NewLRU[*sched.Schedule](2 * cacheShards)
-	s := sched.New(1)
-	a, b, d := shardKey(7, 'a'), shardKey(7, 'b'), shardKey(7, 'c')
-	c.Put(a, s)
-	c.Put(b, s)
-	if _, ok := c.Get(a); !ok {
-		t.Fatal("a evicted early")
-	}
-	c.Put(d, s) // evicts b (a was just touched)
-	if _, ok := c.Get(b); ok {
-		t.Fatal("b not evicted")
-	}
-	if _, ok := c.Get(a); !ok {
-		t.Fatal("a lost")
-	}
-	if _, ok := c.Get(d); !ok {
-		t.Fatal("c lost")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-}
-
-// TestCacheSharding pins the shard selection (first key byte, masked)
-// and that pressure in one shard never evicts another shard's entries.
-func TestCacheSharding(t *testing.T) {
-	c := NewLRU[*sched.Schedule](cacheShards) // one entry per shard
-	s := sched.New(1)
-	for i := 0; i < cacheShards; i++ {
-		c.Put(shardKey(byte(i), 0), s)
-	}
-	if c.Len() != cacheShards {
-		t.Fatalf("len = %d, want %d", c.Len(), cacheShards)
-	}
-	// Hammer shard 3 with fresh keys: only shard 3's entry may be
-	// displaced.
-	for tag := byte(1); tag <= 8; tag++ {
-		c.Put(shardKey(3, tag), s)
-	}
-	if c.Len() != cacheShards {
-		t.Fatalf("len after shard-3 churn = %d, want %d", c.Len(), cacheShards)
-	}
-	for i := 0; i < cacheShards; i++ {
-		if i == 3 {
-			continue
-		}
-		if _, ok := c.Get(shardKey(byte(i), 0)); !ok {
-			t.Fatalf("churn in shard 3 evicted shard %d's entry", i)
-		}
-	}
-	// A key whose first byte exceeds the shard count wraps via the mask.
-	k := shardKey(byte(cacheShards)+5, 9)
-	c.Put(k, s)
-	if got, want := c.shard(k), &c.shards[5]; got != want {
-		t.Fatalf("shard(0x%02x) picked shard %p, want %p", k[0], got, want)
-	}
-}
-
 func TestRequestKeySensitivity(t *testing.T) {
 	g := schedtest.Chain(4, 2)
 	base := Request{Graph: g, Procs: 2, Algorithm: "fast", Seed: 1}
@@ -463,5 +418,62 @@ func TestRequestKeySensitivity(t *testing.T) {
 		if requestKey(m) == key {
 			t.Fatalf("%s change did not change the key", name)
 		}
+	}
+}
+
+// TestResultCacheCountersAddUp: 6 producers submit from a shared pool
+// of requests into a one-entry-per-shard result cache, so hits,
+// coalesced waits, runs and evictions interleave. Every cacheable
+// request is counted once (hits + misses + coalesced == requests), the
+// counters agree with the results' flags, every clean run inserts one
+// entry (evictions == misses − Len), and a repeated request is served
+// as a hit.
+func TestResultCacheCountersAddUp(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := New(Options{Workers: 3, CacheSize: lru.Shards, Metrics: reg})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(5))
+	graphs := make([]*dag.Graph, 30)
+	for i := range graphs {
+		graphs[i] = schedtest.RandomLayered(rng, 6+rng.Intn(6))
+	}
+	const producers, perProducer = 6, 40
+	var flagHits, flagCoalesced atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for i := 0; i < perProducer; i++ {
+				res := e.Do(context.Background(), Request{Graph: graphs[rng.Intn(len(graphs))], Procs: 2})
+				if res.Err != nil {
+					t.Error(res.Err)
+				}
+				if res.CacheHit {
+					flagHits.Add(1)
+				}
+				if res.Coalesced {
+					flagCoalesced.Add(1)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	hits, misses := reg.Counter("batch.cache_hits").Value(), reg.Counter("batch.cache_misses").Value()
+	coalesced, evictions := reg.Counter("batch.coalesced").Value(), reg.Counter("batch.cache_evictions").Value()
+	if hits+misses+coalesced != producers*perProducer {
+		t.Errorf("hits %d + misses %d + coalesced %d != %d requests", hits, misses, coalesced, producers*perProducer)
+	}
+	if hits != flagHits.Load() || coalesced != flagCoalesced.Load() {
+		t.Errorf("counters say %d hits and %d coalesced, results %d and %d", hits, coalesced, flagHits.Load(), flagCoalesced.Load())
+	}
+	if evictions != misses-int64(e.cache.Len()) || evictions == 0 {
+		t.Errorf("evictions %d, want misses %d - len %d, and some", evictions, misses, e.cache.Len())
+	}
+	req := Request{Graph: graphs[0], Procs: 2}
+	e.Do(context.Background(), req)
+	if res := e.Do(context.Background(), req); !res.CacheHit {
+		t.Error("a repeated request was not served as a hit")
 	}
 }

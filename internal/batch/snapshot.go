@@ -41,10 +41,11 @@ type SnapshotResult struct {
 	Placements []SnapshotPlacement `json:"placements"`
 }
 
-// SnapshotResults exports every result-cache entry. Entries whose
-// schedule is not fully assigned (impossible for cached results, which
-// all passed validation, but cheap to guard) are skipped. Safe to call
-// concurrently with serving and after Close.
+// SnapshotResults exports every result-cache entry, least recent first
+// within each shard, so RestoreResults reproduces the LRU order.
+// Entries whose schedule is not fully assigned (impossible for cached
+// results, which all passed validation, but cheap to guard) are
+// skipped. Safe to call concurrently with serving and after Close.
 func (e *Engine) SnapshotResults() []SnapshotResult {
 	if e.cache == nil {
 		return nil
@@ -117,7 +118,8 @@ func finiteSlot(start, finish float64) bool {
 }
 
 // SnapshotGraphs exports the source graph of every cached compilation
-// (nil without a plan cache). The graphs are shared read-only.
+// (nil without a plan cache), least recent first within each shard, so
+// WarmGraphs reproduces the LRU order. The graphs are shared read-only.
 func (e *Engine) SnapshotGraphs() []*dag.Graph {
 	return e.plans.Graphs()
 }

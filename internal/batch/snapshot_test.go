@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/lru"
 	"fastsched/internal/obs"
 	"fastsched/internal/plan"
 	"fastsched/internal/schedtest"
@@ -116,5 +117,75 @@ func TestRestoreResultsRejectsMalformed(t *testing.T) {
 	}
 	if got := e.cache.Len(); got != 0 {
 		t.Fatalf("cache holds %d entries after malformed restore, want 0", got)
+	}
+}
+
+// shardKey returns a key in the given cache shard, told apart by tag.
+func shardKey(shard, tag byte) [32]byte {
+	var k [32]byte
+	k[0], k[1] = shard, tag
+	return k
+}
+
+// TestRestoreKeepsResultOrder: a warm restart reproduces each shard's
+// LRU order in the result cache, so the first eviction after a restart
+// drops the entry the old process would have dropped.
+func TestRestoreKeepsResultOrder(t *testing.T) {
+	const capacity = 2 * lru.Shards // two entries a shard
+	entry := func(tag byte) []SnapshotResult {
+		return []SnapshotResult{{Key: shardKey(7, tag), Algorithm: "FAST", Placements: []SnapshotPlacement{{Finish: 1}}}}
+	}
+	e1 := New(Options{Workers: 1, CacheSize: capacity})
+	defer e1.Close()
+	e1.RestoreResults(entry('a'))
+	e1.RestoreResults(entry('b')) // b is the most recent
+
+	e2 := New(Options{Workers: 1, CacheSize: capacity})
+	defer e2.Close()
+	e2.RestoreResults(e1.SnapshotResults())
+	e2.RestoreResults(entry('c'))
+	cached := map[[32]byte]bool{}
+	for _, sr := range e2.SnapshotResults() {
+		cached[sr.Key] = true
+	}
+	if cached[shardKey(7, 'a')] || !cached[shardKey(7, 'b')] || !cached[shardKey(7, 'c')] {
+		t.Fatalf("after restore and one insert: a %v, b %v, c %v cached; want a evicted, b and c kept",
+			cached[shardKey(7, 'a')], cached[shardKey(7, 'b')], cached[shardKey(7, 'c')])
+	}
+}
+
+// graphInShard returns a chain whose plan key lands in the given shard.
+func graphInShard(t *testing.T, shard byte, salt float64) (*dag.Graph, plan.Key) {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		g := schedtest.Chain(3, 1)
+		g.SetWeight(0, salt+float64(i))
+		if k := plan.GraphKey(g); k[0]%lru.Shards == shard {
+			return g, k
+		}
+	}
+	t.Fatal("no graph for the shard")
+	return nil, plan.Key{}
+}
+
+// TestWarmGraphsKeepPlanOrder is TestRestoreKeepsResultOrder for the
+// plan cache: SnapshotGraphs then WarmGraphs keeps each shard's order.
+func TestWarmGraphsKeepPlanOrder(t *testing.T) {
+	const capacity = 2 * lru.Shards
+	ga, ka := graphInShard(t, 5, 100)
+	gb, kb := graphInShard(t, 5, 20000)
+	gc, kc := graphInShard(t, 5, 40000)
+	e1 := New(Options{Workers: 1, PlanCacheSize: capacity})
+	defer e1.Close()
+	e1.WarmGraphs([]*dag.Graph{ga})
+	e1.WarmGraphs([]*dag.Graph{gb}) // b is the most recent
+
+	e2 := New(Options{Workers: 1, PlanCacheSize: capacity})
+	defer e2.Close()
+	e2.WarmGraphs(e1.SnapshotGraphs())
+	e2.WarmGraphs([]*dag.Graph{gc})
+	if e2.plans.Peek(ka) || !e2.plans.Peek(kb) || !e2.plans.Peek(kc) {
+		t.Fatalf("after restore and one compile: a %v, b %v, c %v cached; want a evicted, b and c kept",
+			e2.plans.Peek(ka), e2.plans.Peek(kb), e2.plans.Peek(kc))
 	}
 }

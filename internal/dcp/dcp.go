@@ -102,9 +102,9 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 		}
 
 		w := c.NodeW[best]
-		// Candidate processors: those holding parents of best, plus one
-		// empty processor (if available), or every processor when that
-		// leaves none.
+		// Candidate processors: those holding parents of best, plus the
+		// lowest empty processor while one remains, else every processor
+		// (the bounded-machine rule FAST's phase 1 follows).
 		fresh := m.FreshProc()
 		for len(cand) < m.NumProcs() {
 			cand = append(cand, 0)
@@ -116,7 +116,7 @@ func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Sc
 		if fresh >= 0 {
 			cand[fresh] = mark
 		}
-		all := fresh < 0 && c.PredOff[best] == c.PredOff[best+1]
+		all := fresh < 0
 		dat := listsched.DATOf(c, best, proc, finish)
 		p, st, score := -1, 0.0, math.Inf(1)
 		for q := 0; q < m.NumProcs(); q++ {

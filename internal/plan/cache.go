@@ -1,60 +1,23 @@
 package plan
 
 import (
-	"container/list"
-	"sync"
+	"context"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/lru"
 	"fastsched/internal/obs"
 )
 
-// numShards stripes the compilation cache. Power of two so the shard
-// index is a mask over the key's first byte; 16 shards keep the
-// per-shard mutexes uncontended at any worker count the batch engine
-// runs (the pool is bounded by GOMAXPROCS-scale numbers, not
-// thousands).
-const numShards = 16
-
-// Cache is a content-addressed, lock-striped LRU over compiled graphs.
-// Keys are the graphs' SHA-256 content addresses (GraphKey), so a hit
-// is guaranteed to hand back artifacts for a bit-identical graph.
-// Compilation is single-flight per key: concurrent misses on the same
-// graph compile once and share the result.
-//
-// Each shard holds its own mutex, LRU list and in-flight table; a key's
-// shard is selected by its first byte, which is uniformly distributed
-// (SHA-256 output), so capacity and contention spread evenly. The
-// capacity bound is enforced per shard at max/numShards (minimum 1), so
-// the cache holds at most ~max entries.
+// Cache is a content-addressed LRU over compiled graphs, on the
+// repository's one sharded LRU (internal/lru). Keys are the graphs'
+// SHA-256 content addresses (GraphKey), so a hit is guaranteed to hand
+// back artifacts for a bit-identical graph. Compilation is single-flight
+// per key: concurrent misses on the same graph compile once and share
+// the result. The cache holds at most ~max entries, max/lru.Shards
+// (minimum 1) in each shard, and counts plan.compile_hits, _misses,
+// _evictions and _shared (waited on another compiler).
 type Cache struct {
-	shards [numShards]cacheShard
-
-	// Metrics, resolved once at construction; nil (and free) without a
-	// sink.
-	mHits      *obs.Counter // plan.compile_hits
-	mMisses    *obs.Counter // plan.compile_misses
-	mEvictions *obs.Counter // plan.compile_evictions
-	mShared    *obs.Counter // plan.compile_shared (waited on another compiler)
-}
-
-type cacheShard struct {
-	mu      sync.Mutex
-	max     int
-	entries map[Key]*list.Element
-	order   *list.List // front = most recent
-	flight  map[Key]*compileCall
-}
-
-type cacheEntry struct {
-	key Key
-	cg  *CompiledGraph
-}
-
-// compileCall is one in-flight compilation; followers wait on ready.
-type compileCall struct {
-	ready chan struct{}
-	cg    *CompiledGraph
-	err   error
+	c *lru.Cache[*CompiledGraph]
 }
 
 // DefaultCacheSize bounds a NewCache(0, ...) cache.
@@ -68,30 +31,12 @@ func NewCache(max int, sink obs.Sink) *Cache {
 	if max == 0 {
 		max = DefaultCacheSize
 	}
-	perShard := max / numShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			max:     perShard,
-			entries: make(map[Key]*list.Element),
-			order:   list.New(),
-			flight:  make(map[Key]*compileCall),
-		}
-	}
-	if sink != nil {
-		c.mHits = sink.Counter("plan.compile_hits")
-		c.mMisses = sink.Counter("plan.compile_misses")
-		c.mEvictions = sink.Counter("plan.compile_evictions")
-		c.mShared = sink.Counter("plan.compile_shared")
-	}
-	return c
-}
-
-func (c *Cache) shard(key Key) *cacheShard {
-	return &c.shards[key[0]&(numShards-1)]
+	return &Cache{c: lru.New[*CompiledGraph](max, sink, lru.Names{
+		Hits:      "plan.compile_hits",
+		Misses:    "plan.compile_misses",
+		Evictions: "plan.compile_evictions",
+		Shared:    "plan.compile_shared",
+	})}
 }
 
 // Get returns the compiled form of g, compiling (and caching) on a
@@ -103,83 +48,33 @@ func (c *Cache) Get(g *dag.Graph) (*CompiledGraph, error) {
 
 // GetKeyed is Get with a precomputed content key. The key must be
 // GraphKey(g); a mismatched key breaks the cache's bit-identity
-// guarantee.
+// guarantee. A caller that finds g's compilation in flight waits for
+// it, however long it takes.
 func (c *Cache) GetKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		cg := el.Value.(*cacheEntry).cg
-		s.mu.Unlock()
-		c.mHits.Inc()
-		return cg, nil
-	}
-	// Miss: join (or start) the in-flight compilation for this key.
-	if call, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		<-call.ready
-		c.mShared.Inc()
-		return call.cg, call.err
-	}
-	call := &compileCall{ready: make(chan struct{})}
-	s.flight[key] = call
-	s.mu.Unlock()
-
-	c.mMisses.Inc()
-	cg, err := CompileKeyed(g, key)
-	call.cg, call.err = cg, err
-
-	s.mu.Lock()
-	delete(s.flight, key)
-	if err == nil {
-		if el, ok := s.entries[key]; ok {
-			el.Value.(*cacheEntry).cg = cg
-			s.order.MoveToFront(el)
-		} else {
-			s.entries[key] = s.order.PushFront(&cacheEntry{key: key, cg: cg})
-			for s.order.Len() > s.max {
-				oldest := s.order.Back()
-				s.order.Remove(oldest)
-				delete(s.entries, oldest.Value.(*cacheEntry).key)
-				c.mEvictions.Inc()
-			}
-		}
-	}
-	s.mu.Unlock()
-	close(call.ready)
+	cg, _, err := c.c.Do(context.Background(), key, func() (*CompiledGraph, error) {
+		return CompileKeyed(g, key)
+	})
 	return cg, err
 }
 
 // Peek reports whether key is cached without compiling or touching the
 // LRU order (for tests and admission heuristics).
-func (c *Cache) Peek(key Key) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	_, ok := s.entries[key]
-	s.mu.Unlock()
-	return ok
-}
+func (c *Cache) Peek(key Key) bool { return c.c.Contains(key) }
 
-// Graphs returns the source graph of every cached compilation, in an
-// unspecified order. The warm-restart snapshot uses it to persist the
-// set of graphs worth recompiling on the next start: a graph's JSON
-// round-trip reproduces its stored node and edge order exactly, so the
-// recompiled entry lands under the same content key. The returned
-// graphs are shared read-only with the cache; callers must not mutate
-// them.
+// Graphs returns the source graph of every cached compilation, least
+// recent first within each shard, so compiling them into a fresh cache
+// in this order restores its LRU order. The warm-restart snapshot uses
+// it to persist the set of graphs worth recompiling on the next start:
+// a graph's JSON round-trip reproduces its stored node and edge order
+// exactly, so the recompiled entry lands under the same content key.
+// The returned graphs are shared read-only with the cache; callers must
+// not mutate them.
 func (c *Cache) Graphs() []*dag.Graph {
 	if c == nil {
 		return nil
 	}
 	var out []*dag.Graph
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*cacheEntry).cg.Graph)
-		}
-		s.mu.Unlock()
-	}
+	c.c.Each(func(_ [32]byte, cg *CompiledGraph) { out = append(out, cg.Graph) })
 	return out
 }
 
@@ -188,12 +83,5 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	return c.c.Len()
 }

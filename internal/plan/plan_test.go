@@ -5,10 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/lru"
+	"fastsched/internal/obs"
 	"fastsched/internal/sched"
 	"fastsched/internal/schedtest"
 )
@@ -162,7 +165,7 @@ func graphInShard(t *testing.T, shard byte, salt float64) (*dag.Graph, Key) {
 		g := diamond()
 		g.SetWeight(0, salt+float64(i))
 		k := GraphKey(g)
-		if k[0]&(numShards-1) == shard {
+		if k[0]&(lru.Shards-1) == shard {
 			return g, k
 		}
 	}
@@ -171,7 +174,7 @@ func graphInShard(t *testing.T, shard byte, salt float64) (*dag.Graph, Key) {
 }
 
 func TestCacheHitMissEvict(t *testing.T) {
-	c := NewCache(numShards, nil) // one entry per shard
+	c := NewCache(lru.Shards, nil) // one entry per shard
 	ga, ka := graphInShard(t, 3, 1000)
 	gb, kb := graphInShard(t, 3, 2000)
 
@@ -251,7 +254,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // race detector (tier-1 runs go test -race ./...) sees every lock
 // ordering: hits, single-flight joins, publishes, and evictions.
 func TestCacheHammer(t *testing.T) {
-	c := NewCache(numShards, nil) // one entry per shard: constant evictions
+	c := NewCache(lru.Shards, nil) // one entry per shard: constant evictions
 	const workers = 16
 
 	// A pool of graphs shared by every worker so keys collide across
@@ -354,5 +357,49 @@ func TestCompileCompactMatchesCompile(t *testing.T) {
 	})
 	if _, err := CompileCompact(dag.BuildCSR(dag.New(0)), nil); err == nil {
 		t.Fatal("compiling an empty CSR did not error")
+	}
+}
+
+// TestCacheCountersAddUp: 8 goroutines compile from a shared pool of
+// graphs through a one-entry-per-shard cache, so hits, single-flight
+// waits, compiles and evictions interleave. Every Get is counted once
+// (hits + misses + shared == lookups), every compile of a valid graph
+// inserts one entry (evictions == misses − Len), and a repeated graph
+// is served as a hit.
+func TestCacheCountersAddUp(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache(lru.Shards, reg)
+	graphs := make([]*dag.Graph, 40)
+	for i := range graphs {
+		graphs[i] = diamond()
+		graphs[i].SetWeight(1, 1+float64(i))
+	}
+	const workers, iters = 8, 150
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < iters; i++ {
+				if _, err := c.Get(graphs[rng.Intn(len(graphs))]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	hits, misses := reg.Counter("plan.compile_hits").Value(), reg.Counter("plan.compile_misses").Value()
+	shared, evictions := reg.Counter("plan.compile_shared").Value(), reg.Counter("plan.compile_evictions").Value()
+	if hits+misses+shared != workers*iters {
+		t.Errorf("hits %d + misses %d + shared %d != %d lookups", hits, misses, shared, workers*iters)
+	}
+	if evictions != misses-int64(c.Len()) || evictions == 0 {
+		t.Errorf("evictions %d, want misses %d - len %d, and some", evictions, misses, c.Len())
+	}
+	c.Get(graphs[0])
+	hits = reg.Counter("plan.compile_hits").Value()
+	if _, err := c.Get(graphs[0]); err != nil || reg.Counter("plan.compile_hits").Value() != hits+1 {
+		t.Errorf("a repeated graph was not served as a hit (err %v)", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fastsched/internal/casch"
 	"fastsched/internal/optimal"
 	"fastsched/internal/schedtest"
+	"fastsched/internal/stats"
 )
 
 // corpusOptima pins the proven optimal makespans of the oracle corpus,
@@ -153,5 +154,28 @@ func TestHeuristicGapPinned(t *testing.T) {
 		if !suboptimal[fam] {
 			t.Errorf("family %s has no instance with FAST strictly above the optimum", fam)
 		}
+	}
+}
+
+// TestDCPGapPinned bounds DCP's geometric-mean gap to the corpus
+// optima. DCP read 1.498 while only an entry node could consider every
+// processor of a full machine, and 1.063 once it took the
+// bounded-machine candidate rule FAST's phase 1 follows; the five
+// fork-join cells are where the rule matters most.
+func TestDCPGapPinned(t *testing.T) {
+	var ratios []float64
+	for _, inst := range schedtest.OracleCorpus() {
+		s, err := casch.NewScheduler("dcp", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Schedule(inst.Graph, inst.Procs)
+		if err != nil {
+			t.Fatalf("dcp on %s: %v", inst.Name, err)
+		}
+		ratios = append(ratios, out.Length()/corpusOptima[inst.Name])
+	}
+	if gap := stats.GeoMean(ratios); gap > 1.10 {
+		t.Errorf("dcp's corpus gap is %.3f, want at most 1.10", gap)
 	}
 }

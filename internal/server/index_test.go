@@ -373,3 +373,53 @@ func TestBodyIndexConcurrentEviction(t *testing.T) {
 		t.Errorf("index holds %d entries, over the capacity %d", n, capacity)
 	}
 }
+
+// TestBodyIndexCountersAddUp: clients post their own distinct bodies
+// twice each, concurrently, into a small cache, so the index is read,
+// filled and evicted from at once. Every lookup is counted once (hits +
+// misses == posts; the index never shares a fill), every engine answer
+// from the result cache inserts one entry (each body has one client, so
+// it is absent when its answer lands), evictions == inserts − Len, and
+// a repeated body is served as a hit.
+func TestBodyIndexCountersAddUp(t *testing.T) {
+	const capacity, clients, perClient = 16, 4, 12
+	s, err := New(Options{Workers: 2, QueueDepth: 64, CacheSize: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bodies := distinctBodies(t, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, body := range bodies[c*perClient : (c+1)*perClient] {
+				for range 2 {
+					if rec := serveOnce(s.Handler(), http.MethodPost, "/v1/schedule", body, ""); rec.Code != http.StatusOK {
+						t.Errorf("status %d: %s", rec.Code, rec.Body.Bytes())
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	m := s.Metrics()
+	hits, misses := indexCounts(s)
+	if hits+misses != 2*clients*perClient {
+		t.Errorf("hits %d + misses %d != %d posts", hits, misses, 2*clients*perClient)
+	}
+	inserts := m.Counter("batch.cache_hits").Value() + m.Counter("batch.coalesced").Value()
+	if ev := m.Counter("server.body_index_evictions").Value(); ev != inserts-int64(s.index.Len()) || ev == 0 {
+		t.Errorf("evictions %d, want inserts %d - len %d, and some", ev, inserts, s.index.Len())
+	}
+	body := bodies[0]
+	postTwice(t, s.Handler(), body)
+	h0, _ := indexCounts(s)
+	if rec := serveOnce(s.Handler(), http.MethodPost, "/v1/schedule", body, ""); rec.Code != http.StatusOK {
+		t.Fatalf("repeat: status %d", rec.Code)
+	}
+	if h, _ := indexCounts(s); h != h0+1 {
+		t.Errorf("a repeated body was not served as an index hit: hits %d -> %d", h0, h)
+	}
+}

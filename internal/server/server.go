@@ -39,6 +39,7 @@ import (
 	"fastsched/internal/batch"
 	"fastsched/internal/dag"
 	"fastsched/internal/jsonscan"
+	"fastsched/internal/lru"
 	"fastsched/internal/obs"
 	"fastsched/internal/sched"
 )
@@ -91,7 +92,7 @@ type Server struct {
 	opts   Options
 	reg    *obs.Registry
 	engine *batch.Engine
-	index  *batch.LRU[[]byte] // body digest → 200 body; nil when the result cache is off
+	index  *lru.Cache[[]byte] // body digest → 200 body; nil when the result cache is off
 	quotas *quotaTable
 	jobs   *jobTable
 	mux    *http.ServeMux
@@ -108,8 +109,6 @@ type Server struct {
 	restored RestoreStats
 
 	mRequests    *obs.Counter // server.requests
-	mIndexHits   *obs.Counter // server.body_index_hits
-	mIndexMisses *obs.Counter // server.body_index_misses
 	mRejQuota    *obs.Counter // server.rejected_quota
 	mRejQueue    *obs.Counter // server.rejected_queue_full
 	mRejInvalid  *obs.Counter // server.rejected_invalid
@@ -156,12 +155,14 @@ func New(opts Options) (*Server, error) {
 		Metrics:       reg,
 	})
 	if n := s.engine.CacheCapacity(); n > 0 {
-		s.index = batch.NewLRU[[]byte](n)
+		s.index = lru.New[[]byte](n, reg, lru.Names{
+			Hits:      "server.body_index_hits",
+			Misses:    "server.body_index_misses",
+			Evictions: "server.body_index_evictions",
+		})
 	}
 
 	s.mRequests = reg.Counter("server.requests")
-	s.mIndexHits = reg.Counter("server.body_index_hits")
-	s.mIndexMisses = reg.Counter("server.body_index_misses")
 	s.mRejQuota = reg.Counter("server.rejected_quota")
 	s.mRejQueue = reg.Counter("server.rejected_queue_full")
 	s.mRejInvalid = reg.Counter("server.rejected_invalid")
@@ -592,11 +593,7 @@ func (s *Server) parseSubmit(w http.ResponseWriter, r *http.Request) (sub submis
 	// is ever indexed, so a hit skips no rejection but the quota's.
 	if s.index != nil {
 		sub.digest = sha256.Sum256(body)
-		if sub.indexed, _ = s.index.Get(sub.digest); sub.indexed != nil {
-			s.mIndexHits.Inc()
-		} else {
-			s.mIndexMisses.Inc()
-		}
+		sub.indexed, _ = s.index.Get(sub.digest)
 	}
 	if sub.indexed == nil {
 		var reject *ErrorBody

@@ -72,9 +72,11 @@ echo "== schedd smoke (race)"
 # replay — plus the drain-rejects-new-work contract. These are the
 # kill-and-restart acceptance paths of the schedd service. The body
 # index is then read, filled and evicted from by concurrent clients,
-# ten times over.
+# and the one LRU behind every cache has its counters added up under
+# concurrent Do, Get and failing fills, each ten times over.
 go test -race -timeout 120s -run 'TestScheddSmoke|TestScheddDrainRejectsNewWork' ./cmd/schedd
 go test -race -count=10 -timeout 120s -run 'TestBodyIndexConcurrentEviction' ./internal/server
+go test -race -count=10 -timeout 120s -run 'TestCountersAddUp' ./internal/lru
 
 echo "== chaos soak (race, ${SOAK_MS:-1000}ms)"
 # A budgeted slice of the chaos harness: adversarial client
