@@ -293,13 +293,15 @@ func AlgorithmNames() []string { return casch.AlgorithmNames() }
 // automatically) skip the per-request graph analysis entirely;
 // results are bit-identical to uncompiled runs.
 
-// CompiledGraph is the immutable compiled form of a task graph: the
-// graph, its CSR, the level tables, the classification and both FAST
-// priority lists. It carries no content key; GraphKey computes one.
+// CompiledGraph is the immutable compiled form of a task graph: its
+// CSR, the level tables, the classification and both FAST priority
+// lists. It holds no *Graph: CompiledGraph.CSR.ToGraph rebuilds one
+// with every slot in stored order. It carries no content key; GraphKey
+// computes one.
 type CompiledGraph = plan.CompiledGraph
 
 // GraphContentKey is a graph's content address: a SHA-256 over its
-// weights and adjacency in stored order.
+// weights and adjacency in stored order (see GraphKey).
 type GraphContentKey = plan.Key
 
 // PlanCache is a content-addressed LRU over compiled graphs with
@@ -313,7 +315,11 @@ type PlanCache = plan.Cache
 // matches the same errors.Is sentinel Validate's does.
 func CompileGraph(g *Graph) (*CompiledGraph, error) { return plan.Compile(g) }
 
-// GraphKey returns g's content address without compiling it.
+// GraphKey returns g's content address without compiling it: a
+// SHA-256 over the weights and the successor lists in stored order,
+// and over each node's parents in stored order too when some node
+// lists its parents out of ascending ID order, since FAST, PFAST and
+// DSC break ties in predecessor order.
 func GraphKey(g *Graph) GraphContentKey { return plan.GraphKey(g) }
 
 // NewPlanCache returns a compilation cache holding at most max
@@ -322,13 +328,18 @@ func GraphKey(g *Graph) GraphContentKey { return plan.GraphKey(g) }
 func NewPlanCache(max int, sink MetricsSink) *PlanCache { return plan.NewCache(max, sink) }
 
 // ScheduleCompiled schedules a pre-compiled graph with s: through s's
-// plan entry when it has one (every registry algorithm but the exact
-// solver), else through s.Schedule(cg.Graph, ...). Either way the
-// result is bit-identical to s.Schedule on the original graph. FAST's
-// Options.Context, when set, still bounds the run. A plan carries no
-// content key; GraphKey computes one.
+// plan entry when it has one, as every registry algorithm does, else,
+// for a caller's own scheduler, through s.Schedule on the graph
+// CSR.ToGraph rebuilds from the plan (nodes labelled t<i>, every slot
+// in stored order). A registry algorithm's result is bit-identical to
+// s.Schedule on the original graph. FAST's Options.Context, when set,
+// still bounds the run. A plan carries no content key; GraphKey
+// computes one.
 func ScheduleCompiled(s Scheduler, cg *CompiledGraph, procs int) (*Schedule, error) {
-	return casch.ScheduleCompiled(nil, s, cg, procs)
+	if ps, ok := s.(casch.Scheduler); ok {
+		return casch.ScheduleCompiled(nil, ps, cg, procs)
+	}
+	return s.Schedule(cg.CSR.ToGraph(), procs)
 }
 
 // Batch serving. The batch engine schedules many DAGs concurrently

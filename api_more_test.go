@@ -165,9 +165,13 @@ func TestPublicAPISolveOptimal(t *testing.T) {
 	}
 }
 
+// graphOnly is a caller's own scheduler: it has a graph entry only.
+type graphOnly struct{ fastsched.Scheduler }
+
 // TestPublicAPIScheduleCompiled covers the compiled-plan facade: plan
-// schedulers and the exact solver, the one scheduler with a graph entry
-// only, match their graph entry, and an already-cancelled
+// schedulers, the exact solver and a caller's own scheduler without a
+// plan entry, which gets the graph rebuilt from the plan's CSR, match
+// their graph entry node for node, and an already-cancelled
 // FASTOptions.Context still governs the run.
 func TestPublicAPIScheduleCompiled(t *testing.T) {
 	g := fastsched.PaperExampleGraph()
@@ -175,7 +179,7 @@ func TestPublicAPIScheduleCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []fastsched.Scheduler{fastsched.ETF(), fastsched.MD(), fastsched.Optimal()} {
+	for _, s := range []fastsched.Scheduler{fastsched.ETF(), fastsched.MD(), fastsched.Optimal(), graphOnly{fastsched.DLS()}} {
 		want, err := s.Schedule(g, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -184,8 +188,10 @@ func TestPublicAPIScheduleCompiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Length() != want.Length() {
-			t.Fatalf("%s: compiled length %v, want %v", s.Name(), got.Length(), want.Length())
+		for n := range fastsched.NodeID(g.NumNodes()) {
+			if got.Of(n) != want.Of(n) {
+				t.Fatalf("%s: node %d placed %+v, want %+v", s.Name(), n, got.Of(n), want.Of(n))
+			}
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())

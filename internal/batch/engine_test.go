@@ -477,3 +477,58 @@ func TestResultCacheCountersAddUp(t *testing.T) {
 		t.Error("a repeated request was not served as a hit")
 	}
 }
+
+// parentTwins returns a random DAG built parent by parent, so every
+// parent list ascends, and its twin: the same edges and the same
+// successor lists, added in a random interleaving of the nodes'
+// successor lists, so the parent lists come out in another order.
+func parentTwins(rng *rand.Rand, v int) (*dag.Graph, *dag.Graph) {
+	first := schedtest.RandomDAG(rng, v, 0.2)
+	twin := dag.New(v)
+	for n := range dag.NodeID(v) {
+		twin.AddNode("", first.Weight(n))
+	}
+	next := make([]int, v) // the next successor slot of each node to add
+	var open []dag.NodeID  // nodes with successors left to add
+	for n := range dag.NodeID(v) {
+		if first.OutDegree(n) > 0 {
+			open = append(open, n)
+		}
+	}
+	for len(open) > 0 {
+		i := rng.Intn(len(open))
+		n := open[i]
+		e := first.Succ(n)[next[n]]
+		twin.MustAddEdge(e.From, e.To, e.Weight)
+		if next[n]++; next[n] == first.OutDegree(n) {
+			open = append(open[:i], open[i+1:]...)
+		}
+	}
+	return first, twin
+}
+
+// TestParentOrderTwinsGetTheirOwnSchedule: twins that differ only in
+// the order of their parent lists are different scheduling inputs
+// (FAST breaks ties in predecessor order), so the engine must answer
+// each with the schedule FAST gives its own graph, even when the other
+// twin's plan is already cached.
+func TestParentOrderTwinsGetTheirOwnSchedule(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(1))
+	for i := range 100 {
+		first, twin := parentTwins(rng, 12+rng.Intn(20))
+		for _, g := range []*dag.Graph{first, twin} {
+			res := e.Do(context.Background(), Request{Graph: g, Procs: 3, Algorithm: "fast", Seed: 1, NoCache: true})
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			want := coldSchedule(t, g, "fast", 1, 3)
+			for n := range dag.NodeID(g.NumNodes()) {
+				if res.Schedule.Of(n) != want.Of(n) {
+					t.Fatalf("pair %d: node %d placed %+v, want %+v (FAST on the graph itself)", i, n, res.Schedule.Of(n), want.Of(n))
+				}
+			}
+		}
+	}
+}

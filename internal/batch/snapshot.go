@@ -117,9 +117,10 @@ func finiteSlot(start, finish float64) bool {
 		start >= 0 && finish >= start
 }
 
-// SnapshotGraphs exports the source graph of every cached compilation
-// (nil without a plan cache), least recent first within each shard, so
-// WarmGraphs reproduces the LRU order. The graphs are shared read-only.
+// SnapshotGraphs exports the graph of every cached compilation, rebuilt
+// from its CSR (nil without a plan cache), least recent first within
+// each shard, so WarmGraphs given these graphs reproduces the LRU order
+// under the same content keys.
 func (e *Engine) SnapshotGraphs() []*dag.Graph {
 	return e.plans.Graphs()
 }

@@ -189,3 +189,60 @@ func TestWarmGraphsKeepPlanOrder(t *testing.T) {
 			e2.plans.Peek(ka), e2.plans.Peek(kb), e2.plans.Peek(kc))
 	}
 }
+
+// TestWarmGraphsRebuildExactGraphs: the plan cache's snapshot graphs
+// are rebuilt from the plans' CSRs with both slot orders as stored, so
+// an engine warmed from them in-process keys graphs whose successor
+// lists are not sorted by child and whose parent lists do not ascend as
+// they were keyed live, and every later request is a plan-cache hit
+// with no new compile.
+func TestWarmGraphsRebuildExactGraphs(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	graphs := make([]*dag.Graph, 12)
+	for i := range graphs {
+		v := 10 + rng.Intn(20)
+		g := dag.New(v)
+		for range v {
+			g.AddNode("", float64(1+rng.Intn(9)))
+		}
+		schedtest.AddShuffledEdges(rng, g, 0.25, func() float64 { return float64(rng.Intn(10)) })
+		graphs[i] = g
+	}
+
+	e1 := New(Options{Workers: 1})
+	want := make([]Result, len(graphs))
+	for i, g := range graphs {
+		want[i] = e1.Do(context.Background(), Request{Graph: g, Procs: 3, Seed: int64(i), NoCache: true})
+		if want[i].Err != nil {
+			t.Fatal(want[i].Err)
+		}
+	}
+	rebuilt := e1.SnapshotGraphs()
+	e1.Close()
+	for _, g := range rebuilt {
+		if g.Label(0) != "t0" {
+			t.Fatalf("a rebuilt graph's node 0 is labelled %q, want t0", g.Label(0))
+		}
+	}
+
+	reg := obs.NewRegistry()
+	e2 := New(Options{Workers: 1, Metrics: reg})
+	defer e2.Close()
+	if n := e2.WarmGraphs(rebuilt); n != len(graphs) {
+		t.Fatalf("warmed %d plans, want %d", n, len(graphs))
+	}
+	misses, hits := reg.Counter("plan.compile_misses").Value(), reg.Counter("plan.compile_hits").Value()
+	for i, g := range graphs {
+		res := e2.Do(context.Background(), Request{Graph: g, Procs: 3, Seed: int64(i), NoCache: true})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		sameSchedule(t, want[i].Schedule, res.Schedule)
+	}
+	if got := reg.Counter("plan.compile_misses").Value(); got != misses {
+		t.Fatalf("serving recompiled: compile_misses %d -> %d", misses, got)
+	}
+	if got := reg.Counter("plan.compile_hits").Value() - hits; got != int64(len(graphs)) {
+		t.Fatalf("compile_hits grew by %d, want %d", got, len(graphs))
+	}
+}

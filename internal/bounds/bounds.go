@@ -43,33 +43,41 @@ const fernandezMaxV = 160
 // Compute returns the lower bounds for scheduling g on procs
 // processors. procs <= 0 means unbounded (the capacity bounds vanish).
 func Compute(g *dag.Graph, procs int) (Result, error) {
-	l, err := dag.ComputeLevels(g)
+	c := dag.BuildCSR(g)
+	l, err := dag.ComputeLevelsCSR(c)
 	if err != nil {
 		return Result{}, err
 	}
+	return ComputeCSR(c, l, procs), nil
+}
+
+// ComputeCSR is Compute on a CSR and its levels (a plan's CSR and
+// Levels): every reduction walks the predecessor slots in stored order,
+// so the result is bit-identical to Compute on the graph c was
+// flattened from.
+func ComputeCSR(c *dag.CSR, l *dag.Levels, procs int) Result {
 	var r Result
-	for i := 0; i < g.NumNodes(); i++ {
-		if s := l.Static[dag.NodeID(i)]; s > r.Dependence {
+	for _, s := range l.Static {
+		if s > r.Dependence {
 			r.Dependence = s
 		}
 	}
-	est := CommAwareEST(g, l.Order)
-	for i := 0; i < g.NumNodes(); i++ {
-		n := dag.NodeID(i)
-		if b := est[n] + l.Static[n]; b > r.CommAware {
+	est := CommAwareEST(c, l.Order)
+	for n, e := range est {
+		if b := e + l.Static[n]; b > r.CommAware {
 			r.CommAware = b
 		}
 	}
 	if procs > 0 {
-		r.Area = g.TotalWork() / float64(procs)
-		if g.NumNodes() <= fernandezMaxV {
-			r.Fernandez = fernandez(g, l, est, procs,
+		r.Area = c.TotalWork() / float64(procs)
+		if c.NumNodes() <= fernandezMaxV {
+			r.Fernandez = fernandez(c, l, est, procs,
 				math.Max(math.Max(r.Dependence, r.CommAware), r.Area))
 		}
 	}
 	r.Combined = math.Max(math.Max(r.Dependence, r.CommAware),
 		math.Max(r.Area, r.Fernandez))
-	return r, nil
+	return r
 }
 
 // Gap returns how far a schedule length sits above the combined bound,
@@ -92,48 +100,49 @@ func (r Result) Gap(scheduleLength float64) float64 {
 // of them; it strictly dominates the communication-free pass whenever
 // paying for colocation beats paying for the message.
 //
-// order must be a topological order of g (e.g. dag.Levels.Order).
-func CommAwareEST(g *dag.Graph, order []dag.NodeID) []float64 {
-	est := make([]float64, g.NumNodes())
+// order must be a topological order of c (e.g. dag.Levels.Order).
+func CommAwareEST(c *dag.CSR, order []dag.NodeID) []float64 {
+	est := make([]float64, c.NumNodes())
 	for _, n := range order {
-		est[n] = pairEST(g, est, n)
+		est[n] = pairEST(c, est, n)
 	}
 	return est
 }
 
 // pairEST evaluates the comm-aware recurrence for one node given the
 // est values of its predecessors.
-func pairEST(g *dag.Graph, est []float64, n dag.NodeID) float64 {
-	preds := g.Pred(n)
-	switch len(preds) {
+func pairEST(c *dag.CSR, est []float64, n dag.NodeID) float64 {
+	lo, hi := c.PredOff[n], c.PredOff[n+1]
+	switch hi - lo {
 	case 0:
 		return 0
 	case 1:
 		// A single parent can always be colocated: only its completion
 		// binds.
-		e := preds[0]
-		return est[e.From] + g.Weight(e.From)
+		p := c.PredFrom[lo]
+		return est[p] + c.NodeW[p]
 	}
 	// floor: every parent must at least complete (colocated case), and
 	// top-2 parents by arrival (completion + communication) drive the
 	// pairwise analysis.
 	var floor float64
-	var a, b dag.Edge // top-2 by arrival
+	var a, b int32 // top-2 parents by arrival
 	arrA, arrB := math.Inf(-1), math.Inf(-1)
-	for _, e := range preds {
-		c := est[e.From] + g.Weight(e.From)
-		if c > floor {
-			floor = c
+	for s := lo; s < hi; s++ {
+		p := c.PredFrom[s]
+		done := est[p] + c.NodeW[p]
+		if done > floor {
+			floor = done
 		}
-		if arr := c + e.Weight; arr > arrA {
+		if arr := done + c.PredW[s]; arr > arrA {
 			b, arrB = a, arrA
-			a, arrA = e, arr
+			a, arrA = p, arr
 		} else if arr > arrB {
-			b, arrB = e, arr
+			b, arrB = p, arr
 		}
 	}
-	sa, wa := est[a.From], g.Weight(a.From)
-	sb, wb := est[b.From], g.Weight(b.From)
+	sa, wa := est[a], c.NodeW[a]
+	sb, wb := est[b], c.NodeW[b]
 	ca, cb := sa+wa, sb+wb
 	caseA := math.Max(ca, arrB) // n on a's processor, b remote
 	caseB := math.Max(cb, arrA) // n on b's processor, a remote
@@ -207,37 +216,33 @@ func insertionSort(a []float64) {
 // in T, so the bound is found by bisection; the returned value is the
 // largest T proven infeasible (hence a true lower bound), never less
 // than the supplied floor lo.
-func fernandez(g *dag.Graph, l *dag.Levels, est []float64, procs int, lo float64) float64 {
-	v := g.NumNodes()
-	if feasibleHorizon(g, l, est, procs, lo) {
+func fernandez(c *dag.CSR, l *dag.Levels, est []float64, procs int, lo float64) float64 {
+	if feasibleHorizon(c, l, est, procs, lo) {
 		return lo
 	}
-	hi := lo + g.TotalWork()
-	for i := 0; i < 64 && !feasibleHorizon(g, l, est, procs, hi); i++ {
+	hi := lo + c.TotalWork()
+	for i := 0; i < 64 && !feasibleHorizon(c, l, est, procs, hi); i++ {
 		hi = 2*hi + 1
 	}
 	for i := 0; i < 60 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
 		mid := lo + (hi-lo)/2
-		if feasibleHorizon(g, l, est, procs, mid) {
+		if feasibleHorizon(c, l, est, procs, mid) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	_ = v
 	return lo
 }
 
 // feasibleHorizon reports whether horizon T passes every interval
 // capacity check. Candidate interval endpoints are the execution-window
 // extremes of every node (leftmost and rightmost runs).
-func feasibleHorizon(g *dag.Graph, l *dag.Levels, est []float64, procs int, T float64) bool {
-	v := g.NumNodes()
+func feasibleHorizon(c *dag.CSR, l *dag.Levels, est []float64, procs int, T float64) bool {
+	v := c.NumNodes()
 	starts := make([]float64, 0, 2*v)
 	ends := make([]float64, 0, 2*v)
-	for i := 0; i < v; i++ {
-		n := dag.NodeID(i)
-		w := g.Weight(n)
+	for n, w := range c.NodeW {
 		e := est[n]
 		ls := T - l.Static[n] // latest start meeting horizon T
 		if ls < e-1e-9 {
@@ -253,9 +258,8 @@ func feasibleHorizon(g *dag.Graph, l *dag.Levels, est []float64, procs int, T fl
 				continue
 			}
 			load := 0.0
-			for i := 0; i < v; i++ {
-				n := dag.NodeID(i)
-				load += minOverlap(est[n], T-l.Static[n], g.Weight(n), t1, t2)
+			for n, w := range c.NodeW {
+				load += minOverlap(est[n], T-l.Static[n], w, t1, t2)
 			}
 			if load > cap64*(t2-t1)+1e-9 {
 				return false

@@ -80,20 +80,20 @@ type planFinder interface {
 	FindCompiled(ctx context.Context, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
 }
 
-// planScheduler is a scheduler with a plan entry.
-type planScheduler interface {
+// Scheduler is a registry algorithm: a scheduler with a plan entry,
+// which reads only the plan's CSR and levels.
+type Scheduler interface {
+	sched.Scheduler
 	ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
 }
 
-// ScheduleCompiled is the one place that picks a scheduler's plan entry
-// or its graph entry. With a non-nil ctx, a scheduler with FindCompiled
-// runs under it. Otherwise a non-nil ctx is checked once, so a
-// cancelled request runs nothing, and s runs its ScheduleCompiled when
-// it has one, else s.Schedule(cg.Graph, procs). A nil ctx leaves the
+// ScheduleCompiled is the one place that picks a scheduler's plan
+// entry. With a non-nil ctx, a scheduler with FindCompiled runs under
+// it. Otherwise a non-nil ctx is checked once, so a cancelled request
+// runs nothing, and s runs its ScheduleCompiled. A nil ctx leaves the
 // scheduler's own configuration, such as FAST's Options.Context, in
-// charge. Every registry algorithm but the exact solver has a plan
-// entry; the solver needs a plan compiled from a graph.
-func ScheduleCompiled(ctx context.Context, s sched.Scheduler, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+// charge.
+func ScheduleCompiled(ctx context.Context, s Scheduler, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
 	if f, ok := s.(planFinder); ok && ctx != nil {
 		return f.FindCompiled(ctx, cg, procs)
 	}
@@ -102,10 +102,7 @@ func ScheduleCompiled(ctx context.Context, s sched.Scheduler, cg *plan.CompiledG
 			return nil, err
 		}
 	}
-	if ps, ok := s.(planScheduler); ok {
-		return ps.ScheduleCompiled(cg, procs)
-	}
-	return s.Schedule(cg.Graph, procs)
+	return s.ScheduleCompiled(cg, procs)
 }
 
 // NewScheduler constructs a scheduler by its table name, as used by the
@@ -113,7 +110,7 @@ func ScheduleCompiled(ctx context.Context, s sched.Scheduler, cg *plan.CompiledG
 // md, etf, dls), the FAST variants (fast-initial, pfast, fast-hier),
 // and the extended classical suite (hlfet, mcp, lc, ez).
 // Case-sensitive, lower case.
-func NewScheduler(name string, seed int64) (sched.Scheduler, error) {
+func NewScheduler(name string, seed int64) (Scheduler, error) {
 	switch name {
 	case "fast":
 		return fast.New(fast.Options{Seed: seed}), nil

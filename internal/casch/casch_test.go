@@ -169,26 +169,36 @@ func TestScheduleCompiledContext(t *testing.T) {
 	}
 }
 
-// TestPlanEntriesNeedOnlyTheCSR runs every registry algorithm but the
-// exact solver on a plan compiled from a CSR alone, whose Graph is nil,
-// and requires the schedules of a plan compiled from the graph: each
-// has a plan entry that reads nothing but the CSR and the levels.
+// TestPlanEntriesNeedOnlyTheCSR runs every registry algorithm on a
+// plan compiled from a CSR alone and requires the schedules of a plan
+// compiled from the graph: each has a plan entry that reads nothing but
+// the CSR and the levels. The exact solver runs on the provable graphs,
+// which it proves at every processor count; the rest run on all.
 func TestPlanEntriesNeedOnlyTheCSR(t *testing.T) {
 	graphs := map[string]*dag.Graph{"example": example.Graph()}
+	provable := map[string]bool{"example": true}
 	db := timing.ParagonLike()
 	var err error
 	if graphs["gauss/8"], err = workload.GaussElim(8, db); err != nil {
 		t.Fatal(err)
 	}
-	if graphs["fft/16"], err = workload.FFT(16, db); err != nil {
-		t.Fatal(err)
-	}
-	for _, ccr := range []float64{0.1, 10} {
-		g, err := workload.Random(workload.RandomOpts{V: 60, Seed: 3, MeanInDegree: 3})
-		if err != nil {
+	for _, n := range []int{8, 16} {
+		name := fmt.Sprintf("fft/%d", n)
+		if graphs[name], err = workload.FFT(n, db); err != nil {
 			t.Fatal(err)
 		}
-		graphs[fmt.Sprintf("random/v60/ccr%g", ccr)] = timing.ScaleCCR(g, ccr)
+		provable[name] = n == 8
+	}
+	for _, v := range []int{12, 60} {
+		for _, ccr := range []float64{0.1, 10} {
+			g, err := workload.Random(workload.RandomOpts{V: v, Seed: 3, MeanInDegree: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("random/v%d/ccr%g", v, ccr)
+			graphs[name] = timing.ScaleCCR(g, ccr)
+			provable[name] = v == 12
+		}
 	}
 	for gname, g := range graphs {
 		full, err := plan.Compile(g)
@@ -199,20 +209,14 @@ func TestPlanEntriesNeedOnlyTheCSR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bare.Graph != nil {
-			t.Fatal("a plan compiled from a CSR carries a graph")
-		}
 		for _, name := range AlgorithmNames() {
-			if name == "opt" {
-				continue // the exact solver works on the graph
+			if name == "opt" && !provable[gname] {
+				continue
 			}
 			for _, procs := range []int{0, 1, 3, 16} {
 				s, err := NewScheduler(name, 1)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if _, ok := s.(planScheduler); !ok {
-					t.Fatalf("%s has no plan entry", name)
 				}
 				got, err := ScheduleCompiled(nil, s, bare, procs)
 				if err != nil {
@@ -245,11 +249,7 @@ func TestPlanEntriesRejectEmptyPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, ok := s.(planScheduler)
-		if !ok {
-			continue // the exact solver has a graph entry only
-		}
-		if out, err := ps.ScheduleCompiled(empty, 2); err == nil {
+		if out, err := s.ScheduleCompiled(empty, 2); err == nil {
 			t.Errorf("%s scheduled an empty plan: %v", name, out)
 		}
 	}

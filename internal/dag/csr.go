@@ -164,26 +164,19 @@ func (g *Graph) predSlotErr(n NodeID, e Edge) error {
 // badWeight reports a NaN, infinite or negative cost.
 func badWeight(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) || w < 0 }
 
-// ToGraph materializes the CSR as a *Graph for the small-graph code
-// paths (schedulers that still take *Graph, rendering, differential
-// tests). Nodes are labeled t<i>, the STG convention. Edges are
-// replayed from the predecessor arrays — (child ascending, slot order),
-// the CSR's canonical insertion order — so a graph built from a
-// StreamSTG CSR stores each task's predecessors in file order and each
-// task's successors by child ID: ReadSTG is exactly this conversion.
+// ToGraph materializes the CSR as a *Graph for the code paths that
+// take one (rendering, a caller's own scheduler, the plan cache's
+// snapshot graphs). Nodes are labeled t<i>, the STG convention. Both
+// directions keep c's slot order exactly, so the graph flattens back
+// to c and has the content key of the graph c was flattened from. The
+// graph does not keep c: a caller's CSR is not known to be checked, so
+// the graph validates like one built edge by edge.
 func (c *CSR) ToGraph() *Graph {
-	v := c.NumNodes()
-	g := New(v)
-	for n := 0; n < v; n++ {
-		g.AddNode(fmt.Sprintf("t%d", n), c.NodeW[n])
+	nodes := make([]Node, c.NumNodes())
+	for n, w := range c.NodeW {
+		nodes[n] = Node{ID: NodeID(n), Label: fmt.Sprintf("t%d", n), Weight: w}
 	}
-	for n := 0; n < v; n++ {
-		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
-			g.MustAddEdge(NodeID(c.PredFrom[s]), NodeID(n), c.PredW[s])
-		}
-	}
-	g.dupSet = nil
-	return g
+	return c.graph(nodes)
 }
 
 // TopoOrder returns the node indices in topological order (Kahn's

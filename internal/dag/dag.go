@@ -67,9 +67,8 @@ type Graph struct {
 	// is O(1) on dense fan-out instead of O(deg) per edge (O(v·e) worst
 	// case across a whole dense graph). Nodes below the threshold keep
 	// the allocation-free linear scan. It is build-only state: Clone
-	// does not copy it, ToGraph drops it once every edge is in, the JSON
-	// decoder never builds one, and a later AddEdge rebuilds a node's
-	// set from its successor list.
+	// does not copy it, ToGraph and the JSON decoder never build one,
+	// and a later AddEdge rebuilds a node's set from its successor list.
 	dupSet map[NodeID]map[NodeID]struct{}
 	// csr is the checked CSR DecodeJSON built the graph from, nil for a
 	// graph built any other way. While it is set, Validate has nothing

@@ -288,7 +288,9 @@ func (jg *jsonGraph) build() (*Graph, error) {
 			}
 		}
 	}
-	return c.graph(nodes), nil
+	g := c.graph(nodes)
+	g.csr = c
+	return g, nil
 }
 
 // scatterCSR lays edges out as a CSR with two counting scatters in
@@ -364,11 +366,11 @@ func (c *CSR) firstDuplicate(edges []jsonEdge) error {
 }
 
 // graph builds the *Graph c describes, with nodes as its node table:
-// one pass, each direction's edges in one backing array, each list cut
-// to its exact capacity. The graph keeps c as its checked CSR.
+// one pass, each direction's edges in one backing array in c's slot
+// order, each list cut to its exact capacity.
 func (c *CSR) graph(nodes []Node) *Graph {
 	v, e := c.NumNodes(), c.NumEdges()
-	g := &Graph{nodes: nodes, succ: make([][]Edge, v), pred: make([][]Edge, v), ne: e, csr: c}
+	g := &Graph{nodes: nodes, succ: make([][]Edge, v), pred: make([][]Edge, v), ne: e}
 	succ, pred := make([]Edge, e), make([]Edge, e)
 	for n := 0; n < v; n++ {
 		lo, hi := c.SuccOff[n], c.SuccOff[n+1]

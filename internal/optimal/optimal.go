@@ -30,6 +30,7 @@ package optimal
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -42,6 +43,7 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/fast"
 	"fastsched/internal/obs"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
 
@@ -63,6 +65,8 @@ const maxProcs = 127
 // arbitrary instances (property tests, sweeps) should treat it as
 // "instance too large", not as a solver defect.
 var ErrBudgetExceeded = errors.New("optimal: expansion budget exceeded (instance too large for exact solving)")
+
+var errEmpty = errors.New("optimal: empty graph")
 
 // Solver is the exact scheduler. The zero value searches with the
 // default budget on all available cores.
@@ -109,7 +113,7 @@ type Report struct {
 	// Best is the makespan of the returned schedule — the proven
 	// optimum when Proven, otherwise the best incumbent found.
 	Best float64
-	// LowerBound is the root relaxation (bounds.Compute combined with
+	// LowerBound is the root relaxation (bounds.ComputeCSR combined with
 	// the solver's state bound); Best/LowerBound caps how far even an
 	// unproven result can sit from the optimum.
 	LowerBound float64
@@ -142,9 +146,15 @@ type Report struct {
 // default). When the expansion or wall-clock budget runs out before the
 // proof completes it returns ErrBudgetExceeded rather than a silently
 // suboptimal schedule; Solve is the anytime variant that returns the
-// incumbent instead.
+// incumbent instead. g is compiled, which validates it.
 func (o *Solver) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	s, rep, err := o.Solve(g, procs)
+	return plan.Schedule(g, procs, errEmpty, o.ScheduleCompiled)
+}
+
+// ScheduleCompiled is Schedule on a plan: the search reads only the
+// plan's CSR and levels.
+func (o *Solver) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	s, rep, err := o.SolveCompiled(cg, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -161,12 +171,29 @@ func (o *Solver) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
 // Budget exhaustion, which is the anytime contract — and non-nil for
 // invalid input, an exceeded MaxExpansions cap (ErrBudgetExceeded,
 // best-so-far schedule still returned), or context cancellation
-// (ctx.Err(), best-so-far schedule still returned).
+// (ctx.Err(), best-so-far schedule still returned). g is compiled,
+// which validates it.
 func (o *Solver) Solve(g *dag.Graph, procs int) (*sched.Schedule, Report, error) {
+	if g.NumNodes() == 0 {
+		return nil, Report{}, errEmpty
+	}
+	cg, err := plan.Compile(g)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	return o.SolveCompiled(cg, procs)
+}
+
+// SolveCompiled is Solve on a plan. The search state, the equivalence
+// classes and the schedule rebuild read the plan's CSR slots in stored
+// order, the bounds its static levels and topological order, and the
+// FAST warm start runs on the same plan.
+func (o *Solver) SolveCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, Report, error) {
 	var rep Report
-	v := g.NumNodes()
+	c := cg.CSR
+	v := c.NumNodes()
 	if v == 0 {
-		return nil, rep, errors.New("optimal: empty graph")
+		return nil, rep, errEmpty
 	}
 	if procs <= 0 {
 		procs = v
@@ -182,11 +209,6 @@ func (o *Solver) Solve(g *dag.Graph, procs int) (*sched.Schedule, Report, error)
 		return nil, rep, fmt.Errorf("optimal: %d processors exceed the solver's cap of %d", procs, maxProcs)
 	}
 	rep.Procs = procs
-
-	l, err := dag.ComputeLevels(g)
-	if err != nil {
-		return nil, rep, err
-	}
 
 	workers := o.Parallelism
 	if workers <= 0 {
@@ -218,13 +240,12 @@ func (o *Solver) Solve(g *dag.Graph, procs int) (*sched.Schedule, Report, error)
 	}
 
 	prob := &problem{
-		g:      g,
+		c:      c,
 		v:      v,
 		procs:  procs,
-		weight: weights(g),
-		static: l.Static,
-		order:  l.Order,
-		eqPrev: equivalence(g),
+		static: cg.Levels.Static,
+		order:  cg.Levels.Order,
+		eqPrev: equivalence(c),
 		lim:    lim,
 		inc:    newIncumbent(),
 		table:  newDupTable(bits),
@@ -232,7 +253,7 @@ func (o *Solver) Solve(g *dag.Graph, procs int) (*sched.Schedule, Report, error)
 
 	// Warm start: FAST's schedule seeds the incumbent — any valid
 	// schedule works, a good one prunes harder from the first node.
-	warm, err := fast.Default().Schedule(g, procs)
+	warm, err := fast.Default().ScheduleCompiled(cg, procs)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -240,7 +261,7 @@ func (o *Solver) Solve(g *dag.Graph, procs int) (*sched.Schedule, Report, error)
 
 	root := newSearcher(prob, prob.table)
 	rep.LowerBound = root.lowerBound()
-	if br, berr := bounds.Compute(g, procs); berr == nil && br.Combined > rep.LowerBound {
+	if br := bounds.ComputeCSR(c, cg.Levels, procs); br.Combined > rep.LowerBound {
 		// The root relaxation also gets the Fernández interval-capacity
 		// bound, which the per-state bound skips for cost; when it meets
 		// the warm start the search is over before it begins.
@@ -279,7 +300,7 @@ func (o *Solver) Solve(g *dag.Graph, procs int) (*sched.Schedule, Report, error)
 		}
 	}
 
-	out, err := buildSchedule(g, procs, assign, seq)
+	out, err := buildSchedule(c, procs, assign, seq)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -363,8 +384,8 @@ func (o *Solver) runSearch(prob *problem, root *searcher, workers int, rep *Repo
 // expansions still land in Report.Expansions.
 func (o *Solver) reconstruct(prob *problem, target float64, rep *Report) ([]int8, []dag.NodeID, error) {
 	sub := &problem{
-		g: prob.g, v: prob.v, procs: prob.procs,
-		weight: prob.weight, static: prob.static, order: prob.order,
+		c: prob.c, v: prob.v, procs: prob.procs,
+		static: prob.static, order: prob.order,
 		eqPrev: prob.eqPrev,
 		lim:    &limiter{max: math.MaxInt64, ctx: prob.lim.ctx, deadline: prob.lim.deadline},
 		inc:    prob.inc,
@@ -402,14 +423,6 @@ func (o *Solver) emit(rep Report) {
 	m.Gauge("optimal.lower_bound").Set(rep.LowerBound)
 }
 
-func weights(g *dag.Graph) []float64 {
-	w := make([]float64, g.NumNodes())
-	for i := range w {
-		w[i] = g.Weight(dag.NodeID(i))
-	}
-	return w
-}
-
 // scheduleAssign extracts the per-node processor assignment of a
 // schedule as the searcher's compact representation.
 func scheduleAssign(s *sched.Schedule, v int) []int8 {
@@ -441,8 +454,8 @@ func scheduleOrder(s *sched.Schedule, v int) []dag.NodeID {
 // buildSchedule replays a (assignment, sequence) pair into a validated
 // schedule: every node starts at max(data arrival, processor ready) in
 // sequence order — the semi-active timing the search explored.
-func buildSchedule(g *dag.Graph, procs int, assign []int8, seq []dag.NodeID) (*sched.Schedule, error) {
-	v := g.NumNodes()
+func buildSchedule(c *dag.CSR, procs int, assign []int8, seq []dag.NodeID) (*sched.Schedule, error) {
+	v := c.NumNodes()
 	out := sched.New(v)
 	out.Algorithm = "OPT"
 	readyAt := make([]float64, procs)
@@ -450,22 +463,23 @@ func buildSchedule(g *dag.Graph, procs int, assign []int8, seq []dag.NodeID) (*s
 	for _, n := range seq {
 		p := int(assign[n])
 		dat := 0.0
-		for _, e := range g.Pred(n) {
-			arr := finish[e.From]
-			if int(assign[e.From]) != p {
-				arr += e.Weight
+		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
+			from := c.PredFrom[s]
+			arr := finish[from]
+			if int(assign[from]) != p {
+				arr += c.PredW[s]
 			}
 			if arr > dat {
 				dat = arr
 			}
 		}
 		st := math.Max(dat, readyAt[p])
-		f := st + g.Weight(n)
+		f := st + c.NodeW[n]
 		finish[n] = f
 		readyAt[p] = f
 		out.Place(n, p, st, f)
 	}
-	if err := sched.Validate(g, out); err != nil {
+	if err := sched.ValidateFlat(c, out); err != nil {
 		return nil, fmt.Errorf("optimal: internal error: %w", err)
 	}
 	return out, nil
@@ -479,19 +493,19 @@ func buildSchedule(g *dag.Graph, procs int, assign []int8, seq []dag.NodeID) (*s
 // only ever branches the lowest-numbered unscheduled member of each
 // class (see dfs). Fork-join fan-outs and independent task sets — the
 // worst combinatorial offenders — collapse by a factor of k! each.
-func equivalence(g *dag.Graph) []int32 {
-	v := g.NumNodes()
+func equivalence(c *dag.CSR) []int32 {
+	v := c.NumNodes()
 	eqPrev := make([]int32, v)
 	last := make(map[string]int32, v)
 	var key []byte
 	for i := 0; i < v; i++ {
-		n := dag.NodeID(i)
-		key = key[:0]
-		key = appendFloat(key, g.Weight(n))
+		key = binary.LittleEndian.AppendUint64(key[:0], math.Float64bits(c.NodeW[i]))
 		key = append(key, '|')
-		key = appendEdges(key, g.Pred(n), func(e dag.Edge) dag.NodeID { return e.From })
+		lo, hi := c.PredOff[i], c.PredOff[i+1]
+		key = appendSlots(key, c.PredFrom[lo:hi], c.PredW[lo:hi])
 		key = append(key, '|')
-		key = appendEdges(key, g.Succ(n), func(e dag.Edge) dag.NodeID { return e.To })
+		lo, hi = c.SuccOff[i], c.SuccOff[i+1]
+		key = appendSlots(key, c.SuccTo[lo:hi], c.SuccW[lo:hi])
 		k := string(key)
 		if prev, ok := last[k]; ok {
 			eqPrev[i] = prev
@@ -503,22 +517,18 @@ func equivalence(g *dag.Graph) []int32 {
 	return eqPrev
 }
 
-func appendFloat(b []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	for s := 0; s < 64; s += 8 {
-		b = append(b, byte(bits>>s))
+// appendSlots appends one node's adjacency slots (the node at the other
+// end, the communication cost) to b sorted by that node, so the key
+// does not depend on slot order.
+func appendSlots(b []byte, ends []int32, ws []float64) []byte {
+	idx := make([]int, len(ends))
+	for i := range idx {
+		idx[i] = i
 	}
-	return b
-}
-
-func appendEdges(b []byte, edges []dag.Edge, end func(dag.Edge) dag.NodeID) []byte {
-	sorted := make([]dag.Edge, len(edges))
-	copy(sorted, edges)
-	sort.Slice(sorted, func(i, j int) bool { return end(sorted[i]) < end(sorted[j]) })
-	for _, e := range sorted {
-		bits := uint32(end(e))
-		b = append(b, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-		b = appendFloat(b, e.Weight)
+	sort.Slice(idx, func(i, j int) bool { return ends[idx[i]] < ends[idx[j]] })
+	for _, i := range idx {
+		b = binary.LittleEndian.AppendUint32(b, uint32(ends[i]))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ws[i]))
 	}
 	return b
 }

@@ -38,10 +38,9 @@ var errFound = errors.New("optimal: canonical schedule found")
 // by every worker: the expansion limiter, the incumbent, the duplicate
 // table, and the drained counters.
 type problem struct {
-	g      *dag.Graph
+	c      *dag.CSR // the plan's adjacency, slots in stored order
 	v      int
 	procs  int
-	weight []float64
 	static []float64    // computation-only b-levels, for the CP bound
 	order  []dag.NodeID // topological order, for the EST pass
 	eqPrev []int32      // previous interchangeable node, or -1
@@ -129,19 +128,18 @@ func newSearcher(prob *problem, table *dupTable) *searcher {
 
 // reset rewinds the searcher to the empty schedule.
 func (s *searcher) reset() {
-	g := s.prob.g
+	c := s.prob.c
 	for i := 0; i < s.prob.v; i++ {
-		n := dag.NodeID(i)
 		s.assign[i] = -1
-		s.pending[i] = int32(g.InDegree(n))
-		s.liveSucc[i] = int32(g.OutDegree(n))
+		s.pending[i] = c.PredOff[i+1] - c.PredOff[i]
+		s.liveSucc[i] = c.SuccOff[i+1] - c.SuccOff[i]
 	}
 	for p := 0; p < s.prob.procs; p++ {
 		s.ready[p] = 0
 		s.used[p] = 0
 	}
 	s.seq = s.seq[:0]
-	s.remaining = g.TotalWork()
+	s.remaining = c.TotalWork()
 	s.lastStart = math.Inf(-1)
 	s.lastID = -1
 }
@@ -329,11 +327,13 @@ func (s *searcher) charge() error {
 
 // startTime is the semi-active start of n if placed on p now.
 func (s *searcher) startTime(n dag.NodeID, p int) float64 {
+	c := s.prob.c
 	dat := 0.0
-	for _, e := range s.prob.g.Pred(n) {
-		arr := s.finish[e.From]
-		if int(s.assign[e.From]) != p {
-			arr += e.Weight
+	for sl := c.PredOff[n]; sl < c.PredOff[n+1]; sl++ {
+		from := c.PredFrom[sl]
+		arr := s.finish[from]
+		if int(s.assign[from]) != p {
+			arr += c.PredW[sl]
 		}
 		if arr > dat {
 			dat = arr
@@ -350,8 +350,8 @@ func (s *searcher) apply(n dag.NodeID, p int) {
 // applyAt places n on p at the precomputed start time st. The caller
 // saves ready[p], lastStart and lastID for undo.
 func (s *searcher) applyAt(n dag.NodeID, p int, st float64) {
-	g := s.prob.g
-	w := s.prob.weight[n]
+	c := s.prob.c
+	w := c.NodeW[n]
 	s.assign[n] = int8(p)
 	s.start[n] = st
 	s.finish[n] = st + w
@@ -359,26 +359,26 @@ func (s *searcher) applyAt(n dag.NodeID, p int, st float64) {
 	s.used[p]++
 	s.remaining -= w
 	s.seq = append(s.seq, n)
-	for _, e := range g.Succ(n) {
-		s.pending[e.To]--
+	for sl := c.SuccOff[n]; sl < c.SuccOff[n+1]; sl++ {
+		s.pending[c.SuccTo[sl]]--
 	}
-	for _, e := range g.Pred(n) {
-		s.liveSucc[e.From]--
+	for sl := c.PredOff[n]; sl < c.PredOff[n+1]; sl++ {
+		s.liveSucc[c.PredFrom[sl]]--
 	}
 	s.lastStart = st
 	s.lastID = int32(n)
 }
 
 func (s *searcher) undo(n dag.NodeID, p int, prevReady float64) {
-	g := s.prob.g
-	for _, e := range g.Pred(n) {
-		s.liveSucc[e.From]++
+	c := s.prob.c
+	for sl := c.PredOff[n]; sl < c.PredOff[n+1]; sl++ {
+		s.liveSucc[c.PredFrom[sl]]++
 	}
-	for _, e := range g.Succ(n) {
-		s.pending[e.To]++
+	for sl := c.SuccOff[n]; sl < c.SuccOff[n+1]; sl++ {
+		s.pending[c.SuccTo[sl]]++
 	}
 	s.seq = s.seq[:len(s.seq)-1]
-	s.remaining += s.prob.weight[n]
+	s.remaining += c.NodeW[n]
 	s.used[p]--
 	s.ready[p] = prevReady
 	s.assign[n] = -1
@@ -400,7 +400,7 @@ func (s *searcher) lowerBound() float64 {
 			minReady = r
 		}
 	}
-	g := s.prob.g
+	c := s.prob.c
 	// Canonical construction appends in nondecreasing start order, so
 	// every remaining placement starts at or after lastStart; together
 	// with the earliest processor-free time that floors every
@@ -415,7 +415,7 @@ func (s *searcher) lowerBound() float64 {
 			continue
 		}
 		t := floor
-		preds := g.Pred(n)
+		lo, hi := c.PredOff[n], c.PredOff[n+1]
 		if s.pending[n] == 0 {
 			// Ready node: its semi-active start on each processor is
 			// exact against the current timeline, and processor ready
@@ -430,13 +430,12 @@ func (s *searcher) lowerBound() float64 {
 			if best > t {
 				t = best
 			}
-		} else if len(preds) == 1 {
-			e := preds[0]
-			if c := s.completion(e.From); c > t {
-				t = c // a single parent can always be colocated
+		} else if hi-lo == 1 {
+			if done := s.completion(dag.NodeID(c.PredFrom[lo])); done > t {
+				t = done // a single parent can always be colocated
 			}
-		} else if len(preds) > 1 {
-			if pt := s.pairBound(preds); pt > t {
+		} else if hi-lo > 1 {
+			if pt := s.pairBound(lo, hi); pt > t {
 				t = pt
 			}
 		}
@@ -468,7 +467,7 @@ func (s *searcher) energeticBound(lb float64) float64 {
 	s.levels = s.levels[:0]
 	for i := 0; i < s.prob.v; i++ {
 		if s.assign[i] == -1 {
-			s.levels = append(s.levels, estWork{e: s.est[i], w: s.prob.weight[i]})
+			s.levels = append(s.levels, estWork{e: s.est[i], w: s.prob.c.NodeW[i]})
 		}
 	}
 	// Insertion sort by est descending: the slice is tiny and often
@@ -509,36 +508,39 @@ func (s *searcher) completion(n dag.NodeID) float64 {
 	if s.assign[n] != -1 {
 		return s.finish[n]
 	}
-	return s.est[n] + s.prob.weight[n]
+	return s.est[n] + s.prob.c.NodeW[n]
 }
 
 // pairBound is the join-node case analysis of bounds.pairEST evaluated
-// mid-search: starts and finishes of scheduled parents are exact, and
-// the colocate-both case is dropped when the two binding parents are
-// already pinned to different processors.
-func (s *searcher) pairBound(preds []dag.Edge) float64 {
+// mid-search over the predecessor slots [lo, hi): starts and finishes
+// of scheduled parents are exact, and the colocate-both case is dropped
+// when the two binding parents are already pinned to different
+// processors.
+func (s *searcher) pairBound(lo, hi int32) float64 {
+	c := s.prob.c
 	var floor float64
-	var a, b dag.Edge
+	var a, b dag.NodeID // top-2 parents by arrival
 	arrA, arrB := math.Inf(-1), math.Inf(-1)
-	for _, e := range preds {
-		c := s.completion(e.From)
-		if c > floor {
-			floor = c
+	for sl := lo; sl < hi; sl++ {
+		p := dag.NodeID(c.PredFrom[sl])
+		done := s.completion(p)
+		if done > floor {
+			floor = done
 		}
-		if arr := c + e.Weight; arr > arrA {
+		if arr := done + c.PredW[sl]; arr > arrA {
 			b, arrB = a, arrA
-			a, arrA = e, arr
+			a, arrA = p, arr
 		} else if arr > arrB {
-			b, arrB = e, arr
+			b, arrB = p, arr
 		}
 	}
-	sa, wa := s.startBound(a.From), s.prob.weight[a.From]
-	sb, wb := s.startBound(b.From), s.prob.weight[b.From]
-	ca, cb := s.completion(a.From), s.completion(b.From)
+	sa, wa := s.startBound(a), c.NodeW[a]
+	sb, wb := s.startBound(b), c.NodeW[b]
+	ca, cb := s.completion(a), s.completion(b)
 	caseA := math.Max(ca, arrB) // n with a, b remote
 	caseB := math.Max(cb, arrA) // n with b, a remote
 	caseBoth := math.Inf(1)
-	pa, pb := s.assign[a.From], s.assign[b.From]
+	pa, pb := s.assign[a], s.assign[b]
 	if pa == -1 || pb == -1 || pa == pb {
 		caseBoth = math.Min(
 			math.Max(sb, ca)+wb, // a then b on the shared processor

@@ -61,20 +61,20 @@ func (c *Cache) GetKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 // LRU order (for tests and admission heuristics).
 func (c *Cache) Peek(key Key) bool { return c.c.Contains(key) }
 
-// Graphs returns the source graph of every cached compilation, least
+// Graphs rebuilds the graph of every cached compilation from its CSR
+// (CSR.ToGraph: nodes labelled t<i>, both slot orders as stored), least
 // recent first within each shard, so compiling them into a fresh cache
-// in this order restores its LRU order. The warm-restart snapshot uses
-// it to persist the set of graphs worth recompiling on the next start:
-// a graph's JSON round-trip reproduces its stored node and edge order
-// exactly, so the recompiled entry lands under the same content key.
-// The returned graphs are shared read-only with the cache; callers must
-// not mutate them.
+// in this order restores its LRU order under the same content keys.
+// The warm-restart snapshot uses it to persist the set of graphs worth
+// recompiling on the next start; a serialization that reorders a
+// node's parents, as the dag JSON form does when they do not ascend,
+// changes that graph's key.
 func (c *Cache) Graphs() []*dag.Graph {
 	if c == nil {
 		return nil
 	}
 	var out []*dag.Graph
-	c.c.Each(func(_ [32]byte, cg *CompiledGraph) { out = append(out, cg.Graph) })
+	c.c.Each(func(_ [32]byte, cg *CompiledGraph) { out = append(out, cg.CSR.ToGraph()) })
 	return out
 }
 

@@ -17,7 +17,8 @@ import (
 // graphKeyWalk is GraphKey as it was written over the graph's
 // successor lists, kept as the oracle for the digest over the CSR: the
 // same byte sequence, so digests and the snapshots that carry them
-// stay valid.
+// stay valid. A graph that lists some node's parents out of ascending
+// ID order also hashes every predecessor list's parents, node by node.
 func graphKeyWalk(g *dag.Graph) Key {
 	var buf []byte
 	u64 := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
@@ -33,6 +34,20 @@ func graphKeyWalk(g *dag.Graph) Key {
 		for _, e := range succ {
 			u64(uint64(e.To))
 			u64(math.Float64bits(e.Weight))
+		}
+	}
+	ascending := true
+	for i := 0; i < v; i++ {
+		pred := g.Pred(dag.NodeID(i))
+		for j := 1; j < len(pred); j++ {
+			ascending = ascending && pred[j].From > pred[j-1].From
+		}
+	}
+	if !ascending {
+		for i := 0; i < v; i++ {
+			for _, e := range g.Pred(dag.NodeID(i)) {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(e.From))
+			}
 		}
 	}
 	return Key(sha256.Sum256(buf))
@@ -102,6 +117,7 @@ func TestGraphKeyMatchesGraphWalk(t *testing.T) {
 			graphs = append(graphs, schedtest.RandomLayered(rng, snap.size(rng, i)))
 		}
 	}
+	reordered := 0 // graphs whose parent lists the JSON form reorders
 	for i, g := range graphs {
 		var buf bytes.Buffer
 		if err := dag.WriteJSON(&buf, g, ""); err != nil {
@@ -116,5 +132,11 @@ func TestGraphKeyMatchesGraphWalk(t *testing.T) {
 				t.Fatalf("graph %d (v=%d): GraphKey differs from the graph-walk digest", i, h.NumNodes())
 			}
 		}
+		if GraphKey(g) != GraphKey(decoded) {
+			reordered++
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("no graph lists its parents out of ascending order: the predecessor digest is untested")
 	}
 }

@@ -50,8 +50,15 @@ type keyBuf struct {
 // exactly as stored (deliberately not canonicalized — schedulers'
 // tie-breaks and FAST's random transfer sequence depend on edge
 // insertion order, so structurally equal graphs built in different
-// orders must not collide). It reads g's CSR: a decoded graph's own, or
-// a flatten into pooled scratch.
+// orders must not collide). When some node lists its parents out of
+// ascending ID order, every predecessor slot's parent follows in stored
+// order too, four bytes each: FAST, PFAST and DSC break ties in
+// predecessor order, and as the successor slots already fix each edge's
+// weight and a graph holds one edge per pair at most, the parents are
+// all a predecessor slot adds. A graph whose parent lists all ascend,
+// such as every graph decoded from WriteJSON's form, keeps the digest
+// over the successor slots alone. It reads g's CSR: a decoded graph's
+// own, or a flatten into pooled scratch.
 func GraphKey(g *dag.Graph) Key {
 	kb := keyScratch.Get().(*keyBuf)
 	c := dag.BuildCSRInto(g, &kb.csr)
@@ -73,10 +80,28 @@ func GraphKey(g *dag.Graph) Key {
 			u64(math.Float64bits(c.SuccW[s]))
 		}
 	}
+	if !parentsAscend(c) {
+		for _, p := range c.PredFrom {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
+		}
+	}
 	k := Key(sha256.Sum256(buf))
 	kb.buf = buf
 	keyScratch.Put(kb)
 	return k
+}
+
+// parentsAscend reports whether every node's predecessor slots list its
+// parents in ascending ID order.
+func parentsAscend(c *dag.CSR) bool {
+	for n := 0; n < c.NumNodes(); n++ {
+		for s := c.PredOff[n] + 1; s < c.PredOff[n+1]; s++ {
+			if c.PredFrom[s] < c.PredFrom[s-1] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // CompiledGraph is FAST's phase-1 analysis of one graph (paper
@@ -85,11 +110,9 @@ func GraphKey(g *dag.Graph) Key {
 // fields are read-only once built; a CompiledGraph may be shared freely
 // across goroutines and runs.
 type CompiledGraph struct {
-	// Graph is the graph the plan was compiled from, nil for a plan
-	// compiled from a CSR alone (CompileCompact). Only Cache.Graphs and
-	// the exact solver, the one scheduler without a plan entry, read it.
-	Graph *dag.Graph
-	CSR   *dag.CSR
+	// CSR is the graph itself: every scheduler reads its adjacency here,
+	// in stored slot order, and CSR.ToGraph rebuilds the graph exactly.
+	CSR *dag.CSR
 	// Levels holds the t-level, b-level, static level, ALAP table and
 	// the topological order (Levels.Order) the levels were computed in.
 	Levels *dag.Levels
@@ -113,7 +136,7 @@ func Compile(g *dag.Graph) (*CompiledGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyze(g, csr, l), nil
+	return analyze(csr, l), nil
 }
 
 // Schedule is the graph entry of a scheduler whose body is its plan
@@ -135,30 +158,30 @@ func Schedule(g *dag.Graph, procs int, empty error, entry func(*CompiledGraph, i
 // carries no content key, and the parameter stays only for the callers
 // that pass one. It errors only when g is empty or cyclic.
 func CompileKeyed(g *dag.Graph, _ Key) (*CompiledGraph, error) {
-	return compile(g, dag.BuildCSR(g))
+	return compile(dag.BuildCSR(g))
 }
 
-// CompileCompact compiles a plan from a CSR alone; the plan's Graph is
-// nil. It trusts c, as the streaming readers and dag.FinishCSR validate
-// what they build. The arena is unused and stays only for the callers
-// that pass one. It errors only when c is empty or cyclic.
+// CompileCompact compiles a plan from a CSR alone. It trusts c, as the
+// streaming readers and dag.FinishCSR validate what they build. The
+// arena is unused and stays only for the callers that pass one. It
+// errors only when c is empty or cyclic.
 func CompileCompact(c *dag.CSR, _ *dag.ScaleArena) (*CompiledGraph, error) {
-	return compile(nil, c)
+	return compile(c)
 }
 
 // compile is the unchecked constructors' shared body: the levels, then
 // the rest of the analysis.
-func compile(g *dag.Graph, c *dag.CSR) (*CompiledGraph, error) {
+func compile(c *dag.CSR) (*CompiledGraph, error) {
 	l, err := dag.ComputeLevelsCSR(c)
 	if err != nil {
 		return nil, err
 	}
-	return analyze(g, c, l), nil
+	return analyze(c, l), nil
 }
 
 // analyze derives the classification and both priority lists from the
 // levels, all over the CSR.
-func analyze(g *dag.Graph, c *dag.CSR, l *dag.Levels) *CompiledGraph {
+func analyze(c *dag.CSR, l *dag.Levels) *CompiledGraph {
 	cls := c.ClassifyCompactArena(&l.CompactLevels, nil)
 	blocking := make([]dag.NodeID, 0, c.NumNodes())
 	for i, cl := range cls {
@@ -167,7 +190,6 @@ func analyze(g *dag.Graph, c *dag.CSR, l *dag.Levels) *CompiledGraph {
 		}
 	}
 	return &CompiledGraph{
-		Graph:       g,
 		CSR:         c,
 		Levels:      l,
 		Classes:     cls,

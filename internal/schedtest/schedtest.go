@@ -100,6 +100,26 @@ func RandomDAG(rng *rand.Rand, v int, density float64) *dag.Graph {
 	return g
 }
 
+// AddShuffledEdges wires each pair a < b of g's nodes with probability
+// density and inserts the drawn edges in shuffled order, each weighted
+// by weight(). Successor lists then are not sorted by child, which no
+// generator above gives, and parent lists do not ascend.
+func AddShuffledEdges(rng *rand.Rand, g *dag.Graph, density float64, weight func() float64) {
+	v := g.NumNodes()
+	var edges [][2]int
+	for a := range v {
+		for b := a + 1; b < v; b++ {
+			if rng.Float64() < density {
+				edges = append(edges, [2]int{a, b})
+			}
+		}
+	}
+	rng.Shuffle(len(edges), func(x, y int) { edges[x], edges[y] = edges[y], edges[x] })
+	for _, e := range edges {
+		g.MustAddEdge(dag.NodeID(e[0]), dag.NodeID(e[1]), weight())
+	}
+}
+
 // CorpusInstance is one seeded workload of the oracle corpus.
 type CorpusInstance struct {
 	// Name identifies the instance (family plus seed) in test failures.

@@ -46,9 +46,10 @@ type snapshotFile struct {
 	SavedAtUnixMS int64 `json:"saved_at_unix_ms"`
 	// Results are the result-cache entries; keys are hex SHA-256.
 	Results []snapshotResult `json:"results"`
-	// Graphs are the plan-cache source graphs in the dag JSON format.
-	// Their JSON round-trip preserves node and edge stored order, so
-	// recompiling them reproduces the same content keys.
+	// Graphs are the plan-cache graphs, rebuilt from the plans' CSRs, in
+	// the dag JSON format, which lists edges parent by parent. A graph
+	// whose parent lists ascend, as every graph decoded from that form
+	// does, reads back under the same content key.
 	Graphs []json.RawMessage `json:"graphs"`
 }
 

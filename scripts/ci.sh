@@ -102,8 +102,10 @@ echo "== exact-solver expansion regression"
 # expansion ceilings on the oracle corpus (internal/optimal
 # regression_test.go): a change that weakens a bound, a dominance rule
 # or the duplicate table fails here in under a second instead of
-# silently making the oracle suites 100x slower.
-go test -timeout 120s -run TestExpansionBudgetRegression ./internal/optimal
+# silently making the oracle suites 100x slower. The solver golden
+# (golden_test.go) pins the serial search exactly: each canonical
+# schedule and expansion count on the corpus and on small random DAGs.
+go test -timeout 120s -run 'TestExpansionBudgetRegression|TestSolverGolden' ./internal/optimal
 
 echo "== fuzz smoke (${FUZZ_TIME} per target)"
 # Discover every fuzz target; each needs its own `go test -fuzz` run
