@@ -111,22 +111,12 @@ func CriticalPath(g *Graph, l *Levels) []NodeID { return dag.CriticalPath(g, l) 
 // Schedule(g, procs) method maps every node of g onto processors;
 // procs <= 0 requests an unbounded ("more than enough") machine.
 
-// FASTOptions configures the FAST scheduler: search steps (MaxSteps < 0
-// returns phase 1 alone, FAST/initial), seed, the phase-1 ablations
+// FASTOptions configures the FAST scheduler: the steps of the paper's
+// greedy search (MaxSteps < 0 returns phase 1 alone, FAST/initial), or
+// an anytime wall-clock Budget instead, seed, the phase-1 ablations
 // (list order; Insertion, which needs MaxSteps < 0), PFAST parallelism
 // and multi-start. See internal/fast.Options.
 type FASTOptions = fast.Options
-
-// SearchStrategy selects FAST's phase-2 search strategy.
-type SearchStrategy = fast.Strategy
-
-// The available search strategies: the paper's greedy random walk and
-// the two extensions targeting its local-minima caveat.
-const (
-	GreedySearch    SearchStrategy = fast.Greedy
-	SteepestSearch  SearchStrategy = fast.SteepestDescent
-	AnnealingSearch SearchStrategy = fast.Annealing
-)
 
 // FAST returns the paper's scheduler with default options
 // (CPN-Dominate list, ready-time placement, MAXSTEP=64).

@@ -348,32 +348,6 @@ func BenchmarkAblationPFAST(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStrategy: the paper's greedy random walk against
-// steepest descent and simulated annealing (the extensions targeting
-// the paper's "stuck in a poor local minimum" caveat), same step
-// budget, schedule length as the quality metric.
-func BenchmarkAblationStrategy(b *testing.B) {
-	g := gauss(b, 16)
-	for _, strat := range []fast.Strategy{fast.Greedy, fast.SteepestDescent, fast.Annealing} {
-		b.Run(strat.String(), func(b *testing.B) {
-			steps := 64
-			if strat == fast.SteepestDescent {
-				steps = 8 // each round scans the whole neighborhood
-			}
-			s := fast.New(fast.Options{Strategy: strat, Seed: 1, MaxSteps: steps})
-			var length float64
-			for i := 0; i < b.N; i++ {
-				out, err := s.Schedule(g, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				length = out.Length()
-			}
-			b.ReportMetric(length, "SL")
-		})
-	}
-}
-
 // BenchmarkExtendedComparison: the nine-algorithm comparison (paper
 // five + HLFET, MCP, LC, EZ) on the Gaussian elimination workload.
 func BenchmarkExtendedComparison(b *testing.B) {

@@ -41,9 +41,10 @@ func BenchmarkEvaluateFull(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateIncremental: one search step's evaluation work under
-// the incremental kernel — transfer a random blocking node, replay the
-// suffix from its list position, revert (the common rejected-move case).
+// BenchmarkEvaluateIncremental: one move's evaluation work under the
+// incremental kernel — transfer a random blocking node, replay the whole
+// suffix from its list position (tryTransfer, with no cutoff), revert
+// (the common rejected-move case).
 func BenchmarkEvaluateIncremental(b *testing.B) {
 	st, blocking := benchSearchState(b)
 	rng := rand.New(rand.NewSource(1))
@@ -59,10 +60,12 @@ func BenchmarkEvaluateIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchStep: whole greedy search steps (move selection +
-// evaluation + accept/reject bookkeeping) with the incremental kernel
-// against forced full replay. The full/incremental ratio is the
-// recorded speedup of this PR (see scripts/bench.sh → BENCH_search.json).
+// BenchmarkSearchStep: whole search steps (move selection + evaluation +
+// accept/reject bookkeeping) with the incremental kernel against forced
+// full replay. Each step runs state.search's replay, which stops once
+// the move cannot be accepted, so a rejected step replays less than
+// BenchmarkEvaluateIncremental's. The full/incremental ratio is the
+// kernel's recorded speedup (see scripts/bench.sh → BENCH_search.json).
 func BenchmarkSearchStep(b *testing.B) {
 	for _, mode := range []string{"full", "incremental"} {
 		b.Run(mode, func(b *testing.B) {

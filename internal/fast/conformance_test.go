@@ -9,8 +9,8 @@ import (
 
 // TestConformance runs the shared scheduler invariant suite over the
 // main configurations of the FAST family. Every variant — list orders,
-// search strategies, insertion, PFAST and multi-start — must uphold
-// the same validity, determinism and bound invariants.
+// insertion, PFAST and multi-start — must uphold the same validity,
+// determinism and bound invariants.
 func TestConformance(t *testing.T) {
 	configs := []struct {
 		name string
@@ -21,8 +21,6 @@ func TestConformance(t *testing.T) {
 		{"insertion", Options{Insertion: true, MaxSteps: -1}},
 		{"blevel", Options{Seed: 1, Order: BLevelOrder}},
 		{"static-level", Options{Seed: 1, Order: StaticLevelOrder}},
-		{"steepest", Options{Seed: 1, Strategy: SteepestDescent, MaxSteps: 8}},
-		{"annealing", Options{Seed: 1, Strategy: Annealing}},
 		{"pfast", Options{Seed: 1, Parallelism: 4}},
 		{"multistart", Options{Seed: 1, Parallelism: 3, MultiStart: true}},
 	}

@@ -42,19 +42,17 @@ func TestFindDeadlineReturnsPartialBest(t *testing.T) {
 }
 
 // TestFindCancelledAllStrategies drives a pre-cancelled context through
-// every phase-2 strategy and the PFAST/multi-start workers: each must
-// stop at its first check, return its best-so-far (phase-1) schedule,
-// and report the context error. A pre-cancelled context makes the test
-// deterministic — a timed deadline can race against strategies like
-// steepest descent that legitimately converge first.
+// the serial search, with steps or a budget, and the PFAST/multi-start
+// workers: each must stop at its first check, return its best-so-far
+// (phase-1) schedule, and report the context error. A pre-cancelled
+// context makes the test deterministic, where a timed deadline could
+// race a search that finishes first.
 func TestFindCancelledAllStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := randomLayeredGraph(rng, 200)
 	cases := map[string]Options{
 		"greedy":     {Seed: 1, MaxSteps: 1 << 30},
 		"budget":     {Seed: 1, Budget: 10 * time.Second},
-		"steepest":   {Seed: 1, MaxSteps: 1 << 30, Strategy: SteepestDescent},
-		"annealing":  {Seed: 1, MaxSteps: 1 << 30, Strategy: Annealing},
 		"pfast":      {Seed: 1, MaxSteps: 1 << 30, Parallelism: 4},
 		"multistart": {Seed: 1, MaxSteps: 1 << 30, Parallelism: 4, MultiStart: true},
 	}
@@ -82,7 +80,7 @@ type lateTimerCtx struct{ context.Context }
 
 func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
 
-// TestFindStopsAtPastDeadlineBeforeTimer: every strategy stops at its
+// TestFindStopsAtPastDeadlineBeforeTimer: every search stops at its
 // first check once the deadline has passed, without waiting for the
 // context's timer, and returns its best-so-far schedule with
 // DeadlineExceeded.
@@ -92,8 +90,6 @@ func TestFindStopsAtPastDeadlineBeforeTimer(t *testing.T) {
 	cases := map[string]Options{
 		"greedy":     {Seed: 1, MaxSteps: 1 << 30},
 		"budget":     {Seed: 1, Budget: 10 * time.Second},
-		"steepest":   {Seed: 1, MaxSteps: 1 << 30, Strategy: SteepestDescent},
-		"annealing":  {Seed: 1, MaxSteps: 1 << 30, Strategy: Annealing},
 		"pfast":      {Seed: 1, MaxSteps: 1 << 30, Parallelism: 4},
 		"multistart": {Seed: 1, MaxSteps: 1 << 30, Parallelism: 4, MultiStart: true},
 	}

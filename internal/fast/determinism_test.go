@@ -18,9 +18,6 @@ func TestParallelSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	configs := map[string]Options{
 		"pfast":      {Parallelism: 8, Seed: 7, MaxSteps: 96},
 		"multistart": {Parallelism: 8, Seed: 7, MaxSteps: 96, MultiStart: true},
-		"pfast-steepest": {
-			Parallelism: 4, Seed: 7, MaxSteps: 4, Strategy: SteepestDescent,
-		},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for cname, opts := range configs {

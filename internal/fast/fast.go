@@ -12,6 +12,9 @@
 //  2. a random local search over the blocking-node list (the IBNs and
 //     OBNs) that transfers one node at a time to a random processor and
 //     keeps the move only when the schedule length strictly improves.
+//     This greedy walk is the package's only search: the serial run,
+//     every PFAST and multi-start start and the frozen machine of
+//     crash repair all run it.
 //
 // The package also provides the ablation switches called out in
 // DESIGN.md (alternative list orders; insertion-based phase 1, which
@@ -65,40 +68,6 @@ func (o ListOrder) String() string {
 // be presented in the next section, the value of MAXSTEP is fixed at 64".
 const DefaultMaxSteps = 64
 
-// Strategy selects the phase-2 search strategy. The paper's algorithm
-// is the greedy random walk; the alternatives address its stated
-// limitation ("the local search process may get stuck in a poor local
-// minimum point") at higher per-step cost.
-type Strategy int
-
-const (
-	// Greedy is the paper's strategy: random single-node transfers,
-	// keeping only strict improvements.
-	Greedy Strategy = iota
-	// SteepestDescent examines every (blocking node, processor) move
-	// each round and applies the best strict improvement, stopping at a
-	// local minimum. Each round costs O(|blocking|·p·e).
-	SteepestDescent
-	// Annealing accepts worsening moves with probability exp(-Δ/T)
-	// under a geometric cooling schedule and returns the best schedule
-	// seen, escaping the local minima the paper's conclusion worries
-	// about.
-	Annealing
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Greedy:
-		return "greedy"
-	case SteepestDescent:
-		return "steepest"
-	case Annealing:
-		return "annealing"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Options configures a FAST scheduler.
 type Options struct {
 	// MaxSteps is the number of local-search iterations (MAXSTEP).
@@ -123,26 +92,23 @@ type Options struct {
 	// seeds, and the best final schedule wins. Each searcher still
 	// performs MaxSteps steps.
 	Parallelism int
-	// Strategy selects the phase-2 search strategy (default: the
-	// paper's greedy random walk).
-	Strategy Strategy
 	// MultiStart (with Parallelism > 1) additionally diversifies phase
 	// 1: start w uses list order w%3 (CPN-Dominate, b-level, static
 	// level) and searches its own initial schedule — the structure of
 	// the authors' follow-up FASTEST algorithm.
 	MultiStart bool
-	// Budget, when positive, makes the greedy search anytime: it keeps
+	// Budget, when positive, makes the search anytime: it keeps
 	// searching (ignoring MaxSteps) until the wall-clock budget is
-	// spent, returning the best schedule found. The serial greedy
-	// search honours it, as does every PFAST/multi-start worker (each
-	// worker gets the full budget; the workers run concurrently).
-	// Combining Budget with SteepestDescent or Annealing is rejected by
-	// Schedule with an error. Note that budgeted runs trade the
-	// fixed-seed determinism guarantee for the wall-clock bound: the
-	// number of steps taken depends on machine speed.
+	// spent, returning the best schedule found. The serial search
+	// honours it, as does every PFAST/multi-start worker (each worker
+	// gets the full budget; the workers run concurrently, and share
+	// their best makespan to stop each other's hopeless replays). Note
+	// that budgeted runs trade the fixed-seed determinism guarantee for
+	// the wall-clock bound: the number of steps taken depends on
+	// machine speed.
 	Budget time.Duration
-	// Context, when non-nil, bounds the whole run: every search strategy
-	// and every PFAST/multi-start worker checks it each step. On
+	// Context, when non-nil, bounds the whole run: the serial search
+	// and every PFAST/multi-start worker check it each step. On
 	// cancellation or deadline expiry Schedule returns the best schedule
 	// found so far together with ctx.Err() — callers that can live with
 	// a partial result should keep the schedule when the error is
@@ -283,9 +249,6 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 	if procs <= 0 {
 		procs = v
 	}
-	if f.opts.Budget > 0 && f.opts.Strategy != Greedy {
-		return nil, fmt.Errorf("fast: Budget is only supported with the Greedy strategy, got %v", f.opts.Strategy)
-	}
 	if f.opts.Insertion && f.opts.MaxSteps >= 0 {
 		return nil, errors.New("fast: Insertion is a phase-1 ablation and needs MaxSteps < 0")
 	}
@@ -310,9 +273,9 @@ func (f *Scheduler) findCompiled(ctx context.Context, cg *plan.CompiledGraph, pr
 	if maxSteps > 0 {
 		t1 := time.Now()
 		if f.opts.Parallelism > 1 {
-			searchErr = st.searchParallel(ctx, f.startLists(cg), cg.Blocking, maxSteps, f.opts.Seed, f.opts.Parallelism, f.opts.Strategy, f.opts.Budget)
+			searchErr = st.searchParallel(ctx, f.startLists(cg), cg.Blocking, maxSteps, f.opts.Seed, f.opts.Parallelism, f.opts.Budget)
 		} else {
-			searchErr = runSearch(ctx, st, cg.Blocking, maxSteps, f.opts.Strategy, f.opts.Budget, rand.New(rand.NewSource(f.opts.Seed)))
+			searchErr = st.search(ctx, cg.Blocking, maxSteps, f.opts.Budget, rand.New(rand.NewSource(f.opts.Seed)))
 		}
 		f.timer("fast.search_ns").ObserveSince(t1)
 		if searchErr != nil && !isCancellation(searchErr) {

@@ -75,18 +75,20 @@ func FuzzHierEdgeList(f *testing.F) {
 
 // FuzzFASTOptions runs FAST across its option space on small random
 // graphs: the schedule must pass sched.Validate and come out identical
-// on a rerun, PFAST and multi-start must place every node as the best
-// of their serial runs (checkBestSerialRun), and insertion with the
-// search on must be rejected. Budget stays out: its runs depend on the
-// wall clock.
+// on a rerun, a serial run must match the full-replay oracle
+// (checkSerialMatchesOracle), PFAST and multi-start must place every
+// node as the best of their serial runs (checkBestSerialRun), and
+// insertion with the search on must be rejected. Budget stays out: its
+// runs depend on the wall clock.
 func FuzzFASTOptions(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(0), uint8(0), false, false, int8(0))
-	f.Add(int64(2), uint8(40), uint8(0), uint8(3), uint8(0), uint8(1), false, false, int8(16))
-	f.Add(int64(3), uint8(30), uint8(3), uint8(2), uint8(1), uint8(2), true, false, int8(3))
-	f.Add(int64(4), uint8(25), uint8(2), uint8(4), uint8(2), uint8(0), true, false, int8(0))
-	f.Add(int64(5), uint8(59), uint8(8), uint8(0), uint8(0), uint8(2), false, true, int8(-1))
-	f.Add(int64(6), uint8(10), uint8(2), uint8(1), uint8(0), uint8(0), true, true, int8(5))
-	f.Fuzz(func(t *testing.T, seed int64, size, procs, workers, strategy, order uint8, multi, insertion bool, steps int8) {
+	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(0), false, false, int8(0))
+	f.Add(int64(2), uint8(40), uint8(0), uint8(3), uint8(1), false, false, int8(16))
+	f.Add(int64(3), uint8(30), uint8(3), uint8(2), uint8(2), true, false, int8(3))
+	f.Add(int64(4), uint8(25), uint8(2), uint8(4), uint8(0), true, false, int8(0))
+	f.Add(int64(5), uint8(59), uint8(8), uint8(0), uint8(2), false, true, int8(-1))
+	f.Add(int64(6), uint8(10), uint8(2), uint8(1), uint8(0), true, true, int8(5))
+	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(1), false, false, int8(30))
+	f.Fuzz(func(t *testing.T, seed int64, size, procs, workers, order uint8, multi, insertion bool, steps int8) {
 		g := schedtest.RandomLayered(rand.New(rand.NewSource(seed)), 1+int(size)%60)
 		cg, err := plan.Compile(g)
 		if err != nil {
@@ -99,7 +101,6 @@ func FuzzFASTOptions(f *testing.F) {
 			Order:       ListOrder(order % 3),
 			Insertion:   insertion,
 			Parallelism: 1 + int(workers%6),
-			Strategy:    Strategy(strategy % 3),
 			MultiStart:  multi,
 		}
 		s, err := New(opts).ScheduleCompiled(cg, p)
@@ -120,6 +121,9 @@ func FuzzFASTOptions(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameSchedule(t, g.NumNodes(), s, again)
+		if opts.Parallelism == 1 && !insertion {
+			checkSerialMatchesOracle(t, "fuzz", cg, p, opts)
+		}
 		if opts.Parallelism > 1 && opts.MaxSteps >= 0 {
 			checkBestSerialRun(t, cg, p, opts, s)
 		}

@@ -42,8 +42,8 @@ func checkBestSerialRun(t testing.TB, cg *plan.CompiledGraph, procs int, opts Op
 
 // TestParallelStartsMatchBestSerialRun checks PFAST and multi-start
 // against checkBestSerialRun, placement for placement, over the oracle
-// corpus and three mixed graphs, each search strategy, several worker
-// counts and list orders, on bounded and unbounded machines.
+// corpus and three mixed graphs, several worker counts and list
+// orders, on bounded and unbounded machines.
 func TestParallelStartsMatchBestSerialRun(t *testing.T) {
 	graphs := map[string]*dag.Graph{}
 	for _, inst := range schedtest.OracleCorpus() {
@@ -68,23 +68,18 @@ func TestParallelStartsMatchBestSerialRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, procs := range []int{2, 4, 0} {
-			for _, strategy := range []Strategy{Greedy, SteepestDescent, Annealing} {
-				for _, multi := range []bool{false, true} {
-					for _, workers := range []int{2, 3, 5} {
-						for _, order := range []ListOrder{CPNDominate, BLevelOrder} {
-							opts := Options{
-								Seed: int64(3 * workers), Strategy: strategy, Order: order,
-								Parallelism: workers, MultiStart: multi,
-							}
-							if strategy == SteepestDescent {
-								opts.MaxSteps = 4
-							}
-							got, err := New(opts).ScheduleCompiled(cg, procs)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							checkBestSerialRun(t, cg, procs, opts, got)
+			for _, multi := range []bool{false, true} {
+				for _, workers := range []int{2, 3, 5} {
+					for _, order := range []ListOrder{CPNDominate, BLevelOrder} {
+						opts := Options{
+							Seed: int64(3 * workers), Order: order,
+							Parallelism: workers, MultiStart: multi,
 						}
+						got, err := New(opts).ScheduleCompiled(cg, procs)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						checkBestSerialRun(t, cg, procs, opts, got)
 					}
 				}
 			}

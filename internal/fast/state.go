@@ -102,7 +102,7 @@ func checkpointInterval(procs int) int {
 // local search: a processor assignment per node plus scratch tables for
 // the schedule evaluation. Evaluation is incremental: transferring the
 // node at list position q only invalidates the suffix from q onward, so
-// tryTransfer restores the per-processor ready times from the nearest
+// tryCandidate restores the per-processor ready times from the nearest
 // checkpoint at or before q in O(p) and replays only the tail.
 type state struct {
 	list  []dag.NodeID // topological priority order (phase-1 list)
@@ -125,7 +125,7 @@ type state struct {
 	ckReady []float64
 	ckLen   []float64
 
-	// Undo journal for tryTransfer/revertTransfer: the suffix of the
+	// Undo journal for journalTransfer/revertTransfer: the suffix of the
 	// start/finish tables (indexed by list position) and the checkpoint
 	// rows a candidate replay is about to overwrite. Reverting restores
 	// them with plain copies — no edge walks — so a rejected move costs
@@ -142,24 +142,18 @@ type state struct {
 
 	// tele carries the resolved telemetry of this run; the zero value
 	// (nil metric pointers) disables it. lastReplay is the number of
-	// list positions the most recent tryTransfer journaled (the planned
+	// list positions the most recent transfer journaled (the planned
 	// replay suffix), for the trajectory recording; an incumbent cutoff
 	// replays fewer positions but records the same planned length so
 	// telemetry semantics do not depend on the cutoff.
 	tele       telemetry
 	lastReplay int
 
-	// cutoff enables the incumbent-bound replay abort: a candidate
-	// replay whose running length already reaches the bound cannot be
-	// accepted, so it stops early and is reverted. With only the local
-	// best as the bound this is decision-equivalent to a full
-	// evaluation (the schedule length is non-decreasing over a replay),
-	// so PFAST/multi-start workers keep their bit-exact determinism.
-	// incumbent, when non-nil, additionally shares the best makespan
-	// across workers; the cross-worker bound makes a worker's
+	// incumbent, when non-nil, shares the best makespan across
+	// cooperating workers and tightens every replay's cutoff (see
+	// tryCandidate). The cross-worker bound makes a worker's
 	// trajectory timing-dependent, so it is only wired up in Budget
 	// (anytime) mode, where fixed-seed determinism is already waived.
-	cutoff    bool
 	incumbent *sharedBound
 
 	fullReplay bool // mirror of debugFullReplay, captured at init
@@ -209,7 +203,6 @@ func (st *state) init(list []dag.NodeID, csr *dag.CSR, procs, ckK int) {
 	st.undoCkLen = resizeF64(st.undoCkLen, numCk)
 	st.tele = telemetry{}
 	st.lastReplay = 0
-	st.cutoff = false
 	st.incumbent = nil
 	st.fullReplay = debugFullReplay
 }
@@ -381,8 +374,8 @@ func (st *state) maxFinish() float64 {
 // evaluate recomputes every start/finish from the current assignment by
 // replaying the whole list in order with ready-time semantics, returning
 // the schedule length. This is the O(e) "re-visit all the edges once"
-// step of the paper's search loop; the search strategies replay only
-// the suffix a transfer invalidates (tryTransfer).
+// step of the paper's search loop; the search replays only the suffix
+// a transfer invalidates (tryCandidate).
 func (st *state) evaluate() float64 {
 	if len(st.list) == 0 {
 		st.length = 0
@@ -439,26 +432,6 @@ func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 	return length, true
 }
 
-// tryTransfer reassigns n to processor p and re-evaluates the schedule
-// incrementally, first journaling the table suffix and checkpoint rows
-// the replay will overwrite. The caller either keeps the move (no
-// further action: the tables are consistent with the new assignment) or
-// calls revertTransfer to restore the journaled state exactly. The
-// tables must be consistent with the assignment on entry; every search
-// strategy maintains that invariant by reverting rejected moves.
-func (st *state) tryTransfer(n dag.NodeID, p int) float64 {
-	length, _ := st.replayFromBound(st.journalTransfer(n, p), math.Inf(1))
-	return length
-}
-
-// tryTransferBound is tryTransfer with an abort bound (see
-// replayFromBound). When complete is false the move cannot beat the
-// bound; the caller must reject it with revertTransfer, which restores
-// the journaled state exactly even after a partial replay.
-func (st *state) tryTransferBound(n dag.NodeID, p int, bound float64) (float64, bool) {
-	return st.replayFromBound(st.journalTransfer(n, p), bound)
-}
-
 // journalTransfer records the undo journal for moving n to processor
 // p — the table suffix and checkpoint rows the replay will overwrite —
 // applies the assignment, and returns the replay base position. The
@@ -487,10 +460,11 @@ func (st *state) journalTransfer(n dag.NodeID, p int) int {
 	return base
 }
 
-// revertTransfer undoes the most recent tryTransfer with plain copies:
-// the reverted tables are bit-identical to the pre-transfer state, so a
-// rejected candidate leaves no trace — numerically or in the checkpoint
-// rows — and the next tryTransfer replays only its own suffix.
+// revertTransfer undoes the most recent transfer with plain copies, even
+// after a replay the cutoff stopped part way: the reverted tables are
+// bit-identical to the pre-transfer state, so a rejected candidate
+// leaves no trace — numerically or in the checkpoint rows — and the
+// next transfer replays only its own suffix.
 func (st *state) revertTransfer() {
 	st.assign[st.undoNode] = st.undoProc
 	base := st.undoBase
@@ -506,14 +480,14 @@ func (st *state) revertTransfer() {
 	st.length = st.undoLength
 }
 
-// search runs the paper's local search: random transfer attempts of
-// blocking nodes to random processors, keeping only strict
-// improvements of the schedule length. It makes maxSteps attempts or,
-// with a positive budget, attempts until the wall-clock budget expires
-// (the anytime mode), reading the clock every 32 steps to keep the
-// loop cheap. The context is checked each step; on cancellation the
-// tables hold the best schedule found so far (every rejected move was
-// reverted) and ctx.Err() is returned.
+// search runs the paper's local search, FAST's only search loop:
+// random transfer attempts of blocking nodes to random processors,
+// keeping only strict improvements of the schedule length. It makes
+// maxSteps attempts or, with a positive budget, attempts until the
+// wall-clock budget expires (the anytime mode), reading the clock every
+// 32 steps to keep the loop cheap. The context is checked each step; on
+// cancellation the tables hold the best schedule found so far (every
+// rejected move was reverted) and ctx.Err() is returned.
 func (st *state) search(ctx context.Context, blocking []dag.NodeID, maxSteps int, budget time.Duration, rng *rand.Rand) error {
 	if len(blocking) == 0 || st.procs < 2 {
 		// With one processor or no movable node the neighborhood is empty.
@@ -556,154 +530,34 @@ func (st *state) search(ctx context.Context, blocking []dag.NodeID, maxSteps int
 	return nil
 }
 
-// tryCandidate evaluates moving n to p against the acceptance
-// threshold best. With the cutoff disabled (the serial search, whose
-// trajectories are pinned by golden files) it is a plain tryTransfer.
-// With it enabled, the replay aborts once its running length reaches
-// best - 1e-12: past that point the final candidate could not satisfy
-// the strict-improvement test either, so the decision — and therefore
-// the whole search trajectory for a fixed seed — is unchanged. A
+// tryCandidate moves n to p and evaluates the move against the
+// acceptance threshold best. Its replay stops once the running length
+// reaches best - 1e-12: the length never falls over a replay, so the
+// final candidate could not pass the strict-improvement test either,
+// and the decision — and therefore the whole search for a fixed seed —
+// is the one a full replay makes. A stopped replay reports the length
+// it reached and complete == false; the caller must revert the move. A
 // worker in budget mode additionally folds the shared cross-worker
 // incumbent into the bound.
 func (st *state) tryCandidate(n dag.NodeID, p int, best float64) (float64, bool) {
-	if !st.cutoff {
-		return st.tryTransfer(n, p), true
-	}
 	bound := best - 1e-12
 	if st.incumbent != nil {
 		if b := st.incumbent.load() - 1e-12; b < bound {
 			bound = b
 		}
 	}
-	cand, complete := st.tryTransferBound(n, p, bound)
+	cand, complete := st.replayFromBound(st.journalTransfer(n, p), bound)
 	if !complete {
 		st.tele.cutoffs.Inc()
 	}
 	return cand, complete
 }
 
-// searchSteepest applies best-improvement local search: each round
-// evaluates every (blocking node, processor) transfer and commits the
-// one with the largest strict improvement, stopping early at a local
-// minimum. rounds bounds the number of committed moves. The |blocking|·p
-// evaluations per round all replay from the moved node's position, so
-// this strategy gains the most from the incremental kernel.
-func (st *state) searchSteepest(ctx context.Context, blocking []dag.NodeID, rounds int) error {
-	if len(blocking) == 0 || st.procs < 2 {
-		st.evaluate()
-		return stopErr(ctx)
-	}
-	best := st.evaluate()
-	st.tele.best.Set(best)
-	for round := 0; round < rounds; round++ {
-		bestNode := dag.None
-		bestProc := -1
-		bestLen := best
-		for _, n := range blocking {
-			old := st.assign[n]
-			for p := 0; p < st.procs; p++ {
-				if p == old {
-					continue
-				}
-				// A round costs O(|blocking|·p) evaluations, so the
-				// cancellation check sits on the innermost loop; the
-				// tables are consistent here (the previous candidate
-				// was reverted), holding the best committed schedule.
-				if err := stopErr(ctx); err != nil {
-					return err
-				}
-				st.tele.steps.Inc()
-				if cand := st.tryTransfer(n, p); cand < bestLen-1e-12 {
-					bestNode, bestProc, bestLen = n, p, cand
-				}
-				st.revertTransfer()
-				st.tele.reverted.Inc()
-			}
-		}
-		if bestNode == dag.None {
-			break // local minimum
-		}
-		from := st.assign[bestNode]
-		st.tryTransfer(bestNode, bestProc) // commit the round's best move
-		best = bestLen
-		st.tele.accepted.Inc()
-		st.tele.best.Set(best)
-		st.tele.record(round, bestNode, from, bestProc, best, best, true, st.lastReplay)
-	}
-	return nil
-}
-
-// searchAnnealing runs simulated annealing over the same neighborhood:
-// random transfers, accepting worsening moves with probability
-// exp(-Δ/T) under geometric cooling, and finishing on the best
-// assignment seen. This addresses the paper's stated limitation that
-// greedy search "may get stuck in a poor local minimum".
-func (st *state) searchAnnealing(ctx context.Context, blocking []dag.NodeID, maxSteps int, rng *rand.Rand) error {
-	if len(blocking) == 0 || st.procs < 2 {
-		st.evaluate()
-		return stopErr(ctx)
-	}
-	cur := st.evaluate()
-	bestAssign := append([]int(nil), st.assign...)
-	best := cur
-	// Annealing walks through worsening states, so cancellation (like
-	// normal termination) must restore the best assignment seen before
-	// returning.
-	restore := func() {
-		copy(st.assign, bestAssign)
-		st.evaluate()
-	}
-	// Initial temperature: a move that worsens the schedule by 5% is
-	// accepted with probability 1/e; cool to 1/1000 of that.
-	t0 := 0.05 * cur
-	if t0 <= 0 {
-		t0 = 1
-	}
-	tEnd := t0 / 1000
-	cooling := math.Pow(tEnd/t0, 1/math.Max(1, float64(maxSteps-1)))
-	temp := t0
-	st.tele.best.Set(best)
-	for step := 0; step < maxSteps; step++ {
-		if err := stopErr(ctx); err != nil {
-			restore()
-			return err
-		}
-		n := blocking[rng.Intn(len(blocking))]
-		p := rng.Intn(st.procs)
-		if p == st.assign[n] {
-			temp *= cooling
-			st.tele.skipped.Inc()
-			continue
-		}
-		from := st.assign[n]
-		st.tele.steps.Inc()
-		cand := st.tryTransfer(n, p)
-		delta := cand - cur
-		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-			cur = cand
-			if cand < best-1e-12 {
-				best = cand
-				copy(bestAssign, st.assign)
-				st.tele.best.Set(best)
-			}
-			st.tele.accepted.Inc()
-			st.tele.record(step, n, from, p, cand, best, true, st.lastReplay)
-		} else {
-			st.revertTransfer()
-			st.tele.reverted.Inc()
-			st.tele.record(step, n, from, p, cand, best, false, st.lastReplay)
-		}
-		temp *= cooling
-	}
-	restore()
-	return nil
-}
-
 // searchParallel is PFAST and multi-start: `workers` independent
 // searchers with seeds seed, seed+1, ...; the shortest final schedule
 // wins, ties going to the lowest start index so the result is
-// deterministic. Each start runs the configured search strategy, or the
-// anytime budget search when budget is positive. Start w searches from
+// deterministic. Each start runs search, for maxSteps steps or, when
+// budget is positive, until the budget is spent. Start w searches from
 // st's phase-1 schedule, or, when lists[w] is non-nil (a multi-start
 // start on another list order), from its own phase 1 over lists[w].
 //
@@ -714,8 +568,8 @@ func (st *state) searchAnnealing(ctx context.Context, blocking []dag.NodeID, max
 // stealing. Each start searches on a state drawn from the package pool.
 // In budget mode the searchers additionally share an atomic incumbent
 // bound that cuts non-improving suffix replays early across workers
-// (deterministic modes restrict the cutoff to the private local best;
-// see tryCandidate).
+// (fixed-step modes keep the cutoff at each start's own best; see
+// tryCandidate).
 //
 // The winner's assignment is replayed into st over the winner's list.
 // Every start is wrapped in recover, so a panicking search surfaces as
@@ -723,7 +577,7 @@ func (st *state) searchAnnealing(ctx context.Context, blocking []dag.NodeID, max
 // context is not fatal: each start stops at its best-so-far schedule,
 // the best of those is committed, and ctx.Err() is returned alongside
 // it.
-func (st *state) searchParallel(ctx context.Context, lists [][]dag.NodeID, blocking []dag.NodeID, maxSteps int, seed int64, workers int, strategy Strategy, budget time.Duration) error {
+func (st *state) searchParallel(ctx context.Context, lists [][]dag.NodeID, blocking []dag.NodeID, maxSteps int, seed int64, workers int, budget time.Duration) error {
 	type result struct {
 		assign []int
 		length float64
@@ -751,17 +605,16 @@ func (st *state) searchParallel(ctx context.Context, lists [][]dag.NodeID, block
 		if w == debugPanicWorker {
 			panic("injected test panic")
 		}
-		// Every strategy replays the assignment before it reads a table.
+		// The search replays the assignment before it reads a table.
 		if own(w) {
 			local.initialReadyTime(0, nil)
 		} else {
 			copy(local.assign, st.assign)
 		}
 		local.tele.worker = w
-		local.cutoff = true
 		local.incumbent = incumbent
 		rng := rand.New(rand.NewSource(seed + int64(w)))
-		errs[w] = runSearch(ctx, local, blocking, maxSteps, strategy, budget, rng)
+		errs[w] = local.search(ctx, blocking, maxSteps, budget, rng)
 		results[w] = result{assign: append([]int(nil), local.assign...), length: local.length}
 	}
 	var cursor atomic.Int64
@@ -827,21 +680,6 @@ func stopErr(ctx context.Context) error {
 		return context.DeadlineExceeded
 	}
 	return nil
-}
-
-// runSearch dispatches one searcher over the shared strategy switch so
-// the serial path, PFAST workers, and multi-start workers stay in sync.
-// It returns ctx.Err() when the search was cut short; the state then
-// holds the strategy's best-so-far schedule.
-func runSearch(ctx context.Context, st *state, blocking []dag.NodeID, maxSteps int, strategy Strategy, budget time.Duration, rng *rand.Rand) error {
-	switch strategy {
-	case SteepestDescent:
-		return st.searchSteepest(ctx, blocking, maxSteps)
-	case Annealing:
-		return st.searchAnnealing(ctx, blocking, maxSteps, rng)
-	default:
-		return st.search(ctx, blocking, maxSteps, budget, rng)
-	}
 }
 
 // buildSchedule converts the state tables into a sched.Schedule with

@@ -2,6 +2,7 @@ package fast
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -41,10 +42,10 @@ func TestNilTelemetryAllocationFree(t *testing.T) {
 	p := (st.assign[n] + 1) % st.procs
 
 	if avg := testing.AllocsPerRun(50, func() {
-		st.tryTransfer(n, p)
+		st.tryCandidate(n, p, math.Inf(1))
 		st.revertTransfer()
 	}); avg != 0 {
-		t.Errorf("tryTransfer+revertTransfer with nil telemetry: %v allocs/run, want 0", avg)
+		t.Errorf("tryCandidate+revertTransfer with nil telemetry: %v allocs/run, want 0", avg)
 	}
 
 	rng := rand.New(rand.NewSource(3))

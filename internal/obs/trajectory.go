@@ -23,6 +23,9 @@ type StepEvent struct {
 	From int `json:"from"`
 	To   int `json:"to"`
 	// Candidate is the evaluated makespan of the transferred schedule.
+	// For a rejected move whose replay stopped once the move could no
+	// longer be accepted, it is the length the replay reached, at least
+	// Best - 1e-12 and at most the full makespan.
 	Candidate float64 `json:"candidate"`
 	// Best is the best makespan known to the worker after this step.
 	Best float64 `json:"best"`
