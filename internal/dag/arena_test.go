@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -247,7 +248,7 @@ func compareCSR(t *testing.T, want, got *CSR) {
 			t.Fatalf("%s length %d vs %d", name, len(a), len(b))
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("%s[%d]: %v vs %v", name, i, a[i], b[i])
 			}
 		}

@@ -181,7 +181,9 @@ func (c *CSR) ToGraph() *Graph {
 
 // TopoOrder returns the node indices in topological order (Kahn's
 // algorithm, smallest-ID-first for determinism), or ErrCycle. It works
-// entirely in int32 with two O(v) scratch arrays.
+// entirely in int32; a graph whose edges all run from a lower ID to a
+// higher one gets 0…v−1 without scratch, any other one draws two O(v)
+// scratch arrays.
 func (c *CSR) TopoOrder() ([]int32, error) {
 	return c.topoOrderArenaInto(make([]int32, 0, c.NumNodes()), nil)
 }
@@ -196,8 +198,8 @@ func widen(order []int32) []NodeID {
 }
 
 // topoCheck verifies acyclicity with every scratch array — the order
-// itself, the indegrees, and the ready heap — drawn from a and
-// released before returning.
+// itself, and for a graph that is not ascending the indegrees and the
+// ready heap — drawn from a and released before returning.
 func (c *CSR) topoCheck(a *ScaleArena) error {
 	slab := a.I32(c.NumNodes())
 	_, err := c.topoOrderArenaInto(slab[:0], a)
@@ -205,11 +207,43 @@ func (c *CSR) topoCheck(a *ScaleArena) error {
 	return err
 }
 
-// topoOrderArenaInto appends the topological order to order (which
-// must be empty but may carry capacity), drawing its two O(v) scratch
+// topoOrderArenaInto appends the smallest-ID-first Kahn order to order
+// (which must be empty but may carry capacity). An ascending graph's
+// order is 0…v−1 and costs one pass over the predecessor slots; any
+// other graph runs topoHeap.
+func (c *CSR) topoOrderArenaInto(order []int32, a *ScaleArena) ([]int32, error) {
+	if !c.ascending() {
+		return c.topoHeap(order, a)
+	}
+	for n := range int32(c.NumNodes()) {
+		order = append(order, n)
+	}
+	return order, nil
+}
+
+// ascending reports whether every predecessor slot's parent ID is below
+// its node's ID. Such a graph is acyclic, and its smallest-ID-first
+// Kahn order is 0…v−1: once 0…k−1 are out, all of k's parents are out,
+// and every other ready node has a larger ID. The heap walk reads the
+// successor slots, so the two agree on a CSR whose directions mirror
+// each other — every CSR the readers, the decoder and flatten build
+// from a graph assembled edge by edge.
+func (c *CSR) ascending() bool {
+	for n := range c.NumNodes() {
+		for _, p := range c.PredFrom[c.PredOff[n]:c.PredOff[n+1]] {
+			if int(p) >= n {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// topoHeap is the general Kahn sort: a binary heap keeps the smallest
+// ready ID on top. It appends to order and draws its two O(v) scratch
 // arrays from a; both are released on return (the order is not — it is
 // the caller's).
-func (c *CSR) topoOrderArenaInto(order []int32, a *ScaleArena) ([]int32, error) {
+func (c *CSR) topoHeap(order []int32, a *ScaleArena) ([]int32, error) {
 	v := c.NumNodes()
 	indeg := a.I32(v)
 	for n := 0; n < v; n++ {

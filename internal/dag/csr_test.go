@@ -2,6 +2,8 @@ package dag
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -61,6 +63,101 @@ func TestCSRTopoOrderMatchesGraph(t *testing.T) {
 			if NodeID(got[i]) != want[i] {
 				t.Fatalf("topo order diverges at %d: %d != %d", i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// relabel returns g with node i renamed perm[i], its edges added in
+// g's successor order.
+func relabel(g *Graph, perm []int) *Graph {
+	v := g.NumNodes()
+	out := New(v)
+	inv := make([]int, v)
+	for i, p := range perm {
+		inv[p] = i
+	}
+	for i := 0; i < v; i++ {
+		out.AddNode("", g.Weight(NodeID(inv[i])))
+	}
+	for i := 0; i < v; i++ {
+		for _, e := range g.Succ(NodeID(i)) {
+			out.MustAddEdge(NodeID(perm[e.From]), NodeID(perm[e.To]), e.Weight)
+		}
+	}
+	return out
+}
+
+// TestTopoOrderMatchesHeapWalk holds every entry point of the Kahn sort
+// — TopoOrder, the levels kernel with and without an arena, and
+// topoCheck — to the heap walk called directly and to topoOracle: the
+// same order, or the same cycle error. The graphs are ascending (the
+// ID-order path), ID-permuted and cyclic (the heap), and ascending but
+// for one edge into a lower ID that is the last predecessor slot, so
+// the ascending check must read every slot to send it to the heap, and
+// ascending but for a self-loop.
+func TestTopoOrderMatchesHeapWalk(t *testing.T) {
+	type named struct {
+		name      string
+		g         *Graph
+		ascending bool
+	}
+	var gs []named
+	for seed := int64(0); seed < 4; seed++ {
+		g := randomGraph(t, 40, seed)
+		gs = append(gs, named{fmt.Sprintf("ascending/%d", seed), g, true})
+		perm := rand.New(rand.NewSource(seed)).Perm(g.NumNodes())
+		gs = append(gs, named{fmt.Sprintf("permuted/%d", seed), relabel(g, perm), false})
+		cyclic := relabel(g, perm)
+		n := NodeID(g.NumNodes() - 1)
+		for g.InDegree(n) == 0 {
+			n--
+		}
+		e := g.Pred(n)[0]
+		cyclic.MustAddEdge(NodeID(perm[e.To]), NodeID(perm[e.From]), 1)
+		gs = append(gs, named{fmt.Sprintf("cyclic/%d", seed), cyclic, false})
+
+		tail := g.Clone()
+		k := tail.AddNode("", 1)
+		tail.MustAddEdge(k, k-1, 1)
+		gs = append(gs, named{fmt.Sprintf("last-slot-descends/%d", seed), tail, false})
+
+		// A self-loop, smuggled past AddEdge, is a cycle the scan must
+		// not take for an ascending edge.
+		loop := g.Clone()
+		loop.succ[n] = append(loop.succ[n], Edge{From: n, To: n, Weight: 1})
+		loop.pred[n] = append(loop.pred[n], Edge{From: n, To: n, Weight: 1})
+		loop.ne++
+		gs = append(gs, named{fmt.Sprintf("self-loop/%d", seed), loop, false})
+	}
+	for _, tc := range gs {
+		c := BuildCSR(tc.g)
+		if c.ascending() != tc.ascending {
+			t.Fatalf("%s: ascending() = %v", tc.name, !tc.ascending)
+		}
+		want, wantErr := c.topoHeap(nil, nil)
+		oracle, oracleErr := topoOracle(tc.g)
+		if fmt.Sprint(wantErr) != fmt.Sprint(oracleErr) || fmt.Sprint(want) != fmt.Sprint(oracle) {
+			t.Fatalf("%s: heap walk (%v, %v), topoOracle (%v, %v)", tc.name, want, wantErr, oracle, oracleErr)
+		}
+		check := func(entry string, order []int32, err error) {
+			t.Helper()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: %s error %v, heap walk %v", tc.name, entry, err, wantErr)
+			}
+			if err == nil && fmt.Sprint(order) != fmt.Sprint(want) {
+				t.Fatalf("%s: %s order %v, heap walk %v", tc.name, entry, order, want)
+			}
+		}
+		order, err := c.TopoOrder()
+		check("TopoOrder", order, err)
+		for _, a := range []*ScaleArena{nil, NewScaleArena()} {
+			l, err := c.ComputeLevelsCompactArena(nil, a)
+			if err != nil {
+				check("ComputeLevelsCompactArena", nil, err)
+			} else {
+				check("ComputeLevelsCompactArena", l.Order, nil)
+			}
+			check("topoCheck", want, c.topoCheck(a))
 		}
 	}
 }

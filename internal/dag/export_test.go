@@ -3,3 +3,10 @@ package dag
 // HasDupSet reports whether g still holds AddEdge's duplicate-edge
 // sets, for the external tests that also need plan.GraphKey.
 func HasDupSet(g *Graph) bool { return g.dupSet != nil }
+
+// StreamEdgeListOracle and CompareCSR lend the field-split reader and
+// the bit-for-bit CSR comparison to the external scale test.
+var (
+	StreamEdgeListOracle = streamEdgeListOracle
+	CompareCSR           = compareCSR
+)

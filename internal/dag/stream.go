@@ -155,6 +155,11 @@ func StreamEdgeList(r io.Reader) (*CSR, error) {
 // a. Bit-identical output; nil arena is exactly StreamEdgeList. The
 // returned CSR's arrays belong to the arena and are invalidated by its
 // next Reset; parse one graph per arena cycle.
+//
+// A line in the writers' own shape (canonicalLine) is converted in the
+// pass that finds its fields; every other line is split into fields
+// and parsed token by token. Both give the same values and the same
+// errors.
 func StreamEdgeListArena(r io.Reader, a *ScaleArena) (*CSR, error) {
 	var sc fieldScanner
 	sc.init(r, a)
@@ -177,51 +182,62 @@ func StreamEdgeListArena(r io.Reader, a *ScaleArena) (*CSR, error) {
 		ew    []float64
 	)
 	for {
-		f, err := sc.next()
+		line, err := sc.lr.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dag: edgelist: %w", err)
 		}
-		switch {
-		case len(f[0]) == 1 && f[0][0] == 'n':
-			if len(f) != 2 {
-				return nil, fmt.Errorf("dag: edgelist: bad node line %q", joinFields(f))
+		kind, from, to, w, ok := canonicalLine(line)
+		var f [][]byte // the fields of a line the canonical pass did not take
+		if !ok {
+			if f = sc.split(line); len(f) == 0 {
+				continue
 			}
-			w, err := parseFloatBytes(f[1])
-			if err != nil || math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-				return nil, fmt.Errorf("dag: edgelist: %w: node %d has weight %q", ErrBadWeight, len(nodeW), f[1])
+			switch {
+			case len(f[0]) == 1 && f[0][0] == 'n':
+				if len(f) != 2 {
+					return nil, fmt.Errorf("dag: edgelist: bad node line %q", joinFields(f))
+				}
+				if w, err = parseFloatBytes(f[1]); err != nil || badWeight(w) {
+					return nil, fmt.Errorf("dag: edgelist: %w: node %d has weight %q", ErrBadWeight, len(nodeW), f[1])
+				}
+			case len(f[0]) == 1 && f[0][0] == 'e':
+				if len(f) != 4 {
+					return nil, fmt.Errorf("dag: edgelist: bad edge line %q", joinFields(f))
+				}
+				var err1, err2, err3 error
+				from, err1 = atoiBytes(f[1])
+				to, err2 = atoiBytes(f[2])
+				w, err3 = parseFloatBytes(f[3])
+				if err1 != nil || err2 != nil || err3 != nil {
+					return nil, fmt.Errorf("dag: edgelist: bad edge line %q", joinFields(f))
+				}
+			default:
+				return nil, fmt.Errorf("dag: edgelist: unknown line kind %q", f[0])
 			}
+			kind = f[0][0]
+		}
+		if kind == 'n' {
 			if len(nodeW) >= declared {
 				return nil, fmt.Errorf("dag: edgelist: more than the declared %d nodes", declared)
 			}
 			nodeW = a.AppendF64(nodeW, w)
-		case len(f[0]) == 1 && f[0][0] == 'e':
-			if len(f) != 4 {
-				return nil, fmt.Errorf("dag: edgelist: bad edge line %q", joinFields(f))
-			}
-			from, err1 := atoiBytes(f[1])
-			to, err2 := atoiBytes(f[2])
-			w, err3 := parseFloatBytes(f[3])
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("dag: edgelist: bad edge line %q", joinFields(f))
-			}
-			if from < 0 || from >= len(nodeW) || to < 0 || to >= len(nodeW) {
-				return nil, fmt.Errorf("dag: edgelist: %w: %d -> %d (declared so far: %d)", ErrEdgeEndpoint, from, to, len(nodeW))
-			}
-			if from == to {
-				return nil, fmt.Errorf("dag: edgelist: %w on node %d", ErrSelfLoop, from)
-			}
-			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-				return nil, fmt.Errorf("dag: edgelist: %w: edge %d->%d has weight %q", ErrBadWeight, from, to, f[3])
-			}
-			efrom = a.AppendI32(efrom, int32(from))
-			eto = a.AppendI32(eto, int32(to))
-			ew = a.AppendF64(ew, w)
-		default:
-			return nil, fmt.Errorf("dag: edgelist: unknown line kind %q", f[0])
+			continue
 		}
+		if from < 0 || from >= len(nodeW) || to < 0 || to >= len(nodeW) {
+			return nil, fmt.Errorf("dag: edgelist: %w: %d -> %d (declared so far: %d)", ErrEdgeEndpoint, from, to, len(nodeW))
+		}
+		if from == to {
+			return nil, fmt.Errorf("dag: edgelist: %w on node %d", ErrSelfLoop, from)
+		}
+		if badWeight(w) { // only a split line's weight can be bad
+			return nil, fmt.Errorf("dag: edgelist: %w: edge %d->%d has weight %q", ErrBadWeight, from, to, f[3])
+		}
+		efrom = a.AppendI32(efrom, int32(from))
+		eto = a.AppendI32(eto, int32(to))
+		ew = a.AppendF64(ew, w)
 	}
 	if len(nodeW) != declared {
 		return nil, fmt.Errorf("dag: edgelist: header declares %d nodes, file has %d", declared, len(nodeW))
@@ -231,6 +247,46 @@ func StreamEdgeListArena(r io.Reader, a *ScaleArena) (*CSR, error) {
 		return nil, fmt.Errorf("dag: edgelist: %w", err)
 	}
 	return c, nil
+}
+
+// canonicalLine converts, in one pass, a line in the shape WriteEdgeList
+// and workload.WriteLayeredEdgeList emit: "n <w>" or "e <from> <to> <w>",
+// the tokens separated by single spaces, each a run of 1–15 ASCII
+// digits (so each converts exactly, as in atoiBytes and
+// parseFloatBytes). ok is false for every other line, which the field
+// split handles: comments, tabs, runs of blanks, signs, decimals,
+// exponents, longer digit runs and bytes >= 0x80.
+func canonicalLine(line []byte) (kind byte, from, to int, w float64, ok bool) {
+	if len(line) < 3 || line[0] != 'n' && line[0] != 'e' {
+		return 0, 0, 0, 0, false
+	}
+	var x [3]int
+	tokens := 1
+	if line[0] == 'e' {
+		tokens = 3
+	}
+	i := 1
+	for t := range tokens {
+		if i == len(line) || line[i] != ' ' {
+			return 0, 0, 0, 0, false
+		}
+		i++
+		start, v := i, 0
+		for ; i < len(line) && line[i]-'0' <= 9; i++ {
+			v = v*10 + int(line[i]-'0')
+		}
+		if i == start || i-start > 15 {
+			return 0, 0, 0, 0, false
+		}
+		x[t] = v
+	}
+	if i != len(line) {
+		return 0, 0, 0, 0, false
+	}
+	if tokens == 1 {
+		return 'n', 0, 0, float64(x[0]), true
+	}
+	return 'e', x[0], x[1], float64(x[2]), true
 }
 
 // FinishCSR assembles a CSR from columnar raw data — per-node weights
@@ -447,45 +503,51 @@ func (f *fieldScanner) next() ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if i := bytes.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := f.fields[:0]
-		ascii := true
-		for _, c := range line {
-			if c >= 0x80 {
-				ascii = false
-				break
-			}
-		}
-		if ascii {
-			start := -1
-			for i, c := range line {
-				if c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r' {
-					if start >= 0 {
-						fields = append(fields, line[start:i])
-						start = -1
-					}
-					continue
-				}
-				if start < 0 {
-					start = i
-				}
-			}
-			if start >= 0 {
-				fields = append(fields, line[start:])
-			}
-		} else {
-			for _, s := range strings.Fields(string(line)) {
-				fields = append(fields, []byte(s))
-			}
-		}
-		f.fields = fields
-		f.arena.storeFields(fields)
-		if len(fields) > 0 {
+		if fields := f.split(line); len(fields) > 0 {
 			return fields, nil
 		}
 	}
+}
+
+// split returns line's fields, up to a '#' comment; none for a blank
+// or comment-only line.
+func (f *fieldScanner) split(line []byte) [][]byte {
+	if i := bytes.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	fields := f.fields[:0]
+	ascii := true
+	for _, c := range line {
+		if c >= 0x80 {
+			ascii = false
+			break
+		}
+	}
+	if ascii {
+		start := -1
+		for i, c := range line {
+			if c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r' {
+				if start >= 0 {
+					fields = append(fields, line[start:i])
+					start = -1
+				}
+				continue
+			}
+			if start < 0 {
+				start = i
+			}
+		}
+		if start >= 0 {
+			fields = append(fields, line[start:])
+		}
+	} else {
+		for _, s := range strings.Fields(string(line)) {
+			fields = append(fields, []byte(s))
+		}
+	}
+	f.fields = fields
+	f.arena.storeFields(fields)
+	return fields
 }
 
 // lineReader is a value-type replacement for bufio.Scanner's line

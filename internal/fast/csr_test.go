@@ -6,6 +6,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/schedtest"
 )
 
 // The CSR layout must mirror g.Pred / g.Succ slot for slot: same
@@ -15,7 +16,7 @@ func TestCSRMatchesGraph(t *testing.T) {
 	graphs := []*dag.Graph{example.Graph()}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 10; i++ {
-		graphs = append(graphs, randomLayeredGraph(rng, 2+rng.Intn(80)))
+		graphs = append(graphs, schedtest.RandomLayered(rng, 2+rng.Intn(80)))
 	}
 	for gi, g := range graphs {
 		c := dag.BuildCSR(g)

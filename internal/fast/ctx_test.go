@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fastsched/internal/sched"
+	"fastsched/internal/schedtest"
 )
 
 // TestFindDeadlineReturnsPartialBest is the PR's acceptance criterion:
@@ -17,7 +18,7 @@ import (
 // the deadline.
 func TestFindDeadlineReturnsPartialBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	g := randomLayeredGraph(rng, 300)
+	g := schedtest.RandomLayered(rng, 300)
 	const deadline = 50 * time.Millisecond
 	// A wall-clock budget far beyond the deadline: without cancellation
 	// this search would run for 10 seconds.
@@ -49,7 +50,7 @@ func TestFindDeadlineReturnsPartialBest(t *testing.T) {
 // race a search that finishes first.
 func TestFindCancelledAllStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	g := randomLayeredGraph(rng, 200)
+	g := schedtest.RandomLayered(rng, 200)
 	cases := map[string]Options{
 		"greedy":     {Seed: 1, MaxSteps: 1 << 30},
 		"budget":     {Seed: 1, Budget: 10 * time.Second},
@@ -86,7 +87,7 @@ func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.M
 // DeadlineExceeded.
 func TestFindStopsAtPastDeadlineBeforeTimer(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	g := randomLayeredGraph(rng, 200)
+	g := schedtest.RandomLayered(rng, 200)
 	cases := map[string]Options{
 		"greedy":     {Seed: 1, MaxSteps: 1 << 30},
 		"budget":     {Seed: 1, Budget: 10 * time.Second},
@@ -113,7 +114,7 @@ func TestFindStopsAtPastDeadlineBeforeTimer(t *testing.T) {
 // path: a cancelled Options.Context surfaces through plain Schedule.
 func TestOptionsContextFlowsThroughSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	g := randomLayeredGraph(rng, 100)
+	g := schedtest.RandomLayered(rng, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s, err := New(Options{Seed: 1, Context: ctx}).Schedule(g, 4)
@@ -132,7 +133,7 @@ func TestOptionsContextFlowsThroughSchedule(t *testing.T) {
 // perturb the fixed-seed determinism of the default configuration.
 func TestNilContextMatchesBackground(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	g := randomLayeredGraph(rng, 150)
+	g := schedtest.RandomLayered(rng, 150)
 	s1, err := Default().Schedule(g, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestPFASTWorkerPanicSurfacesAsError(t *testing.T) {
 	defer func(old int) { debugPanicWorker = old }(debugPanicWorker)
 	debugPanicWorker = 1
 	rng := rand.New(rand.NewSource(59))
-	g := randomLayeredGraph(rng, 80)
+	g := schedtest.RandomLayered(rng, 80)
 	for name, opts := range map[string]Options{
 		"pfast":      {Seed: 1, Parallelism: 3},
 		"multistart": {Seed: 1, Parallelism: 3, MultiStart: true},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fastsched/internal/dag"
+	"fastsched/internal/schedtest"
 )
 
 // TestParallelSearchDeterministicAcrossGOMAXPROCS is the regression
@@ -14,7 +15,7 @@ import (
 // runs and under different GOMAXPROCS values (i.e. different goroutine
 // interleavings).
 func TestParallelSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	g := randomLayeredGraph(rand.New(rand.NewSource(31)), 60)
+	g := schedtest.RandomLayered(rand.New(rand.NewSource(31)), 60)
 	configs := map[string]Options{
 		"pfast":      {Parallelism: 8, Seed: 7, MaxSteps: 96},
 		"multistart": {Parallelism: 8, Seed: 7, MaxSteps: 96, MultiStart: true},

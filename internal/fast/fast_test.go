@@ -297,7 +297,7 @@ func TestPFASTValidAndDeterministic(t *testing.T) {
 func TestFASTPropertiesOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
-		g := randomLayeredGraph(rng, 2+rng.Intn(70))
+		g := schedtest.RandomLayered(rng, 2+rng.Intn(70))
 		l, err := dag.ComputeLevels(g)
 		if err != nil {
 			t.Fatal(err)
@@ -328,35 +328,4 @@ func TestFASTPropertiesOnRandomGraphs(t *testing.T) {
 			t.Fatalf("trial %d: used %d of %d procs", trial, s.ProcsUsed(), procs)
 		}
 	}
-}
-
-// randomLayeredGraph mirrors the generator in package dag's tests;
-// duplicated here because test helpers are not exported across packages.
-func randomLayeredGraph(rng *rand.Rand, v int) *dag.Graph {
-	g := dag.New(v)
-	var layers [][]dag.NodeID
-	placed := 0
-	for placed < v {
-		width := 1 + rng.Intn(4)
-		if placed+width > v {
-			width = v - placed
-		}
-		layer := make([]dag.NodeID, 0, width)
-		for i := 0; i < width; i++ {
-			layer = append(layer, g.AddNode("", 1+float64(rng.Intn(9))))
-			placed++
-		}
-		layers = append(layers, layer)
-	}
-	for li := 1; li < len(layers); li++ {
-		for _, n := range layers[li] {
-			k := 1 + rng.Intn(3)
-			for j := 0; j < k; j++ {
-				src := layers[rng.Intn(li)]
-				p := src[rng.Intn(len(src))]
-				_ = g.AddEdge(p, n, float64(rng.Intn(20)))
-			}
-		}
-	}
-	return g
 }

@@ -8,6 +8,7 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
 	"fastsched/internal/plan"
+	"fastsched/internal/schedtest"
 	"fastsched/internal/timing"
 	"fastsched/internal/workload"
 )
@@ -63,7 +64,7 @@ func newStateK(g *dag.Graph, list []dag.NodeID, procs, ckK int) *state {
 // replays the whole invalidated suffix, returning the schedule length.
 // The caller keeps the move or calls revertTransfer.
 func (st *state) tryTransfer(n dag.NodeID, p int) float64 {
-	length, _ := st.replayFromBound(st.journalTransfer(n, p), math.Inf(1))
+	length, _, _ := st.replayFromBound(st.journalTransfer(n, p), math.Inf(1))
 	return length
 }
 
@@ -98,7 +99,7 @@ func assertTablesMatchReference(t *testing.T, g *dag.Graph, st *state, ctx strin
 func TestTryTransferRevertMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 25; trial++ {
-		g := randomLayeredGraph(rng, 2+rng.Intn(90))
+		g := schedtest.RandomLayered(rng, 2+rng.Intn(90))
 		list := stateList(t, g)
 		procs := 1 + rng.Intn(6)
 		for _, k := range []int{1, 5, 16, 1 << 20} {

@@ -211,6 +211,40 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 	}
 }
 
+// scaleFootprintV1e5 is the arena footprint, in bytes, of
+// TestScaleArenaFootprint's pipeline: the BenchmarkScale v=10⁵ graph
+// through the edge-list reader and fast-hier on 8 processors. It is
+// the figure the reader had before canonical lines got their own pass.
+const scaleFootprintV1e5 = 26221952
+
+// TestScaleArenaFootprint holds the warm arena's footprint at or under
+// scaleFootprintV1e5, so a change to the reader or the kernels cannot
+// grow the million-node path's heap unseen. The arena serves two runs:
+// the cold one sizes it and the warm one must fit in it.
+func TestScaleArenaFootprint(t *testing.T) {
+	var buf bytes.Buffer
+	if _, _, err := workload.WriteLayeredEdgeList(&buf, workload.LayeredOpts{V: 100000, Seed: 29}); err != nil {
+		t.Fatal(err)
+	}
+	a := dag.NewScaleArena()
+	h := NewHierarchical(HierOptions{Seed: 1, Arena: a})
+	var sizes [2]int64
+	for i := range sizes {
+		a.Reset()
+		c, err := dag.StreamEdgeListArena(bytes.NewReader(buf.Bytes()), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.ScheduleCSR(c, 8); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = a.Footprint()
+	}
+	if sizes[1] != sizes[0] || sizes[1] > scaleFootprintV1e5 {
+		t.Fatalf("arena footprint %d cold, %d warm; want both equal and at most %d", sizes[0], sizes[1], scaleFootprintV1e5)
+	}
+}
+
 // heapAfterGC returns the live heap after a forced collection — the
 // stage-boundary footprint, insensitive to garbage in flight.
 func heapAfterGC() uint64 {

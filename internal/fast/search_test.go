@@ -116,6 +116,12 @@ func checkSerialMatchesOracle(t testing.TB, name string, cg *plan.CompiledGraph,
 	if stopped > cutoffs {
 		t.Fatalf("%s, procs %d, %+v: %d candidates differ from the oracle's, but only %d replays stopped", name, procs, opts, stopped, cutoffs)
 	}
+	// Every journaled position is walked unless a replay stopped.
+	walked := reg.Counter("fast.search.replay_walked").Value()
+	journaled := int64(reg.Histogram("fast.search.replay_len", nil).Sum())
+	if walked > journaled || (cutoffs == 0 && walked != journaled) {
+		t.Fatalf("%s, procs %d, %+v: replay_walked %d against replay_len sum %d with %d stopped replays", name, procs, opts, walked, journaled, cutoffs)
+	}
 	return cutoffs
 }
 
@@ -242,7 +248,7 @@ func TestMultiStartValidDeterministicAndNoWorse(t *testing.T) {
 func TestMultiStartOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 10; trial++ {
-		g := randomLayeredGraph(rng, 20+rng.Intn(40))
+		g := schedtest.RandomLayered(rng, 20+rng.Intn(40))
 		s, err := New(Options{Parallelism: 3, MultiStart: true, Seed: int64(trial), MaxSteps: 32}).Schedule(g, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +278,7 @@ func TestBudgetSearchAnytime(t *testing.T) {
 }
 
 func TestBudgetSearchRespectsDeadline(t *testing.T) {
-	g := randomLayeredGraph(rand.New(rand.NewSource(2)), 60)
+	g := schedtest.RandomLayered(rand.New(rand.NewSource(2)), 60)
 	begin := time.Now()
 	if _, err := New(Options{Seed: 1, Budget: 30 * time.Millisecond}).Schedule(g, 8); err != nil {
 		t.Fatal(err)

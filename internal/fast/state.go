@@ -30,7 +30,8 @@ type telemetry struct {
 	reverted *obs.Counter   // candidates undone
 	skipped  *obs.Counter   // same-processor draws (consume a step, no eval)
 	cutoffs  *obs.Counter   // suffix replays aborted by an incumbent bound
-	replay   *obs.Histogram // list positions replayed per evaluation
+	replay   *obs.Histogram // list positions journaled per evaluation
+	walked   *obs.Counter   // list positions the bounded replays actually walked
 	best     *obs.Gauge     // running best makespan (last accepting worker)
 	workers  *obs.Counter   // search workers launched (PFAST/multi-start)
 	workerLn *obs.Histogram // final makespan per worker
@@ -53,6 +54,7 @@ func newTelemetry(sink obs.Sink, traj *obs.Trajectory) telemetry {
 	t.skipped = sink.Counter("fast.search.same_proc_skips")
 	t.cutoffs = sink.Counter("fast.search.incumbent_cutoffs")
 	t.replay = sink.Histogram("fast.search.replay_len", obs.ExpBuckets(1, 2, 17))
+	t.walked = sink.Counter("fast.search.replay_walked")
 	t.best = sink.Gauge("fast.search.best_makespan")
 	t.workers = sink.Counter("fast.search.workers")
 	t.workerLn = sink.Histogram("fast.search.worker_final_len", obs.ExpBuckets(1, 2, 24))
@@ -381,7 +383,7 @@ func (st *state) evaluate() float64 {
 		st.length = 0
 		return 0
 	}
-	length, _ := st.replayFromBound(0, math.Inf(1))
+	length, _, _ := st.replayFromBound(0, math.Inf(1))
 	return length
 }
 
@@ -395,17 +397,18 @@ func (st *state) evaluate() float64 {
 //
 // The replay stops as soon as the running schedule length reaches
 // bound, reporting complete == false; +Inf replays the whole tail.
+// walked is the number of list positions it replayed.
 // Because the length is non-decreasing over a replay, an aborted
 // candidate's final length would also have reached the bound, so
 // aborting cannot change an accept/reject decision made against a
 // threshold <= bound. An aborted replay leaves the tables mid-rewrite:
 // the caller MUST revertTransfer (the undo journal covers everything
 // the partial replay touched). st.length is only updated on completion.
-func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
+func (st *state) replayFromBound(base int, bound float64) (length float64, walked int, complete bool) {
 	v := len(st.list)
 	ck := base / st.ckK
 	copy(st.ready, st.ckReady[ck*st.procs:(ck+1)*st.procs])
-	length := st.ckLen[ck]
+	length = st.ckLen[ck]
 	for i := base; i < v; i++ {
 		if i%st.ckK == 0 {
 			copy(st.ckReady[(i/st.ckK)*st.procs:], st.ready)
@@ -424,19 +427,20 @@ func (st *state) replayFromBound(base int, bound float64) (float64, bool) {
 		if f > length {
 			length = f
 			if length >= bound {
-				return length, false
+				return length, i + 1 - base, false
 			}
 		}
 	}
 	st.length = length
-	return length, true
+	return length, v - base, true
 }
 
 // journalTransfer records the undo journal for moving n to processor
 // p — the table suffix and checkpoint rows the replay will overwrite —
 // applies the assignment, and returns the replay base position. The
 // planned replay length is observed here, before any replay runs, so
-// the replay_len telemetry is identical with and without a bound.
+// the replay_len telemetry is identical with and without a bound;
+// replay_walked counts what the bounded replay then walked.
 func (st *state) journalTransfer(n dag.NodeID, p int) int {
 	q := st.pos[n]
 	if st.fullReplay {
@@ -546,7 +550,8 @@ func (st *state) tryCandidate(n dag.NodeID, p int, best float64) (float64, bool)
 			bound = b
 		}
 	}
-	cand, complete := st.replayFromBound(st.journalTransfer(n, p), bound)
+	cand, walked, complete := st.replayFromBound(st.journalTransfer(n, p), bound)
+	st.tele.walked.Add(int64(walked))
 	if !complete {
 		st.tele.cutoffs.Inc()
 	}

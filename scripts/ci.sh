@@ -56,8 +56,13 @@ echo "== streaming scale smoke (v=100000, race)"
 # so the one-PE-dominates regression fails here, at scale, under race.
 # TestScaleArenaWarmZeroAllocs skips itself under -race (instrumentation
 # allocates), hence the separate non-race invocation below.
+# TestStreamEdgeListOracleAtScale holds the edge-list reader to the
+# field-split oracle at this size, on the generated text (the canonical
+# pass) and on the same graph with comments, tabs, CRLF endings and
+# exponent-form weights interleaved (the fallback), slot for slot.
 FASTSCHED_SCALE_V=100000 go test -race -timeout 300s \
-    -run 'TestScaleSmoke|TestScaleArenaWarmZeroAllocs|TestValidateFlatBig' ./internal/fast ./internal/sched
+    -run 'TestScaleSmoke|TestScaleArenaWarmZeroAllocs|TestValidateFlatBig|TestStreamEdgeListOracleAtScale' \
+    ./internal/fast ./internal/sched ./internal/dag
 
 echo "== arena warm-path zero-alloc gate"
 # The arena's allocation contract, enforced: after one cold pass the
