@@ -225,6 +225,9 @@ func TestStreamArenaErrorParity(t *testing.T) {
 	}
 }
 
+// compareCSR is the package tests' one CSR comparison: every array of
+// got must equal want's, offsets and endpoints exactly and weights bit
+// for bit.
 func compareCSR(t *testing.T, want, got *CSR) {
 	t.Helper()
 	if len(want.NodeW) != len(got.NodeW) || len(want.SuccTo) != len(got.SuccTo) {

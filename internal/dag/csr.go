@@ -170,13 +170,16 @@ func badWeight(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) || w <
 // directions keep c's slot order exactly, so the graph flattens back
 // to c and has the content key of the graph c was flattened from. The
 // graph does not keep c: a caller's CSR is not known to be checked, so
-// the graph validates like one built edge by edge.
+// the graph, and any clone of it, validates like one built edge by
+// edge, plus the mirror check.
 func (c *CSR) ToGraph() *Graph {
 	nodes := make([]Node, c.NumNodes())
 	for n, w := range c.NodeW {
 		nodes[n] = Node{ID: NodeID(n), Label: fmt.Sprintf("t%d", n), Weight: w}
 	}
-	return c.graph(nodes)
+	g := c.graph(nodes)
+	g.fromCSR = true
+	return g
 }
 
 // TopoOrder returns the node indices in topological order (Kahn's

@@ -77,6 +77,13 @@ type Graph struct {
 	// it. It is written only before the graph is shared, and by the
 	// mutators, which already need exclusive access.
 	csr *CSR
+	// fromCSR marks a graph ToGraph built from a caller's CSR, whose
+	// two adjacency sides are whatever that CSR held. AddEdge,
+	// SetEdgeWeight, Clone and the decoder write both sides together, so
+	// only a marked graph can have sides that disagree, and only its
+	// validation runs the mirror check. Clone carries the mark; no
+	// mutator clears it, as none of them can make the sides agree.
+	fromCSR bool
 }
 
 // dupScanThreshold is the out-degree above which AddEdge switches from
@@ -201,7 +208,9 @@ func (g *Graph) SetEdgeWeight(from, to NodeID, w float64) bool {
 	return found
 }
 
-// Succ returns the outgoing edges of id. Shared storage; read-only.
+// Succ returns the outgoing edges of id. Shared storage; read-only: a
+// caller who writes through it or Pred's is outside the contract, as
+// Validate does not check that the two sides still agree.
 func (g *Graph) Succ(id NodeID) []Edge { return g.succ[id] }
 
 // Pred returns the incoming edges of id. Shared storage; read-only.
@@ -299,13 +308,15 @@ func (g *Graph) CCR() float64 {
 // Clone returns a deep copy of the graph. Neither the lazily built
 // duplicate sets nor the decoder's CSR are copied: a clone that keeps
 // growing rebuilds the sets on the first AddEdge that needs one, and a
-// clone validates and flattens like any graph built edge by edge.
+// clone validates and flattens like any graph built edge by edge. A
+// clone of a graph ToGraph built keeps its mirror check.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		nodes: append([]Node(nil), g.nodes...),
-		succ:  make([][]Edge, len(g.succ)),
-		pred:  make([][]Edge, len(g.pred)),
-		ne:    g.ne,
+		nodes:   append([]Node(nil), g.nodes...),
+		succ:    make([][]Edge, len(g.succ)),
+		pred:    make([][]Edge, len(g.pred)),
+		ne:      g.ne,
+		fromCSR: g.fromCSR,
 	}
 	for i := range g.succ {
 		c.succ[i] = append([]Edge(nil), g.succ[i]...)
@@ -325,11 +336,15 @@ func (g *Graph) TopologicalOrder() ([]NodeID, error) {
 	return widen(order), nil
 }
 
-// Validate checks structural invariants: acyclicity, adjacency
-// consistency, well-formed weights (finite and non-negative on both
-// nodes and edges) and the absence of self-edges. Generators and
-// loaders call it before handing a graph to a scheduler; failures are
-// typed (ErrCycle, ErrBadWeight, ErrSelfLoop, ErrEdgeEndpoint) so CLI
+// Validate checks structural invariants: acyclicity, well-formed
+// weights (finite and non-negative on both nodes and edges), slot
+// owners and endpoints, and the absence of self-edges. On a graph
+// ToGraph built, or a clone of one, it also checks that the successor
+// and predecessor sides describe the same edges with the same weights
+// and that no (from, to) pair repeats; every other graph's sides agree
+// by construction (see fromCSR). Generators and loaders call it before
+// handing a graph to a scheduler; failures are typed (ErrCycle,
+// ErrBadWeight, ErrSelfLoop, ErrEdgeEndpoint, ErrDuplicateEdge) so CLI
 // load paths can report them instead of crashing. A graph DecodeJSON
 // built, and nothing has changed since, passed these checks when it was
 // decoded, so Validate returns nil at once.
@@ -360,13 +375,13 @@ func (g *Graph) ValidatedLevels() (*CSR, *Levels, error) {
 }
 
 // validated runs the checked flatten, then topo — a topological pass
-// over the CSR, which doubles as the cycle check — then the mirror
-// check. Errors keep Validate's precedence: a cycle first, then the
-// flatten's weight and slot failures, then the mirror. Mirror
-// consistency (every succ entry has exactly one pred twin with the
-// same weight, and no (from, to) pair repeats) is the CSR's O(v + e)
-// counting-sort comparison. A decoded graph's CSR is checked already,
-// so only topo runs.
+// over the CSR, which doubles as the cycle check — then, on a graph
+// ToGraph built, the mirror check. Errors keep Validate's precedence: a
+// cycle first, then the flatten's weight and slot failures, then the
+// mirror. Mirror consistency (every succ entry has exactly one pred
+// twin with the same weight, and no (from, to) pair repeats) is the
+// CSR's O(v + e) counting-sort comparison. A decoded graph's CSR is
+// checked already, so only topo runs.
 func (g *Graph) validated(topo func(*CSR) error) (*CSR, error) {
 	if g.csr != nil {
 		return g.csr, topo(g.csr)
@@ -379,8 +394,10 @@ func (g *Graph) validated(topo func(*CSR) error) (*CSR, error) {
 	if slotErr != nil {
 		return nil, slotErr
 	}
-	if err := c.checkMirror(); err != nil {
-		return nil, err
+	if g.fromCSR {
+		if err := c.checkMirror(); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

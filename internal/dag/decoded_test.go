@@ -36,7 +36,7 @@ func TestDecodedGraphKeepsItsCSR(t *testing.T) {
 	if err := flatten(&flat, g, true); err != nil {
 		t.Fatal(err)
 	}
-	csrEqual(t, c, &flat)
+	compareCSR(t, &flat, c)
 	lc, _, err := g.ValidatedLevels()
 	if err != nil || lc != c {
 		t.Fatalf("ValidatedLevels: CSR %p, err %v; want the decoder's %p", lc, err, c)
@@ -51,7 +51,7 @@ func TestDecodedGraphKeepsItsCSR(t *testing.T) {
 	if cc := BuildCSR(g.Clone()); cc == c {
 		t.Fatal("a clone shares the decoder's CSR")
 	} else {
-		csrEqual(t, cc, c)
+		compareCSR(t, c, cc)
 	}
 }
 

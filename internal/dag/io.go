@@ -30,18 +30,85 @@ type jsonEdge struct {
 }
 
 // WriteJSON serializes the graph to w in a stable, human-diffable JSON
-// form. name is an optional graph title stored in the file.
+// form, its edges in (from, to) order. name is an optional graph title
+// stored in the file.
 func WriteJSON(w io.Writer, g *Graph, name string) error {
+	return writeJSON(w, g, name, g.Edges())
+}
+
+// WriteJSONSlotOrder is WriteJSON with the edges in an order DecodeJSON
+// scatters back into g's own successor and predecessor slot orders (see
+// slotOrder), so the graph reads back as the same scheduling input,
+// under the same content key. Where (from, to) order already does that,
+// and for a graph with no such order (only ToGraph can build one), the
+// output is WriteJSON's.
+func WriteJSONSlotOrder(w io.Writer, g *Graph, name string) error {
+	edges, ok := g.slotOrder()
+	if !ok {
+		edges = g.Edges()
+	}
+	return writeJSON(w, g, name, edges)
+}
+
+// writeJSON writes g's nodes and the given edges in the file form.
+func writeJSON(w io.Writer, g *Graph, name string, edges []Edge) error {
 	jg := jsonGraph{Name: name}
 	for _, n := range g.Nodes() {
 		jg.Nodes = append(jg.Nodes, jsonNode{ID: int(n.ID), Label: n.Label, Weight: n.Weight})
 	}
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		jg.Edges = append(jg.Edges, jsonEdge{From: int(e.From), To: int(e.To), Weight: e.Weight})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(jg)
+}
+
+// slotOrder lists g's edges in an order whose file-order scatter
+// rebuilds both slot orders: each edge comes after the one before it in
+// its parent's successor list and after the one before it in its
+// child's predecessor list. Such an order exists for every graph built
+// edge by edge (its insertion order) and every decoded one (its file
+// order). An edge is ready once it heads both lists, and taking it can
+// ready only the next edge of either list. Each parent has at most one
+// ready edge, its successor-list head, so a heap of parents takes the
+// ready edge with the smallest (from, to) first, and where (from, to)
+// order satisfies both lists it is the order produced. ok is false
+// when the walk stalls: the two lists' orders contradict each other, or
+// the sides disagree.
+func (g *Graph) slotOrder() (edges []Edge, ok bool) {
+	v := len(g.nodes)
+	nextSucc := make([]int, v) // each node's first successor slot not yet listed
+	nextPred := make([]int, v) // each node's first predecessor slot not yet listed
+	// ready reports whether n's next successor slot is an edge into to
+	// that heads to's predecessor list too.
+	ready := func(n, to NodeID) bool {
+		return nextSucc[n] < len(g.succ[n]) && g.succ[n][nextSucc[n]].To == to && g.valid(to) &&
+			nextPred[to] < len(g.pred[to]) && g.pred[to][nextPred[to]].From == n
+	}
+	h := &i32Heap{}
+	for n := range NodeID(v) {
+		if len(g.succ[n]) > 0 && ready(n, g.succ[n][0].To) {
+			h.push(int32(n))
+		}
+	}
+	edges = make([]Edge, 0, g.ne)
+	for h.len() > 0 {
+		n := NodeID(h.pop())
+		e := g.succ[n][nextSucc[n]]
+		edges = append(edges, e)
+		nextSucc[n]++
+		nextPred[e.To]++
+		if s := g.succ[n]; nextSucc[n] < len(s) && ready(n, s[nextSucc[n]].To) {
+			h.push(int32(n))
+		}
+		if p := g.pred[e.To]; nextPred[e.To] < len(p) {
+			if from := p[nextPred[e.To]].From; from != n && g.valid(from) && ready(from, e.To) {
+				h.push(int32(from))
+			}
+		}
+	}
+	return edges, len(edges) == g.ne
 }
 
 // ReadJSON parses a graph previously written by WriteJSON. Node IDs in

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -139,4 +140,59 @@ func sameEdgeList(a, b []Edge) bool {
 		}
 	}
 	return true
+}
+
+// TestWriteJSONSlotOrder holds WriteJSONSlotOrder to its contract. A
+// graph built edge by edge in random order reads back slot for slot,
+// and so does the graph decoded from that file. A graph whose lists all
+// ascend gets WriteJSON's bytes. A CSR whose slot orders no edge order
+// gives — 0's children 2 then 3, 3's parents 0 then 1, 1's children 3
+// then 2, 2's parents 1 then 0 — gets WriteJSON's bytes too.
+func TestWriteJSONSlotOrder(t *testing.T) {
+	write := func(g *Graph, w func(io.Writer, *Graph, string) error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := w(&buf, g, "g"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	read := func(b []byte) *Graph {
+		t.Helper()
+		g, _, err := ReadJSON(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		g := randomGraph(t, 40, seed)
+		back := read(write(g, WriteJSONSlotOrder))
+		graphsEqual(t, back, g)
+		graphsEqual(t, read(write(back, WriteJSONSlotOrder)), g)
+
+		sorted := read(write(g, WriteJSON))
+		if got, want := write(sorted, WriteJSONSlotOrder), write(sorted, WriteJSON); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: ascending lists written\n%s\nwant WriteJSON's\n%s", seed, got, want)
+		}
+	}
+	c := &CSR{
+		PredOff:  []int32{0, 0, 0, 2, 4},
+		PredFrom: []int32{1, 0, 0, 1},
+		PredW:    []float64{1, 1, 1, 1},
+		SuccOff:  []int32{0, 2, 4, 4, 4},
+		SuccTo:   []int32{2, 3, 3, 2},
+		SuccW:    []float64{1, 1, 1, 1},
+		NodeW:    []float64{1, 1, 1, 1},
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g := c.ToGraph()
+	if _, ok := g.slotOrder(); ok {
+		t.Fatal("slotOrder found an order for contradicting slot orders")
+	}
+	if got, want := write(g, WriteJSONSlotOrder), write(g, WriteJSON); !bytes.Equal(got, want) {
+		t.Fatalf("fallback wrote\n%s\nwant WriteJSON's\n%s", got, want)
+	}
 }

@@ -180,7 +180,7 @@ func sameOutcome(t *testing.T, input string, g *Graph, err error, og *Graph, oer
 	if err := flatten(&flat, g, true); err != nil {
 		t.Fatalf("decoded graph fails the checked flatten for %q: %v", input, err)
 	}
-	csrEqual(t, g.csr, &flat)
+	compareCSR(t, &flat, g.csr)
 }
 
 // TestReadJSONParity runs the seeds, plus encoding/json's nesting limit

@@ -49,26 +49,7 @@ func FuzzStreamSTG(f *testing.F) {
 			t.Fatalf("ReadSTG rejects what StreamSTG accepts: %v", err)
 		}
 		graphsEqual(t, read, g)
-		want := BuildCSR(g)
-		if c.NumNodes() != want.NumNodes() || c.NumEdges() != want.NumEdges() {
-			t.Fatalf("shape (%d,%d) != (%d,%d)", c.NumNodes(), c.NumEdges(), want.NumNodes(), want.NumEdges())
-		}
-		for i := range want.PredOff {
-			if c.PredOff[i] != want.PredOff[i] || c.SuccOff[i] != want.SuccOff[i] {
-				t.Fatalf("offsets diverge at node %d", i)
-			}
-		}
-		for i := range want.PredFrom {
-			if c.PredFrom[i] != want.PredFrom[i] || c.PredW[i] != want.PredW[i] ||
-				c.SuccTo[i] != want.SuccTo[i] || c.SuccW[i] != want.SuccW[i] {
-				t.Fatalf("arenas diverge at slot %d", i)
-			}
-		}
-		for n := range want.NodeW {
-			if c.NodeW[n] != want.NodeW[n] {
-				t.Fatalf("node %d weight %v != %v", n, c.NodeW[n], want.NodeW[n])
-			}
-		}
+		compareCSR(t, BuildCSR(g), c)
 	})
 }
 

@@ -20,33 +20,6 @@ var stgFixtures = []string{
 	"6\n0 1 0\n1 1 0\n2 1 2 1 0\n3 1 1 2\n4 1 2 0 2\n5 1 3 4 3 2\n",
 }
 
-// csrEqual compares every arena of two CSRs bit for bit.
-func csrEqual(t *testing.T, got, want *CSR) {
-	t.Helper()
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("shape (%d,%d) != (%d,%d)", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
-	}
-	for i := range want.PredOff {
-		if got.PredOff[i] != want.PredOff[i] || got.SuccOff[i] != want.SuccOff[i] {
-			t.Fatalf("offsets diverge at node %d: pred %d/%d succ %d/%d",
-				i, got.PredOff[i], want.PredOff[i], got.SuccOff[i], want.SuccOff[i])
-		}
-	}
-	for i := range want.PredFrom {
-		if got.PredFrom[i] != want.PredFrom[i] || got.PredW[i] != want.PredW[i] {
-			t.Fatalf("pred slot %d: (%d,%v) != (%d,%v)", i, got.PredFrom[i], got.PredW[i], want.PredFrom[i], want.PredW[i])
-		}
-		if got.SuccTo[i] != want.SuccTo[i] || got.SuccW[i] != want.SuccW[i] {
-			t.Fatalf("succ slot %d: (%d,%v) != (%d,%v)", i, got.SuccTo[i], got.SuccW[i], want.SuccTo[i], want.SuccW[i])
-		}
-	}
-	for n := range want.NodeW {
-		if got.NodeW[n] != want.NodeW[n] {
-			t.Fatalf("node %d weight %v != %v", n, got.NodeW[n], want.NodeW[n])
-		}
-	}
-}
-
 // graphsEqual compares two graphs slot for slot: labels, weights, and
 // the exact order of every adjacency list — the strictest equality the
 // schedulers' determinism contract depends on.
@@ -91,7 +64,7 @@ func TestStreamSTGBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StreamSTG(%q): %v", fix, err)
 		}
-		csrEqual(t, c, BuildCSR(want))
+		compareCSR(t, BuildCSR(want), c)
 		graphsEqual(t, c.ToGraph(), want)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("Validate(%q): %v", fix, err)
@@ -203,7 +176,7 @@ func TestStreamEdgeListRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csrEqual(t, c2, BuildCSR(canon))
+		compareCSR(t, BuildCSR(canon), c2)
 		graphsEqual(t, c2.ToGraph(), canon)
 	}
 }
@@ -291,7 +264,7 @@ func TestStreamSTGAcceptanceAgreement(t *testing.T) {
 			t.Fatalf("acceptance diverges on %q: oracle=%v stream=%v ReadSTG=%v", in, errOracle, errStream, errRead)
 		}
 		if errOracle == nil {
-			csrEqual(t, c, BuildCSR(g))
+			compareCSR(t, BuildCSR(g), c)
 			graphsEqual(t, c.ToGraph(), g)
 			graphsEqual(t, read, g)
 		}

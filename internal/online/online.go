@@ -413,8 +413,9 @@ func admit(job Job, seq int) (*jobState, error) {
 	for i, n := range cg.CPNDominate {
 		js.rank[n] = int32(i)
 	}
-	for i := 0; i < v; i++ {
-		js.pending[i] = int32(len(job.Graph.Pred(dag.NodeID(i))))
+	off := cg.CSR.PredOff
+	for i := range js.pending {
+		js.pending[i] = off[i+1] - off[i]
 	}
 	return js, nil
 }
@@ -474,8 +475,9 @@ func (e *engine) onFinish(ev event) {
 	if f := js.finish[ev.node]; f > js.maxFinish {
 		js.maxFinish = f
 	}
-	for _, edge := range js.job.Graph.Succ(dag.NodeID(ev.node)) {
-		child := int(edge.To)
+	c := js.cg.CSR
+	for _, to := range c.SuccTo[c.SuccOff[ev.node]:c.SuccOff[ev.node+1]] {
+		child := int(to)
 		js.pending[child]--
 		if js.pending[child] == 0 && js.status[child] == taskUnscheduled {
 			e.ready.Push(taskRef{job: js.seq, node: child})

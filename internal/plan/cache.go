@@ -67,8 +67,8 @@ func (c *Cache) Peek(key Key) bool { return c.c.Contains(key) }
 // in this order restores its LRU order under the same content keys.
 // The warm-restart snapshot uses it to persist the set of graphs worth
 // recompiling on the next start; a serialization that reorders a
-// node's parents, as the dag JSON form does when they do not ascend,
-// changes that graph's key.
+// node's children or parents changes that graph's key, so the snapshot
+// writes each with dag.WriteJSONSlotOrder.
 func (c *Cache) Graphs() []*dag.Graph {
 	if c == nil {
 		return nil

@@ -128,9 +128,11 @@ type CompiledGraph struct {
 // Compile validates g exactly as Graph.Validate does, then analyzes it
 // once. Validation rides on the analysis: the CSR comes from Validate's
 // checked flatten and the levels kernel's topological pass is the cycle
-// check, so over an unchecked compile it adds only the per-slot checks
-// and the mirror check. An invalid graph gets Validate's error
-// (errors.Is matches the same dag sentinel); an empty one errors too.
+// check, so over an unchecked compile it adds only the per-slot checks,
+// plus the mirror check on a graph CSR.ToGraph built (the only kind
+// whose two adjacency sides can disagree). An invalid graph gets
+// Validate's error (errors.Is matches the same dag sentinel); an empty
+// one errors too.
 func Compile(g *dag.Graph) (*CompiledGraph, error) {
 	csr, l, err := g.ValidatedLevels()
 	if err != nil {

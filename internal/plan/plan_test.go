@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -407,5 +408,60 @@ func TestCacheCountersAddUp(t *testing.T) {
 	hits = reg.Counter("plan.compile_hits").Value()
 	if _, err := c.Get(graphs[0]); err != nil || reg.Counter("plan.compile_hits").Value() != hits+1 {
 		t.Errorf("a repeated graph was not served as a hit (err %v)", err)
+	}
+}
+
+// TestCompileAllocs pins Compile's allocations on a graph built edge
+// by edge. Its two adjacency sides agree by construction, so admission
+// runs no mirror check: the check's six edge-sized arrays and its
+// counting table would add seven.
+func TestCompileAllocs(t *testing.T) {
+	g := schedtest.RandomLayered(rand.New(rand.NewSource(1)), 100)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(g); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 29 {
+		t.Fatalf("Compile allocates %.0f times on a v=%d, e=%d graph, want at most 29", n, g.NumNodes(), g.NumEdges())
+	}
+}
+
+// TestToGraphKeepsMirrorCheck passes CSRs whose two sides disagree, or
+// repeat a (from, to) pair on both, through ToGraph, and through
+// ToGraph then Clone. Graph.Validate, ValidatedLevels and Compile must
+// each reject every one with the mirror check's error.
+func TestToGraphKeepsMirrorCheck(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(c *dag.CSR)
+		want   string
+	}{
+		{"mirror weight mismatch", func(c *dag.CSR) { c.PredW[0] = 9 },
+			"dag: csr: succ/pred mismatch at canonical edge 0"},
+		{"mirror endpoint mismatch", func(c *dag.CSR) { c.PredFrom[2] = 0; c.PredW[2] = 4 },
+			"dag: csr: succ/pred mismatch at canonical edge 2"},
+		// 0 -> 1 becomes a second 0 -> 2 on both sides.
+		{"repeated pair", func(c *dag.CSR) { c.SuccTo[0] = 2; c.PredOff[2] = 0 },
+			"dag: duplicate edge: 0 -> 2"},
+	}
+	for _, tc := range cases {
+		c, err := dag.StreamEdgeList(strings.NewReader("v 3\nn 1\nn 2\nn 3\ne 0 1 4\ne 0 2 5\ne 1 2 6\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(c)
+		for _, clone := range []bool{false, true} {
+			g := c.ToGraph()
+			if clone {
+				g = g.Clone()
+			}
+			_, _, levelsErr := g.ValidatedLevels()
+			_, compileErr := Compile(g)
+			for entry, err := range map[string]error{"Validate": g.Validate(), "ValidatedLevels": levelsErr, "Compile": compileErr} {
+				if fmt.Sprint(err) != tc.want {
+					t.Errorf("%s (clone %v): %s error %v, want %q", tc.name, clone, entry, err, tc.want)
+				}
+			}
+		}
 	}
 }

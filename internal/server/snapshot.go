@@ -47,9 +47,9 @@ type snapshotFile struct {
 	// Results are the result-cache entries; keys are hex SHA-256.
 	Results []snapshotResult `json:"results"`
 	// Graphs are the plan-cache graphs, rebuilt from the plans' CSRs, in
-	// the dag JSON format, which lists edges parent by parent. A graph
-	// whose parent lists ascend, as every graph decoded from that form
-	// does, reads back under the same content key.
+	// the dag JSON format, their edges listed so that decoding rebuilds
+	// both slot orders (dag.WriteJSONSlotOrder). Each reads back under
+	// the content key its plan was cached under.
 	Graphs []json.RawMessage `json:"graphs"`
 }
 
@@ -66,7 +66,7 @@ func snapshotState(e *batch.Engine, now time.Time) (*snapshotFile, error) {
 	}
 	for _, g := range e.SnapshotGraphs() {
 		var buf bytes.Buffer
-		if err := dag.WriteJSON(&buf, g, ""); err != nil {
+		if err := dag.WriteJSONSlotOrder(&buf, g, ""); err != nil {
 			return nil, err
 		}
 		sf.Graphs = append(sf.Graphs, json.RawMessage(bytes.TrimSpace(buf.Bytes())))

@@ -187,6 +187,95 @@ func TestWarmRestartCacheHit(t *testing.T) {
 	}
 }
 
+// TestWarmRestartKeepsSlotOrder restarts from a snapshot of graphs
+// whose edges the client listed out of (from, to) order: a child before
+// a lower one of the same parent, and a parent before a lower one of
+// the same child. Each snapshot graph must read back under the content
+// key its live plan had, so the same bodies under another seed compile
+// nothing on the serving path.
+func TestWarmRestartKeepsSlotOrder(t *testing.T) {
+	type node struct {
+		ID     int     `json:"id"`
+		Weight float64 `json:"weight"`
+	}
+	type edge struct {
+		From   int     `json:"from"`
+		To     int     `json:"to"`
+		Weight float64 `json:"weight"`
+	}
+	type graph struct {
+		Nodes []node `json:"nodes"`
+		Edges []edge `json:"edges"`
+	}
+	// 1 -> 2 before 0 -> 2, and 0 -> 2 before 0 -> 1.
+	tri := graph{
+		Nodes: []node{{0, 2}, {1, 3}, {2, 4}, {3, 1}},
+		Edges: []edge{{1, 2, 6}, {0, 2, 5}, {0, 1, 1}, {2, 3, 2}, {1, 3, 3}},
+	}
+	// A layered graph with its edges in shuffled order.
+	rng := rand.New(rand.NewSource(5))
+	g := schedtest.RandomLayered(rng, 40)
+	var shuffled graph
+	for n := 0; n < g.NumNodes(); n++ {
+		shuffled.Nodes = append(shuffled.Nodes, node{n, g.Weight(dag.NodeID(n))})
+		for _, e := range g.Succ(dag.NodeID(n)) {
+			shuffled.Edges = append(shuffled.Edges, edge{int(e.From), int(e.To), e.Weight})
+		}
+	}
+	rng.Shuffle(len(shuffled.Edges), func(i, j int) {
+		shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
+	})
+	graphs := []graph{tri, shuffled}
+	body := func(gr graph, seed int64) []byte {
+		raw, err := json.Marshal(gr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(submitRequest{Graph: raw, Procs: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	post := func(url string, b []byte) {
+		t.Helper()
+		resp := postJSON(t, url+"/v1/schedule", b, "")
+		if got := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d: %s", resp.StatusCode, got)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "snap")
+	s1, ts1 := newTestServer(t, Options{Workers: 1, SnapshotPath: path})
+	for _, gr := range graphs {
+		post(ts1.URL, body(gr, 1))
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	reg := obs.NewRegistry()
+	s2, err := New(Options{Workers: 1, SnapshotPath: path, Metrics: reg})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		_ = s2.Close()
+	})
+	if rs := s2.Restored(); rs.Plans != len(graphs) {
+		t.Fatalf("restored %d plans, want %d", rs.Plans, len(graphs))
+	}
+	compileMisses := reg.Counter("plan.compile_misses").Value()
+	for _, gr := range graphs {
+		post(ts2.URL, body(gr, 2))
+	}
+	if d := reg.Counter("plan.compile_misses").Value() - compileMisses; d != 0 {
+		t.Errorf("plan.compile_misses grew by %d on the serving path, want 0: a snapshot graph read back under another key", d)
+	}
+}
+
 func TestPeriodicSnapshotLoop(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap")
 	s, ts := newTestServer(t, Options{Workers: 1, SnapshotPath: path, SnapshotEvery: 20 * time.Millisecond})

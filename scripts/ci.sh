@@ -23,6 +23,8 @@ go build ./...
 echo "== vet"
 go vet ./...
 go vet ./cmd/...
+# bench/ is its own module, so the root ./... never reaches it.
+(cd bench && go vet ./...)
 
 echo "== gofmt"
 # Every tracked Go file, bench/ included, must be gofmt-clean.
