@@ -4,9 +4,11 @@ package dag
 // sets, for the external tests that also need plan.GraphKey.
 func HasDupSet(g *Graph) bool { return g.dupSet != nil }
 
-// StreamEdgeListOracle and CompareCSR lend the field-split reader and
-// the bit-for-bit CSR comparison to the external scale test.
+// StreamEdgeListOracle, CompareCSR and Chunked lend the field-split
+// reader, the bit-for-bit CSR comparison and the chunking reader to the
+// external scale test.
 var (
 	StreamEdgeListOracle = streamEdgeListOracle
 	CompareCSR           = compareCSR
+	Chunked              = chunked
 )

@@ -143,34 +143,14 @@ func (c *CSR) StaticLevels(l *CompactLevels, a *ScaleArena) []float64 {
 // PriorityOrder returns the nodes of order sorted by decreasing key,
 // ties kept in their position in order. With order topological and a
 // key that never rises from parent to child (b-level, static level)
-// the result is itself a topological order. It is a bottom-up stable
-// merge sort over int32, free of sort.Slice's interface overhead on
-// 10⁶ elements; its two buffers are drawn from a (nil falls back to
-// make) and the spare one is released.
+// the result is itself a topological order. It is SortByKey on a copy
+// of order, so O(v) from the radix cutoff up; the copy and the
+// kernel's scratch are drawn from a (nil falls back to make) and the
+// scratch is released.
 func PriorityOrder(key []float64, order []int32, a *ScaleArena) []int32 {
-	v := len(order)
-	prio := a.I32(v)
+	prio, buf := a.I32(len(order)), a.I32(len(order))
 	copy(prio, order)
-	buf := a.I32(v)
-	for width := 1; width < v; width *= 2 {
-		for lo := 0; lo < v; lo += 2 * width {
-			mid, hi := min(lo+width, v), min(lo+2*width, v)
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if key[prio[j]] > key[prio[i]] {
-					buf[k] = prio[j]
-					j++
-				} else {
-					buf[k] = prio[i]
-					i++
-				}
-				k++
-			}
-			copy(buf[k:hi], prio[i:mid])
-			copy(buf[k+mid-i:hi], prio[j:hi])
-		}
-		prio, buf = buf, prio
-	}
+	SortByKey(prio, key, true, buf)
 	a.ReleaseI32(buf)
 	return prio
 }

@@ -8,6 +8,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/schedtest"
+	"fastsched/internal/workload"
 )
 
 // sortedByKey is the order PriorityOrder replaced: order sorted by
@@ -30,9 +31,10 @@ func sortedByKey(key []float64, order []int32) []int32 {
 
 // TestPriorityOrderMatchesSortReference pins the one level order
 // against the sort.SliceStable reference, with and without an arena:
-// on the oracle corpus and random layered graphs by b-level and static
-// level, and on random orders with keys drawn from three values, so
-// almost every comparison is a tie.
+// on the oracle corpus, random layered graphs and a layered CSR above
+// the radix cutoff by b-level and static level, and on random orders
+// with keys drawn from three values, so almost every comparison is a
+// tie.
 func TestPriorityOrderMatchesSortReference(t *testing.T) {
 	a := dag.NewScaleArena()
 	check := func(name string, key []float64, order []int32) {
@@ -68,8 +70,21 @@ func TestPriorityOrderMatchesSortReference(t *testing.T) {
 			}
 		}
 	}
-	for range 200 {
+	c, err := workload.LayeredCSR(workload.LayeredOpts{V: 5000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l dag.CompactLevels
+	if _, err := c.ComputeLevelsCompactArena(&l, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("layered b-level", l.BLevel, l.Order)
+	check("layered static level", c.StaticLevels(&l, nil), l.Order)
+	for i := range 210 {
 		v := rng.Intn(70)
+		if i >= 200 {
+			v = 1000 + rng.Intn(3000)
+		}
 		key := make([]float64, v)
 		for i := range key {
 			key[i] = float64(rng.Intn(3))

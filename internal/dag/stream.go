@@ -156,10 +156,11 @@ func StreamEdgeList(r io.Reader) (*CSR, error) {
 // returned CSR's arrays belong to the arena and are invalidated by its
 // next Reset; parse one graph per arena cycle.
 //
-// A line in the writers' own shape (canonicalLine) is converted in the
-// pass that finds its fields; every other line is split into fields
-// and parsed token by token. Both give the same values and the same
-// errors.
+// A line in the writers' own shape (canonicalLine) is converted
+// straight from the read buffer, in the one pass that finds its fields
+// and its end; every other line, and one the buffer cuts short, is
+// read to its end, split into fields and parsed token by token. Both
+// give the same values and the same errors.
 func StreamEdgeListArena(r io.Reader, a *ScaleArena) (*CSR, error) {
 	var sc fieldScanner
 	sc.init(r, a)
@@ -182,16 +183,18 @@ func StreamEdgeListArena(r io.Reader, a *ScaleArena) (*CSR, error) {
 		ew    []float64
 	)
 	for {
-		line, err := sc.lr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dag: edgelist: %w", err)
-		}
-		kind, from, to, w, ok := canonicalLine(line)
+		kind, from, to, w, used := canonicalLine(sc.lr.buf[sc.lr.start:sc.lr.end])
 		var f [][]byte // the fields of a line the canonical pass did not take
-		if !ok {
+		if used > 0 {
+			sc.lr.start += used
+		} else {
+			line, err := sc.lr.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("dag: edgelist: %w", err)
+			}
 			if f = sc.split(line); len(f) == 0 {
 				continue
 			}
@@ -249,44 +252,46 @@ func StreamEdgeListArena(r io.Reader, a *ScaleArena) (*CSR, error) {
 	return c, nil
 }
 
-// canonicalLine converts, in one pass, a line in the shape WriteEdgeList
-// and workload.WriteLayeredEdgeList emit: "n <w>" or "e <from> <to> <w>",
-// the tokens separated by single spaces, each a run of 1–15 ASCII
-// digits (so each converts exactly, as in atoiBytes and
-// parseFloatBytes). ok is false for every other line, which the field
-// split handles: comments, tabs, runs of blanks, signs, decimals,
-// exponents, longer digit runs and bytes >= 0x80.
-func canonicalLine(line []byte) (kind byte, from, to int, w float64, ok bool) {
-	if len(line) < 3 || line[0] != 'n' && line[0] != 'e' {
-		return 0, 0, 0, 0, false
+// canonicalLine converts, in one pass, the line at the start of buf
+// when it has the shape WriteEdgeList and workload.WriteLayeredEdgeList
+// emit: "n <w>" or "e <from> <to> <w>", the tokens separated by single
+// spaces, each a run of 1–15 ASCII digits (so each converts exactly, as
+// in atoiBytes and parseFloatBytes), ended by a '\n' inside buf. It
+// returns how many bytes the line took, its '\n' included, or 0 for
+// every other line, which the field split handles: a line buf cuts
+// short, CR-LF endings, comments, tabs, runs of blanks, signs,
+// decimals, exponents, longer digit runs and bytes >= 0x80.
+func canonicalLine(buf []byte) (kind byte, from, to int, w float64, used int) {
+	if len(buf) < 4 || buf[0] != 'n' && buf[0] != 'e' {
+		return 0, 0, 0, 0, 0
 	}
 	var x [3]int
 	tokens := 1
-	if line[0] == 'e' {
+	if buf[0] == 'e' {
 		tokens = 3
 	}
 	i := 1
 	for t := range tokens {
-		if i == len(line) || line[i] != ' ' {
-			return 0, 0, 0, 0, false
+		if i == len(buf) || buf[i] != ' ' {
+			return 0, 0, 0, 0, 0
 		}
 		i++
 		start, v := i, 0
-		for ; i < len(line) && line[i]-'0' <= 9; i++ {
-			v = v*10 + int(line[i]-'0')
+		for ; i < len(buf) && buf[i]-'0' <= 9; i++ {
+			v = v*10 + int(buf[i]-'0')
 		}
 		if i == start || i-start > 15 {
-			return 0, 0, 0, 0, false
+			return 0, 0, 0, 0, 0
 		}
 		x[t] = v
 	}
-	if i != len(line) {
-		return 0, 0, 0, 0, false
+	if i == len(buf) || buf[i] != '\n' {
+		return 0, 0, 0, 0, 0
 	}
 	if tokens == 1 {
-		return 'n', 0, 0, float64(x[0]), true
+		return 'n', 0, 0, float64(x[0]), i + 1
 	}
-	return 'e', x[0], x[1], float64(x[2]), true
+	return 'e', x[0], x[1], float64(x[2]), i + 1
 }
 
 // FinishCSR assembles a CSR from columnar raw data — per-node weights

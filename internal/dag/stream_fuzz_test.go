@@ -1,8 +1,10 @@
 package dag
 
 import (
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzStreamSTG differentially fuzzes the streaming STG reader against
@@ -58,7 +60,12 @@ func FuzzStreamSTG(f *testing.F) {
 // both must agree on acceptance and error text, and on an accepted
 // input every CSR array must match bit for bit and validate. The seeds
 // include every shape the canonical-line pass hands to the field
-// split.
+// split. The reader also reads through iotest.HalfReader and, for
+// inputs under 64 KiB, iotest.OneByteReader and a 7-byte chunkReader,
+// so lines cross the line reader's refills: the canonical pass must
+// decline every line whose end is not yet buffered. (A longer input in
+// such small reads would cost the line reader, which rescans its window
+// after every Read, time quadratic in the longest line.)
 func FuzzStreamEdgeList(f *testing.F) {
 	f.Add("v 2\nn 1\nn 2\ne 0 1 3\n")
 	f.Add("v 1\nn 0\n")
@@ -90,13 +97,22 @@ func FuzzStreamEdgeList(f *testing.F) {
 	f.Add("v 1\nn " + strings.Repeat("1", 1<<20) + "\n") // a line over 1 MiB
 	f.Fuzz(func(t *testing.T, input string) {
 		want, errWant := streamEdgeListOracle(strings.NewReader(input), nil)
-		for _, a := range []*ScaleArena{nil, NewScaleArena()} {
-			got, err := StreamEdgeListArena(strings.NewReader(input), a)
-			if (err == nil) != (errWant == nil) || err != nil && err.Error() != errWant.Error() {
-				t.Fatalf("arena %v: reader error %v, oracle %v", a != nil, err, errWant)
-			}
-			if err == nil {
-				compareCSR(t, want, got)
+		readers := []func(io.Reader) io.Reader{
+			func(r io.Reader) io.Reader { return r },
+			iotest.HalfReader,
+		}
+		if len(input) < 1<<16 {
+			readers = append(readers, iotest.OneByteReader, chunked(7))
+		}
+		for k, wrap := range readers {
+			for _, a := range []*ScaleArena{nil, NewScaleArena()} {
+				got, err := StreamEdgeListArena(wrap(strings.NewReader(input)), a)
+				if (err == nil) != (errWant == nil) || err != nil && err.Error() != errWant.Error() {
+					t.Fatalf("reader %d, arena %v: reader error %v, oracle %v", k, a != nil, err, errWant)
+				}
+				if err == nil {
+					compareCSR(t, want, got)
+				}
 			}
 		}
 		if errWant != nil {
@@ -110,3 +126,18 @@ func FuzzStreamEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// chunked wraps a reader so each Read returns at most n bytes. After
+// iotest.OneByteReader's reads the line reader's window holds no more
+// than one line, ended; after these it can end anywhere inside a line,
+// which is what the canonical pass must decline.
+func chunked(n int) func(io.Reader) io.Reader {
+	return func(r io.Reader) io.Reader { return chunkReader{r, n} }
+}
+
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }

@@ -3,9 +3,11 @@ package dag_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"testing"
+	"testing/iotest"
 
 	"fastsched/internal/dag"
 	"fastsched/internal/workload"
@@ -19,6 +21,22 @@ import (
 // paths alternate line by line. Every CSR array must match bit for bit,
 // and the rewritten text must give the graph the original does.
 func TestStreamEdgeListOracleAtScale(t *testing.T) {
+	checkEdgeListOracleAtScale(t, func(r io.Reader) io.Reader { return r })
+}
+
+// TestStreamEdgeListChunkedOracleAtScale is the same check with the
+// reader reading through iotest.OneByteReader, where every line crosses
+// a refill and so takes the fallback; through iotest.HalfReader, where
+// the few lines that cross a refill take it among canonical ones; and
+// 7 bytes at a time, where the window ends inside a line after almost
+// every line. The oracle reads the whole text at once.
+func TestStreamEdgeListChunkedOracleAtScale(t *testing.T) {
+	checkEdgeListOracleAtScale(t, iotest.OneByteReader, iotest.HalfReader, dag.Chunked(7))
+}
+
+// checkEdgeListOracleAtScale reads both texts through each of wraps.
+func checkEdgeListOracleAtScale(t *testing.T, wraps ...func(io.Reader) io.Reader) {
+	t.Helper()
 	v := 20000
 	if s := os.Getenv("FASTSCHED_SCALE_V"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 1 {
@@ -39,15 +57,17 @@ func TestStreamEdgeListOracleAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dag.StreamEdgeList(bytes.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dag.CompareCSR(t, want, got)
-		if first == nil {
-			first = got
-		} else {
-			dag.CompareCSR(t, first, got)
+		for _, wrap := range wraps {
+			got, err := dag.StreamEdgeList(wrap(bytes.NewReader(text)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dag.CompareCSR(t, want, got)
+			if first == nil {
+				first = got
+			} else {
+				dag.CompareCSR(t, first, got)
+			}
 		}
 	}
 }

@@ -104,7 +104,7 @@ func TestStreamSTGErrors(t *testing.T) {
 
 // randomGraph builds a random DAG with edges inserted in random order —
 // the adversarial case for the slot-order-preserving round trip.
-func randomGraph(t *testing.T, v int, seed int64) *Graph {
+func randomGraph(t testing.TB, v int, seed int64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := New(v)

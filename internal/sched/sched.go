@@ -6,7 +6,6 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -151,8 +150,10 @@ func (s *Schedule) procView() *procView {
 
 // buildView groups the assigned nodes by processor with a stable LSD
 // radix sort — one counting pass per significant byte of the largest
-// processor ID, so memory stays O(v) however sparse the IDs are — then
-// sorts each processor's nodes by (start, node).
+// processor ID, so memory stays O(v) however sparse the IDs are — which
+// leaves each processor's nodes in ID order, then sorts each group by
+// start with dag.SortByKey. That sort is stable, so ties stay in ID
+// order, and from its radix cutoff up it is O(len) per group.
 func (s *Schedule) buildView() *procView {
 	var top int32
 	in := make([]int32, 0, len(s.proc))
@@ -190,19 +191,9 @@ func (s *Schedule) buildView() *procView {
 		}
 	}
 	vw.off = append(vw.off, int32(len(in)))
-	// Plain comparisons rather than cmp.Compare's NaN ordering, which
-	// costs a fifth of the sort: validation rejects NaN starts before it
-	// builds the view.
-	byStart := func(a, b int32) int {
-		if sa, sb := s.start[a], s.start[b]; sa < sb {
-			return -1
-		} else if sa > sb {
-			return 1
-		}
-		return cmp.Compare(a, b)
-	}
 	for i := range vw.procs {
-		slices.SortFunc(vw.nodes[vw.off[i]:vw.off[i+1]], byStart)
+		lo, hi := vw.off[i], vw.off[i+1]
+		dag.SortByKey(in[lo:hi], s.start, false, out[lo:hi])
 	}
 	return vw
 }
@@ -302,9 +293,11 @@ func ValidateDurations(g *dag.Graph, s *Schedule, dur []float64) error {
 func ValidateFlat(c *dag.CSR, s *Flat) error { return validate(c, s, nil) }
 
 // validate is the one validation core behind Validate,
-// ValidateDurations and ValidateFlat. It runs in O(v log v + e): the
-// exclusivity check walks each processor's tasks in start order and
-// compares neighbours, never all pairs.
+// ValidateDurations and ValidateFlat. It runs in O(v + e): the view
+// orders each processor's tasks by start with dag.SortByKey, in linear
+// time from its radix cutoff up and in a bounded number of comparisons
+// per task below it, and the exclusivity check walks each processor's
+// tasks in that order and compares neighbours, never all pairs.
 func validate(c *dag.CSR, s *Schedule, dur []float64) error {
 	const eps = 1e-6
 	v := c.NumNodes()

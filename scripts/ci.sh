@@ -62,8 +62,10 @@ echo "== streaming scale smoke (v=100000, race)"
 # field-split oracle at this size, on the generated text (the canonical
 # pass) and on the same graph with comments, tabs, CRLF endings and
 # exponent-form weights interleaved (the fallback), slot for slot.
+# TestStreamEdgeListChunkedOracleAtScale repeats that check reading a
+# byte and half a buffer at a time, so lines cross the reader's refills.
 FASTSCHED_SCALE_V=100000 go test -race -timeout 300s \
-    -run 'TestScaleSmoke|TestScaleArenaWarmZeroAllocs|TestValidateFlatBig|TestStreamEdgeListOracleAtScale' \
+    -run 'TestScaleSmoke|TestScaleArenaWarmZeroAllocs|TestValidateFlatBig|TestStreamEdgeListOracleAtScale|TestStreamEdgeListChunkedOracleAtScale' \
     ./internal/fast ./internal/sched ./internal/dag
 
 echo "== arena warm-path zero-alloc gate"
