@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"fastsched/internal/jsonscan"
 )
@@ -21,6 +22,10 @@ type jsonNode struct {
 	ID     int     `json:"id"`
 	Label  string  `json:"label,omitempty"`
 	Weight float64 `json:"weight"`
+	// labelAt and labelEnd place a label the compact pass read in its
+	// decode's label buffer. While labelEnd > 0 they hold the label and
+	// Label is empty; a label the member walk reads clears them.
+	labelAt, labelEnd int
 }
 
 type jsonEdge struct {
@@ -139,11 +144,14 @@ var (
 // keys decode into the elements already read, in place. A syntax error
 // inside the value is returned; one after it is left for the caller to
 // find with s.Err.
+//
+// Each element is first tried in the compact shape WriteJSON's output
+// takes once json.Compact strips its blanks (compactNode, compactEdge),
+// and walked member by member only where that declines. The file
+// form's lists and the label buffer come from decodePool.
 func DecodeJSON(s *jsonscan.Scanner) (*Graph, string, error) {
-	var (
-		jg  jsonGraph
-		bad string // the first field holding a value of the wrong type
-	)
+	d := decodePool.Get().(*fileDecode)
+	defer d.release()
 	switch s.Next() {
 	case '{':
 		s.Enter('{')
@@ -154,13 +162,13 @@ func DecodeJSON(s *jsonscan.Scanner) (*Graph, string, error) {
 			}
 			switch jsonscan.Lookup(key, graphFields) {
 			case 0:
-				if !s.String(&jg.Name) {
-					note(&bad, "name")
+				if !s.String(&d.Name) {
+					note(&d.bad, "name")
 				}
 			case 1:
-				jg.Nodes = decodeList(s, jg.Nodes, decodeNode, &bad, "nodes")
+				d.Nodes = decodeList(s, d.Nodes, decodeNode, d, "nodes")
 			case 2:
-				jg.Edges = decodeList(s, jg.Edges, decodeEdge, &bad, "edges")
+				d.Edges = decodeList(s, d.Edges, decodeEdge, d, "edges")
 			default:
 				s.Skip()
 			}
@@ -169,19 +177,43 @@ func DecodeJSON(s *jsonscan.Scanner) (*Graph, string, error) {
 		s.Skip()
 	default:
 		s.Skip()
-		note(&bad, "graph")
+		note(&d.bad, "graph")
 	}
 	if err := s.Err(); err != nil {
 		return nil, "", fmt.Errorf("dag: decode: %w", err)
 	}
-	if bad != "" {
-		return nil, "", fmt.Errorf("dag: decode: %s has a value of the wrong JSON type or out of range", bad)
+	if d.bad != "" {
+		return nil, "", fmt.Errorf("dag: decode: %s has a value of the wrong JSON type or out of range", d.bad)
 	}
-	g, err := jg.build()
+	g, err := d.build(string(d.labels))
 	if err != nil {
 		return nil, "", err
 	}
-	return g, jg.Name, nil
+	return g, d.Name, nil
+}
+
+// fileDecode is one DecodeJSON call: the file form it fills, the plain
+// labels its compact elements held, back to back, and the first field
+// holding a value of the wrong type.
+type fileDecode struct {
+	jsonGraph
+	labels []byte
+	bad    string
+}
+
+// decodePool recycles fileDecodes. One goes back cleared to its lists'
+// capacity, so it holds no pointer into a finished decode, and a
+// pooled element, even one beyond a list's length that a repeated key
+// reaches, decodes as a fresh list's zero element would.
+var decodePool = sync.Pool{New: func() any { return new(fileDecode) }}
+
+// release clears d and puts it back in decodePool.
+func (d *fileDecode) release() {
+	nodes, edges := d.Nodes[:cap(d.Nodes)], d.Edges[:cap(d.Edges)]
+	clear(nodes)
+	clear(edges)
+	*d = fileDecode{jsonGraph: jsonGraph{Nodes: nodes[:0], Edges: edges[:0]}, labels: d.labels[:0]}
+	decodePool.Put(d)
 }
 
 // note records field as the first bad one.
@@ -194,12 +226,14 @@ func note(bad *string, field string) {
 // decodeList decodes a JSON array into list as encoding/json decodes
 // into a slice: element i decodes in place into list[i], reusing the
 // backing array beyond the current length, and the result is cut to the
-// array's length; an empty array or null leaves no backing array.
-func decodeList[T any](s *jsonscan.Scanner, list []T, decode func(*jsonscan.Scanner, *T, *string), bad *string, field string) []T {
+// array's length; an empty array or null leaves no backing array. A
+// pooled list arrives empty with its capacity zeroed, so it decodes as
+// a fresh one.
+func decodeList[T any](s *jsonscan.Scanner, list []T, decode func(*jsonscan.Scanner, *T, *fileDecode), d *fileDecode, field string) []T {
 	if !s.Enter('[') {
 		null := s.Next() == 'n'
 		if !null {
-			note(bad, field)
+			note(&d.bad, field)
 		}
 		s.Skip()
 		if null {
@@ -215,7 +249,7 @@ func decodeList[T any](s *jsonscan.Scanner, list []T, decode func(*jsonscan.Scan
 			var zero T
 			list = append(list[:i], zero)
 		}
-		decode(s, &list[i], bad)
+		decode(s, &list[i], d)
 	}
 	if i == 0 {
 		return nil
@@ -236,8 +270,14 @@ func enterObject(s *jsonscan.Scanner, bad *string, field string) bool {
 	return false
 }
 
-func decodeNode(s *jsonscan.Scanner, n *jsonNode, bad *string) {
-	if !enterObject(s, bad, "nodes") {
+// decodeNode decodes a node element into n: in the compact shape when
+// it has it, by the member walk otherwise.
+func decodeNode(s *jsonscan.Scanner, n *jsonNode, d *fileDecode) {
+	if used := compactNode(s.Rest(), n, d); used > 0 {
+		s.Advance(used)
+		return
+	}
+	if !enterObject(s, &d.bad, "nodes") {
 		return
 	}
 	for i := 0; ; i++ {
@@ -247,14 +287,17 @@ func decodeNode(s *jsonscan.Scanner, n *jsonNode, bad *string) {
 		}
 		switch jsonscan.Lookup(key, nodeFields) {
 		case 0:
-			decodeInt(s, &n.ID, bad, "node id")
+			decodeInt(s, &n.ID, &d.bad, "node id")
 		case 1:
+			if s.Next() == '"' { // a string replaces a compact label; null keeps it
+				n.labelAt, n.labelEnd = 0, 0
+			}
 			if !s.String(&n.Label) {
-				note(bad, "node label")
+				note(&d.bad, "node label")
 			}
 		case 2:
 			if !s.Float(&n.Weight) {
-				note(bad, "node weight")
+				note(&d.bad, "node weight")
 			}
 		default:
 			s.Skip()
@@ -262,8 +305,14 @@ func decodeNode(s *jsonscan.Scanner, n *jsonNode, bad *string) {
 	}
 }
 
-func decodeEdge(s *jsonscan.Scanner, e *jsonEdge, bad *string) {
-	if !enterObject(s, bad, "edges") {
+// decodeEdge decodes an edge element into e: in the compact shape when
+// it has it, by the member walk otherwise.
+func decodeEdge(s *jsonscan.Scanner, e *jsonEdge, d *fileDecode) {
+	if used := compactEdge(s.Rest(), e); used > 0 {
+		s.Advance(used)
+		return
+	}
+	if !enterObject(s, &d.bad, "edges") {
 		return
 	}
 	for i := 0; ; i++ {
@@ -273,17 +322,93 @@ func decodeEdge(s *jsonscan.Scanner, e *jsonEdge, bad *string) {
 		}
 		switch jsonscan.Lookup(key, edgeFields) {
 		case 0:
-			decodeInt(s, &e.From, bad, "edge from")
+			decodeInt(s, &e.From, &d.bad, "edge from")
 		case 1:
-			decodeInt(s, &e.To, bad, "edge to")
+			decodeInt(s, &e.To, &d.bad, "edge to")
 		case 2:
 			if !s.Float(&e.Weight) {
-				note(bad, "edge weight")
+				note(&d.bad, "edge weight")
 			}
 		default:
 			s.Skip()
 		}
 	}
+}
+
+// compactNode reads the node element that starts b when it has the
+// writer's compact shape, {"id":I,"weight":W} or
+// {"id":I,"label":"L","weight":W} byte for byte, with I, W and L tokens
+// jsonscan's PlainInt, PlainFloat and PlainString take. It stores the
+// element in n, appending L to d.labels, and returns the bytes it took.
+// For any other element it returns 0 and changes nothing, and the
+// member walk reads the element with its own values, errors and depth
+// count (an element sits at depth 4 at most, far inside the limit).
+// Each key run is compared as a constant string, which compiles to a
+// few word compares; a helper taking the run as a parameter calls
+// memequal instead, and measured slower.
+func compactNode(b []byte, n *jsonNode, d *fileDecode) int {
+	if len(b) < 6 || string(b[:6]) != `{"id":` {
+		return 0
+	}
+	i := 6
+	k, id := jsonscan.PlainInt(b[i:])
+	if i += k; k == 0 {
+		return 0
+	}
+	var label []byte
+	labelled := len(b) >= i+9 && string(b[i:i+9]) == `,"label":`
+	if labelled {
+		i += 9
+		k = jsonscan.PlainString(b[i:])
+		if k == 0 {
+			return 0
+		}
+		label = b[i+1 : i+k-1]
+		i += k
+	}
+	if len(b) < i+10 || string(b[i:i+10]) != `,"weight":` {
+		return 0
+	}
+	i += 10
+	k, w := jsonscan.PlainFloat(b[i:])
+	if i += k; k == 0 || i == len(b) || b[i] != '}' {
+		return 0
+	}
+	n.ID, n.Weight = id, w
+	if labelled {
+		n.Label, n.labelAt = "", len(d.labels)
+		d.labels = append(d.labels, label...)
+		n.labelEnd = len(d.labels)
+	}
+	return i + 1
+}
+
+// compactEdge reads the edge element that starts b when it has the
+// writer's compact shape, {"from":F,"to":T,"weight":W} byte for byte,
+// with F, T and W tokens PlainInt and PlainFloat take, into e and
+// returns the bytes it took; otherwise it returns 0 and changes
+// nothing, as compactNode does.
+func compactEdge(b []byte, e *jsonEdge) int {
+	if len(b) < 8 || string(b[:8]) != `{"from":` {
+		return 0
+	}
+	i := 8
+	k, from := jsonscan.PlainInt(b[i:])
+	if i += k; k == 0 || len(b) < i+6 || string(b[i:i+6]) != `,"to":` {
+		return 0
+	}
+	i += 6
+	k, to := jsonscan.PlainInt(b[i:])
+	if i += k; k == 0 || len(b) < i+10 || string(b[i:i+10]) != `,"weight":` {
+		return 0
+	}
+	i += 10
+	k, w := jsonscan.PlainFloat(b[i:])
+	if i += k; k == 0 || i == len(b) || b[i] != '}' {
+		return 0
+	}
+	e.From, e.To, e.Weight = from, to, w
+	return i + 1
 }
 
 // decodeInt reads an int field; like encoding/json, it rejects a value
@@ -300,13 +425,15 @@ func decodeInt(s *jsonscan.Scanner, dst *int, bad *string, field string) {
 // build turns the decoded file form into a graph through its CSR: node
 // IDs must be dense and unique; the CSR's successor and predecessor
 // slots keep file order, which is the order AddEdge would store; and
-// the graph keeps the checked CSR. Errors are the ones adding the nodes
-// in ID order and the edges in file order with AddEdge, then running
-// Validate, would give, in that precedence: the node IDs; the first
-// edge in file order with an endpoint out of range, a self-loop or a
-// pair an earlier edge already joined; a cycle; the first negative node
-// weight by ID; the first negative edge weight in (from, slot) order.
-func (jg *jsonGraph) build() (*Graph, error) {
+// the graph keeps the checked CSR. A node's label is its Label or, where
+// the compact pass read it, its span of labels. Errors are the ones
+// adding the nodes in ID order and the edges in file order with
+// AddEdge, then running Validate, would give, in that precedence: the
+// node IDs; the first edge in file order with an endpoint out of
+// range, a self-loop or a pair an earlier edge already joined; a cycle;
+// the first negative node weight by ID; the first negative edge weight
+// in (from, slot) order.
+func (jg *jsonGraph) build(labels string) (*Graph, error) {
 	v := len(jg.Nodes)
 	seen := make([]bool, v)
 	nodes := make([]Node, v)
@@ -319,7 +446,11 @@ func (jg *jsonGraph) build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: duplicate node id %d", n.ID)
 		}
 		seen[n.ID] = true
-		nodes[n.ID] = Node{ID: NodeID(n.ID), Label: n.Label, Weight: n.Weight}
+		label := n.Label
+		if n.labelEnd > 0 {
+			label = labels[n.labelAt:n.labelEnd]
+		}
+		nodes[n.ID] = Node{ID: NodeID(n.ID), Label: label, Weight: n.Weight}
 		nodeW[n.ID] = n.Weight
 	}
 	edges := jg.Edges

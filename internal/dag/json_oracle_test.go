@@ -137,6 +137,48 @@ var readJSONParitySeeds = []string{
 	"{\"nodes\":[{\"id\":0,\"weight\":1,\"label\":\"a\x01\"}]}",
 	`{"nodes":[],"x":"\q"}`,
 	`  `,
+	// Elements one byte away from the compact shape, which the member
+	// walk reads: digit runs past 15, a leading zero, a sign, an
+	// exponent, a point with no digits, blanks, swapped or extra keys,
+	// labels that are null, escaped or not ASCII, and cut-off elements.
+	`{"nodes":[{"id":0,"weight":1234567890123456},{"id":1,"weight":123456789012345}],"edges":[{"from":0,"to":1,"weight":12345678901234.56}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0,"to":1,"weight":1234567890.123456}]}`,
+	`{"nodes":[{"id":1234567890123456,"weight":1}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0000000000000000,"to":1,"weight":1}]}`,
+	`{"nodes":[{"id":01,"weight":1}]}`,
+	`{"nodes":[{"id":0,"weight":01}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0,"to":01,"weight":1}]}`,
+	`{"nodes":[{"id":-0,"weight":-0},{"id":1,"weight":-0.0}],"edges":[{"from":-0,"to":1,"weight":-0}]}`,
+	`{"nodes":[{"id":0,"weight":1e3},{"id":1,"weight":1E-3}],"edges":[{"from":0,"to":1,"weight":1e+3}]}`,
+	`{"nodes":[{"id":1e0,"weight":1}]}`,
+	`{"nodes":[{"id":0,"weight":1.}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0,"to":1,"weight":2.}]}`,
+	`{"nodes":[{"id": 0,"weight":1},{"id":1,"weight": 2},{"id":2 ,"weight":3}, {"id":3,"weight":4}],"edges":[{"from":0,"to": 1,"weight":1} ,{ "from":1,"to":2,"weight":1}]}`,
+	`{"nodes":[{"id":0,"label" :"a","weight":1},{"id":1,"label":"b" ,"weight":1}]}`,
+	`{"nodes":[{"weight":1,"id":0},{"id":1,"label":"b","weight":2,"id":0},{"label":"c","id":2,"weight":3}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"to":1,"from":0,"weight":1},{"from":0,"to":1,"weight":2,"to":0}]}`,
+	`{"nodes":[{"id":0,"weight":1,"x":2},{"id":1,"weight":1}],"edges":[{"from":0,"to":1,"weight":3,"w":[]}]}`,
+	`{"nodes":[{"id":0,"label":null,"weight":1},{"id":1,"label":"","weight":1}]}`,
+	`{"nodes":[{"id":0,"label":"a\"b","weight":1},{"id":1,"label":"\u00e9","weight":1},{"id":2,"label":"tab\tx","weight":1}]}`,
+	"{\"nodes\":[{\"id\":0,\"label\":\"\xc3\xa9t\xc3\xa9\",\"weight\":1},{\"id\":1,\"label\":\"\xff\",\"weight\":1},{\"id\":2,\"label\":\"a\x7fb\",\"weight\":1}]}",
+	`{"nodes":[{"id":0,"weight":1`,
+	`{"nodes":[{"id":0,"label":"ab`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0,"to":1,"weight":1.5`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0,"to":1,"weight":1.5}`,
+	// Repeated nodes/edges keys mixing compact and walked elements: a
+	// label the compact pass read survives an element that omits it or
+	// gives null, and gives way to one that sets it.
+	`{"nodes":[{"id":0,"label":"a","weight":1}],"nodes":[{"id":0, "weight":1}]}`,
+	`{"nodes":[{"id":0,"label":"a","weight":1}],"nodes":[{"id":0,"label":null,"weight":2}]}`,
+	`{"nodes":[{"id":0,"label":"a","weight":1}],"nodes":[{"id":0,"weight":2}]}`,
+	`{"nodes":[{"id":0,"label":"a","weight":1}],"nodes":[{"id":0,"label":"\u00e9","weight":2}]}`,
+	`{"nodes":[{"id":0,"label":"\u00e9","weight":1}],"nodes":[{"id":0,"label":"b","weight":2}]}`,
+	`{"nodes":[{"id":0,"label":"\u00e9","weight":1}],"nodes":[{"id":0,"label":"","weight":2}]}`,
+	`{"nodes":[{"id":0,"label":"","weight":1},{"id":1,"label":"b","weight":1}],"nodes":[{"id":0,"LABEL":"c"},{"id":1}]}`,
+	`{"nodes":[{"id":0,"label":"a","weight":1},{"id":1,"label":"b","weight":1}],"nodes":[{"id":0,"weight":1}],"nodes":[{"id":0,"weight":1},{ "id":1}]}`,
+	`{"nodes":[{"id":0,"label":"a","weight":1}],"nodes":[],"nodes":[{"id":0,"weight":1}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":0,"to":1,"weight":4}],"edges":[{"from":0, "to":1}]}`,
+	`{"nodes":[{"id":0,"weight":1},{"id":1,"weight":1}],"edges":[{"from":1,"to":0,"weight":4},{"from":0,"to":1,"weight":2}],"edges":[{"to":1,"from":0},{"from":0,"to":1,"weight":3}]}`,
 }
 
 // checkReadJSONParity decodes input with ReadJSON and its reflective
@@ -194,12 +236,18 @@ func TestReadJSONParity(t *testing.T) {
 	}
 }
 
+// faultLabels are the labels faultyGraph gives a share of its nodes:
+// plain ones the compact pass reads, and ones with escapes or non-ASCII
+// bytes the member walk reads.
+var faultLabels = []string{"a", "T1,2", "x y~", "", `q"uote`, `back\slash`, "tab\t", "é", "日本", "<&>"}
+
 // faultyGraph draws a small graph in the file form with a few faults,
 // each at a random place in file order: node IDs out of range or
 // repeated, edge endpoints out of range, self-loops, duplicate edges,
 // negative node and edge weights, and edges that close a cycle. One
 // graph in eight has a hub whose out-degree crosses dupScanThreshold,
 // so duplicates land on both sides of AddEdge's two duplicate checks.
+// Half the nodes carry one of faultLabels.
 func faultyGraph(rng *rand.Rand) *jsonGraph {
 	v := 1 + rng.Intn(8)
 	hub := rng.Intn(8) == 0
@@ -223,7 +271,11 @@ func faultyGraph(rng *rand.Rand) *jsonGraph {
 		case 1:
 			id = rng.Intn(v)
 		}
-		jg.Nodes = append(jg.Nodes, jsonNode{ID: id, Weight: weight()})
+		n := jsonNode{ID: id, Weight: weight()}
+		if rng.Intn(2) == 0 {
+			n.Label = faultLabels[rng.Intn(len(faultLabels))]
+		}
+		jg.Nodes = append(jg.Nodes, n)
 	}
 	// Edges run forward in a random topological order; faults are
 	// inserted among them.
@@ -274,7 +326,8 @@ func faultyGraph(rng *rand.Rand) *jsonGraph {
 	return jg
 }
 
-// appendGraphJSON writes jg in the file form, as compact JSON.
+// appendGraphJSON writes jg in the file form, as compact JSON, each
+// label as encoding/json quotes it.
 func appendGraphJSON(b []byte, jg *jsonGraph) []byte {
 	b = append(b, `{"nodes":[`...)
 	for i, n := range jg.Nodes {
@@ -282,6 +335,10 @@ func appendGraphJSON(b []byte, jg *jsonGraph) []byte {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(append(b, `{"id":`...), int64(n.ID), 10)
+		if n.Label != "" {
+			label, _ := json.Marshal(n.Label)
+			b = append(append(b, `,"label":`...), label...)
+		}
 		b = strconv.AppendFloat(append(b, `,"weight":`...), n.Weight, 'g', -1, 64)
 		b = append(b, '}')
 	}

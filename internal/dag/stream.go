@@ -558,7 +558,9 @@ func (f *fieldScanner) split(line []byte) [][]byte {
 // lineReader is a value-type replacement for bufio.Scanner's line
 // splitting: same 1 MiB line limit (bufio.ErrTooLong beyond it), same
 // trailing-\r stripping, no allocation per line and no Scanner struct
-// per parse — the warm streaming path's last per-call allocation.
+// per parse — the warm streaming path's last per-call allocation. The
+// unread window is buf[start:end]; the canonical-line pass may move
+// start past a line it converted itself.
 type lineReader struct {
 	r          io.Reader
 	buf        []byte
@@ -566,14 +568,20 @@ type lineReader struct {
 	eof        bool
 }
 
+// next returns the window's next line, refilling the window until it
+// holds the line's end. Each refill's search for '\n' resumes where the
+// last one stopped, so a line costs time linear in its length however
+// small the reads that deliver it.
 func (lr *lineReader) next() ([]byte, error) {
 	empty := 0
+	searched := lr.start // buf[start:searched] holds no '\n'
 	for {
-		if i := bytes.IndexByte(lr.buf[lr.start:lr.end], '\n'); i >= 0 {
-			line := lr.buf[lr.start : lr.start+i]
-			lr.start += i + 1
+		if i := bytes.IndexByte(lr.buf[searched:lr.end], '\n'); i >= 0 {
+			line := lr.buf[lr.start : searched+i]
+			lr.start = searched + i + 1
 			return dropCR(line), nil
 		}
+		searched = lr.end
 		if lr.eof {
 			if lr.start < lr.end {
 				line := lr.buf[lr.start:lr.end]
@@ -585,6 +593,7 @@ func (lr *lineReader) next() ([]byte, error) {
 		if lr.start > 0 {
 			copy(lr.buf, lr.buf[lr.start:lr.end])
 			lr.end -= lr.start
+			searched -= lr.start
 			lr.start = 0
 		}
 		if lr.end == len(lr.buf) {

@@ -60,12 +60,10 @@ func FuzzStreamSTG(f *testing.F) {
 // both must agree on acceptance and error text, and on an accepted
 // input every CSR array must match bit for bit and validate. The seeds
 // include every shape the canonical-line pass hands to the field
-// split. The reader also reads through iotest.HalfReader and, for
-// inputs under 64 KiB, iotest.OneByteReader and a 7-byte chunkReader,
-// so lines cross the line reader's refills: the canonical pass must
-// decline every line whose end is not yet buffered. (A longer input in
-// such small reads would cost the line reader, which rescans its window
-// after every Read, time quadratic in the longest line.)
+// split. The reader also reads through iotest.HalfReader,
+// iotest.OneByteReader and a 7-byte chunkReader, so lines cross the
+// line reader's refills: the canonical pass must decline every line
+// whose end is not yet buffered.
 func FuzzStreamEdgeList(f *testing.F) {
 	f.Add("v 2\nn 1\nn 2\ne 0 1 3\n")
 	f.Add("v 1\nn 0\n")
@@ -100,9 +98,8 @@ func FuzzStreamEdgeList(f *testing.F) {
 		readers := []func(io.Reader) io.Reader{
 			func(r io.Reader) io.Reader { return r },
 			iotest.HalfReader,
-		}
-		if len(input) < 1<<16 {
-			readers = append(readers, iotest.OneByteReader, chunked(7))
+			iotest.OneByteReader,
+			chunked(7),
 		}
 		for k, wrap := range readers {
 			for _, a := range []*ScaleArena{nil, NewScaleArena()} {

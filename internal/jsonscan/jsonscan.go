@@ -22,6 +22,15 @@
 // or a non-ASCII byte is unquoted by encoding/json itself, so escapes,
 // surrogates and invalid UTF-8 decode exactly as they always did.
 // Decoded strings never alias the input.
+//
+// A decoder that knows the exact bytes its usual input holds can match
+// them first, straight from the unread input (Rest), and consume what
+// it matched (Advance); PlainInt, PlainFloat and PlainString read the
+// simplest number and string tokens there, each value bit for bit what
+// the matching reader returns. None of these checks grammar beyond what
+// it matches or sets an error. Where a byte does not fit, the decoder
+// consumes nothing and reads the value with the readers above, so what
+// is accepted, the values and the errors stay the readers'.
 package jsonscan
 
 import (
@@ -305,6 +314,79 @@ func (s *Scanner) String(dst *string) (ok bool) {
 	return true
 }
 
+// Rest returns the unread input; it aliases the input.
+func (s *Scanner) Rest() []byte { return s.data[s.pos:] }
+
+// Advance consumes the first n bytes of Rest, which the caller has
+// matched itself.
+func (s *Scanner) Advance(n int) { s.pos += n }
+
+// PlainInt reads the number token that starts b when it is a run of
+// 1–15 digits with no leading zero (a lone 0 is fine), and returns its
+// length and its value, which is what Int reads from it. For any other
+// token, or a value beyond int, n is 0.
+func PlainInt(b []byte) (n, v int) {
+	n, u := digitRun(b, 0)
+	if n == 0 || n > 15 || n > 1 && b[0] == '0' || n < len(b) && numberGoesOn(b[n]) || u > math.MaxInt {
+		return 0, 0
+	}
+	return n, int(u)
+}
+
+// PlainFloat reads the number token that starts b when it has no sign,
+// no exponent part and at most 15 digits before and after the point
+// together, and returns its length and its value; for any other token
+// n is 0. The mantissa is below 10^15 < 2^53 and is divided by at most
+// 10^15, so the value is Float's (its exact path) bit for bit.
+func PlainFloat(b []byte) (n int, f float64) {
+	n, mant := digitRun(b, 0)
+	if n == 0 || n > 1 && b[0] == '0' {
+		return 0, 0
+	}
+	frac := 0
+	if n < len(b) && b[n] == '.' {
+		if frac, mant = digitRun(b[n+1:], mant); frac == 0 {
+			return 0, 0
+		}
+		n += 1 + frac
+	}
+	if n-min(frac, 1) > 15 || n < len(b) && numberGoesOn(b[n]) {
+		return 0, 0
+	}
+	return n, float64(mant) / pow10[frac]
+}
+
+// digitRun returns the length of the run of digits that starts b and v
+// with the run's digits folded in (modulo 2^64).
+func digitRun(b []byte, v uint64) (n int, _ uint64) {
+	for n < len(b) && isDigit(b[n]) {
+		v = v*10 + uint64(b[n]-'0')
+		n++
+	}
+	return n, v
+}
+
+// numberGoesOn reports whether c, after a run of digits, continues the
+// number token: a digit after a leading zero, a point or an exponent.
+func numberGoesOn(c byte) bool { return isDigit(c) || c == '.' || c == 'e' || c == 'E' }
+
+// PlainString returns the length, quotes included, of the string token
+// that starts b when its bytes are all plain ASCII (0x20–0x7F but '"'
+// and '\'), or 0 for any other token.
+func PlainString(b []byte) int {
+	if len(b) == 0 || b[0] != '"' {
+		return 0
+	}
+	i := 1
+	for i < len(b) && strPlain[b[i]] {
+		i++
+	}
+	if i == len(b) || b[i] != '"' {
+		return 0
+	}
+	return i + 1
+}
+
 // Lookup returns the index of the field name key selects, or -1: an
 // exact match first, then a case-folded one, as encoding/json matches
 // object keys to struct fields.
@@ -404,28 +486,26 @@ func (s *Scanner) literal(word string) {
 // digits, it is ±mant × 10^-frac; otherwise frac is -1.
 func (s *Scanner) number() (tok []byte, mant uint64, frac int) {
 	start, i := s.pos, s.pos
-	digits := 0
 	if s.at(i) == '-' {
 		i++
 	}
+	digits := 1
 	switch c := s.at(i); {
 	case c == '0':
-		i++
-		digits = 1
 	case '1' <= c && c <= '9':
-		i, mant, digits = s.mantissa(i, mant, digits)
+		digits, mant = digitRun(s.data[i:], 0)
 	default:
 		s.fail(i, "in numeric literal")
 		return nil, 0, -1
 	}
+	i += digits
 	if s.at(i) == '.' {
 		if !isDigit(s.at(i + 1)) {
 			s.fail(i+1, "after decimal point in numeric literal")
 			return nil, 0, -1
 		}
-		j := i + 1
-		i, mant, digits = s.mantissa(j, mant, digits)
-		frac = i - j
+		frac, mant = digitRun(s.data[i+1:], mant)
+		i, digits = i+1+frac, digits+frac
 	}
 	if c := s.at(i); c == 'e' || c == 'E' {
 		if c := s.at(i + 1); c == '+' || c == '-' {
@@ -435,33 +515,12 @@ func (s *Scanner) number() (tok []byte, mant uint64, frac int) {
 			s.fail(i+1, "in exponent of numeric literal")
 			return nil, 0, -1
 		}
-		i = s.digits(i + 1)
-		frac = -1
+		n, _ := digitRun(s.data[i+1:], 0)
+		i, frac = i+1+n, -1
 	}
 	if digits > 19 {
 		frac = -1
 	}
 	s.pos = i
 	return s.data[start:i], mant, frac
-}
-
-// mantissa folds the run of digits at i into mant, up to its 19th
-// digit, and returns the index just past the run with the new mantissa
-// and digit count.
-func (s *Scanner) mantissa(i int, mant uint64, digits int) (int, uint64, int) {
-	for ; i < len(s.data) && isDigit(s.data[i]); i++ {
-		if digits < 19 {
-			mant = mant*10 + uint64(s.data[i]-'0')
-		}
-		digits++
-	}
-	return i, mant, digits
-}
-
-// digits returns the index just past the run of digits at i.
-func (s *Scanner) digits(i int) int {
-	for isDigit(s.at(i)) {
-		i++
-	}
-	return i
 }

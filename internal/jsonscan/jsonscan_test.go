@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -206,12 +207,25 @@ var numberSeeds = []string{
 	`1.0`, `1E2`, `2.5e-1`,
 }
 
+// Plain number tokens, as PlainFloat and PlainInt define them: no
+// sign, no leading zero, no exponent part, and at most 15 digits (for
+// a float, before and after the point together).
+var (
+	plainFloatToken = regexp.MustCompile(`^(0|[1-9][0-9]*)(\.[0-9]+)?$`)
+	plainIntToken   = regexp.MustCompile(`^(0|[1-9][0-9]{0,14})$`)
+)
+
 // FuzzNumber holds the readers' number conversions to strconv on every
 // token the grammar accepts: Float equals strconv.ParseFloat bit for
 // bit or both reject, and Int accepts exactly what strconv.ParseInt
-// accepts, with the same value.
+// accepts, with the same value. PlainFloat and PlainInt, tried at the
+// token's start, take exactly the plain tokens that end there, with
+// Float's and Int's values, and consume nothing otherwise.
 func FuzzNumber(f *testing.F) {
 	for _, in := range numberSeeds {
+		f.Add(in)
+	}
+	for _, in := range []string{`123456789012345`, `1234567890123456`, `99999999999999.9`, `0.5}`, `01`, `7.`, `7.5.`, `12,`} {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
@@ -237,5 +251,51 @@ func FuzzNumber(f *testing.F) {
 		if iok != (err == nil) || iok && n != wantN {
 			t.Fatalf("Int(%q) = %d, %v; strconv %d, %v", tok, n, iok, wantN, err)
 		}
+
+		ends := s.pos == len(in) || !strings.ContainsRune("0123456789.eE", rune(in[s.pos]))
+		rest := []byte(in[start:])
+		pn, pf := PlainFloat(rest)
+		digits := strings.Count(tok, "")-1-strings.Count(tok, ".") <= 15
+		if want := plainFloatToken.MatchString(tok) && digits && ends; (pn > 0) != want ||
+			pn > 0 && (pn != len(tok) || math.Float64bits(pf) != math.Float64bits(got)) {
+			t.Fatalf("PlainFloat(%q) = %d, %v; want %v, Float %v over %d bytes", rest, pn, pf, want, got, len(tok))
+		}
+		pn, pi := PlainInt(rest)
+		if want := plainIntToken.MatchString(tok) && ends; (pn > 0) != want || pn > 0 && (pn != len(tok) || int64(pi) != n) {
+			t.Fatalf("PlainInt(%q) = %d, %d; want %v, Int %d over %d bytes", rest, pn, pi, want, n, len(tok))
+		}
 	})
+}
+
+// TestPlainString checks that PlainString takes exactly a string of
+// plain ASCII bytes, and that Rest and Advance move through the input
+// as the readers would.
+func TestPlainString(t *testing.T) {
+	for in, want := range map[string]int{
+		`"plain ~` + "\x7f" + `",`: 10,
+		`""`:                       2,
+		`"a\"b"`:                   0,
+		`"\u00e9"`:                 0,
+		"\"\xc3\xa9\"":             0,
+		"\"a\x01\"":                0,
+		`"cut`:                     0,
+		`x""`:                      0,
+		``:                         0,
+	} {
+		if got := PlainString([]byte(in)); got != want {
+			t.Errorf("PlainString(%q) = %d, want %d", in, got, want)
+		}
+	}
+	s := New([]byte(`[12, "ab"]`))
+	s.Enter('[')
+	s.Elem(0)
+	n, v := PlainInt(s.Rest())
+	s.Advance(n)
+	if v != 12 || !s.Elem(1) || s.Next() != '"' {
+		t.Fatalf("read %d, then %q", v, s.Rest())
+	}
+	s.Advance(PlainString(s.Rest()))
+	if s.Elem(2) || s.Err() != nil || len(s.Rest()) != 0 {
+		t.Fatalf("after the string: %v, rest %q", s.Err(), s.Rest())
+	}
 }

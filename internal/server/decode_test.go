@@ -53,16 +53,16 @@ func decodeBodies(tb testing.TB) map[string][]byte {
 }
 
 // TestDecodeSubmitAllocs pins the allocations of one decode, so a
-// change that adds some per node or per edge shows here. The ceilings
-// are the counts measured when the decoder began building the CSR
-// directly: each label is one allocation, and the rest are the file
-// form's growing lists, the CSR, the graph and the cycle check's
-// scratch.
+// change that adds some per node, per edge or per label shows here.
+// The ceilings are the counts measured once the decoder pooled the file
+// form's lists and gave all of a decode's plain labels one string: what
+// is left is that string, the CSR, the graph, the build's scratch and
+// the scanner.
 func TestDecodeSubmitAllocs(t *testing.T) {
 	if schedtest.RaceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	ceiling := map[string]float64{"labelled": 212, "unlabelled": 45}
+	ceiling := map[string]float64{"labelled": 21, "unlabelled": 20}
 	for name, body := range decodeBodies(t) {
 		n := testing.AllocsPerRun(20, func() {
 			if _, rej := decodeSubmit(body); rej != nil {

@@ -73,7 +73,12 @@ echo "== arena warm-path zero-alloc gate"
 # arena kernels (streaming parse, compact levels, classification,
 # priority order) run with exactly zero allocations, and the whole
 # arena-backed fast-hier scheduler with one (the schedule header).
+# TestDecodeSubmitAllocs pins a schedd miss's graph decode to its
+# measured allocations (pooled file-form lists, one string for all
+# labels), so a per-node or per-label allocation fails here; the race
+# run above skips it.
 go test -timeout 120s -run 'TestScaleArenaWarmZeroAllocs' ./internal/fast
+go test -timeout 120s -run 'TestDecodeSubmitAllocs' ./internal/server
 
 echo "== schedd smoke (race)"
 # The serving-layer lifecycle under the race detector: daemon start,
